@@ -14,7 +14,7 @@ from whirlknight import build_digraph, coil_interval
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=22)
+    parser.add_argument("--max-n", type=int, default=40)
     args = parser.parse_args()
 
     print(f"{'n':>4} {'n%8':>4} {'c=n/2':>6} {'min':>5} {'max':>5} {'c in range':>11} {'time':>7}")

@@ -45,6 +45,7 @@ from .polytope import (
     CycleCover,
     FractionalAssignment,
     LpDecision,
+    MatchingDuals,
     NoCycleCoverError,
     check_reduction,
     coil_interval,

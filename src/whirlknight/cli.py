@@ -4,7 +4,7 @@ Subcommands: ``digraph``, ``cert``, ``lp``, ``tour``, ``render``.  All
 output is line-oriented key=value pairs or JSON; search progress goes to
 stderr as key=value lines.  Exit codes follow one contract everywhere:
 0 = positive result (valid / feasible / found), 1 = definite negative,
-2 = usage or data error.
+2 = usage, data or internal error.
 """
 
 from __future__ import annotations
@@ -229,6 +229,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # A failed self-check, RecursionError or MemoryError decides nothing;
+        # exit 1 is reserved for definite negatives.
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
 

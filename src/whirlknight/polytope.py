@@ -8,8 +8,10 @@ of the LP at coil count c is therefore exactly min_coil <= c <= max_coil,
 decided by two perfect-matching solves (out-copies vs in-copies of the
 vertices, one edge per arc).
 
-The Hungarian solver below uses integer potentials on int64 arrays, so
-every comparison is exact; there is no floating point in this module.
+The solver below is a sparse primal-dual matching on the digraph's
+adjacency lists with Python-int potentials, so every comparison is exact;
+there is no floating point in this module.  Each solve returns its
+potentials, which prove the extreme cover optimal by LP duality.
 Feasible decisions come with an exact rational witness: the convex
 combination of the two extreme covers that meets the coil row.
 """
@@ -17,11 +19,10 @@ combination of the two extreme covers that meets the coil row.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .digraph import WhirlDigraph
 from .geometry import Cell
@@ -33,6 +34,7 @@ __all__ = [
     "NoCycleCoverError",
     "CycleCover",
     "CoilInterval",
+    "MatchingDuals",
     "FractionalAssignment",
     "LpDecision",
     "coil_interval",
@@ -74,11 +76,27 @@ class CycleCover:
 
 
 @dataclass(frozen=True)
+class MatchingDuals:
+    """Integer potentials that prove a perfect matching optimal.
+
+    ``u`` is indexed by tail vertex and ``v`` by head vertex.  Every arc
+    e = (t, h) of cost c_e has reduced cost c_e - u[t] - v[h] >= 0, and
+    sum(u) + sum(v) equals the matching's cost, so by LP duality no cycle
+    cover costs less.
+    """
+
+    u: tuple[int, ...]
+    v: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class CoilInterval:
     min_coil: int
     max_coil: int
     argmin: CycleCover
     argmax: CycleCover
+    min_duals: MatchingDuals  # for arc cost w
+    max_duals: MatchingDuals  # for arc cost 1 - w
 
 
 @dataclass(frozen=True)
@@ -98,92 +116,184 @@ class LpDecision:
     witness: FractionalAssignment | None
 
 
-_FORBIDDEN = np.int64(1) << 40
-_INFEASIBLE_DELTA = int(np.int64(1) << 39)
+def _min_cost_matching(
+    out_adj: Sequence[Sequence[int]], head: Sequence[int], cost: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """Exact minimum-cost perfect matching of rows to columns on a sparse graph.
 
+    Row i may take column head[a] at integer cost cost[a] for each arc id
+    a in out_adj[i].  Primal-dual successive shortest paths with integer
+    potentials u (rows) and v (columns).  Each phase runs one Dial
+    bucket-queue Dijkstra over the reduced costs cost[a] - u[i] - v[head[a]]
+    from all free rows at once, raises the potentials so that every
+    shortest augmenting path becomes tight (reduced cost 0), then augments
+    along a maximal set of vertex-disjoint tight paths found by iterative
+    DFS.  Reduced costs stay >= 0 and matched arcs stay tight throughout,
+    so the final potentials prove the matching optimal.  Dial's queue
+    keeps one bucket per distance up to the largest one reached, which
+    suits small integer costs such as the 0/1 coil weights.  Iteration order is
+    fixed, so the result is deterministic.
 
-def _min_assignment(cost: np.ndarray) -> np.ndarray:
-    """Exact minimum-cost perfect matching on a square int64 cost matrix.
-
-    Hungarian algorithm with integer potentials (shortest augmenting
-    paths); non-edges carry _FORBIDDEN.  Ties break toward the lowest
-    column index, so the result is deterministic.  Returns the matched
-    column of each row; raises NoCycleCoverError when completion is
-    impossible without a forbidden pair.
+    Returns the matched arc id of each row, u and v.  Raises
+    NoCycleCoverError when some free row has no augmenting path.
     """
-    n = cost.shape[0]
-    big = np.int64(1) << 60
-    u = np.zeros(n + 1, dtype=np.int64)
-    v = np.zeros(n + 1, dtype=np.int64)
-    match = np.zeros(n + 1, dtype=np.int64)  # match[j]: 1-based row on column j, 0 = free
-    way = np.zeros(n + 1, dtype=np.int64)
+    nv = len(out_adj)
+    u = []
+    for arcs in out_adj:
+        if not arcs:
+            raise NoCycleCoverError("no cycle cover exists: some vertex has no out-arc")
+        u.append(min(cost[a] for a in arcs))
+    v = [0] * nv
+    has_in = bytearray(nv)
+    for i, arcs in enumerate(out_adj):
+        for a in arcs:
+            h = head[a]
+            r = cost[a] - u[i]
+            if not has_in[h] or r < v[h]:
+                v[h] = r
+                has_in[h] = 1
+    if not all(has_in):
+        raise NoCycleCoverError("no cycle cover exists: some vertex has no in-arc")
 
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, big, dtype=np.int64)
-        used = np.zeros(n + 1, dtype=bool)
+    row_arc = [-1] * nv  # matched arc of each row
+    col_row = [-1] * nv  # matched row of each column
+    free = list(range(nv))
+    while free:
+        # Dial's Dijkstra: buckets[d] holds columns at tentative distance d;
+        # a matched column passes its distance to its row at reduced cost 0.
+        dist = [-1] * nv
+        buckets: list[list[int]] = [[]]
+        scanned = [(i, 0) for i in free]  # rows, in scan order
+        settled = []  # matched columns popped before the first free one
+        best = -1  # least tentative distance of a free column so far
+        top = d = 0
         while True:
-            used[j0] = True
-            i0 = int(match[j0])
-            mv = minv[1:]
-            wy = way[1:]
-            unused = ~used[1:]
-            cur = cost[i0 - 1] - u[i0] - v[1:]
-            improve = unused & (cur < mv)
-            mv[improve] = cur[improve]
-            wy[improve] = j0
-            reach = np.where(unused, mv, big)
-            jrel = int(np.argmin(reach))
-            delta = int(reach[jrel])
-            if delta >= _INFEASIBLE_DELTA:
+            while top < len(scanned):
+                i, di = scanned[top]
+                top += 1
+                ui = u[i] - di
+                for a in out_adj[i]:
+                    h = head[a]
+                    nd = cost[a] - ui - v[h]
+                    if 0 <= best <= nd:
+                        continue
+                    dh = dist[h]
+                    if dh < 0 or nd < dh:
+                        dist[h] = nd
+                        if col_row[h] < 0:
+                            best = nd
+                        while len(buckets) <= nd:
+                            buckets.append([])
+                        buckets[nd].append(h)
+            while d < len(buckets) and not buckets[d]:
+                d += 1
+            if d == len(buckets):
                 raise NoCycleCoverError(
                     "no cycle cover exists: some vertex cannot be matched"
                 )
-            u[match[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = jrel + 1
-            if match[j0] == 0:
+            h = buckets[d].pop()
+            if dist[h] != d:
+                continue  # stale entry; h was reached more cheaply
+            i = col_row[h]
+            if i < 0:
                 break
-        while j0:
-            j1 = int(way[j0])
-            match[j0] = match[j1]
-            j0 = j1
+            settled.append((h, d))
+            scanned.append((i, d))
+        for i, di in scanned:
+            if di < d:
+                u[i] += d - di
+        for h, dh in settled:
+            if dh < d:
+                v[h] -= d - dh
 
-    cols = np.empty(n, dtype=np.int64)
-    cols[match[1:] - 1] = np.arange(n)
-    return cols
+        # Augment along a maximal set of vertex-disjoint tight paths.
+        seen = bytearray(nv)
+        ptr = [0] * nv
+        for r in free:
+            rows = [r]
+            path: list[int] = []
+            while rows:
+                i = rows[-1]
+                adj = out_adj[i]
+                k = ptr[i]
+                ui = u[i]
+                while k < len(adj):
+                    a = adj[k]
+                    k += 1
+                    h = head[a]
+                    if not seen[h] and cost[a] - ui == v[h]:
+                        seen[h] = 1
+                        break
+                else:
+                    ptr[i] = k
+                    rows.pop()
+                    if path:
+                        path.pop()
+                    continue
+                ptr[i] = k
+                path.append(a)
+                nxt = col_row[h]
+                if nxt < 0:
+                    for i, a in zip(rows, path):
+                        row_arc[i] = a
+                        col_row[head[a]] = i
+                    break
+                rows.append(nxt)
+        free = [i for i in free if row_arc[i] < 0]
+    return row_arc, u, v
 
 
-def _weight_matrix(g: WhirlDigraph) -> np.ndarray:
-    n = len(g.vertices)
-    w = np.full((n, n), _FORBIDDEN, dtype=np.int64)
-    for a in g.arcs:
-        w[g.vertex_index[a.tail], g.vertex_index[a.head]] = a.w
-    return w
+def _solve_cover(
+    g: WhirlDigraph, head: list[int], cost: list[int]
+) -> tuple[CycleCover, MatchingDuals]:
+    row_arc, u, v = _min_cost_matching(g.out_adj, head, cost)
+    succ = {g.vertices[i]: g.arcs[a].head for i, a in enumerate(row_arc)}
+    return CycleCover(succ=succ), MatchingDuals(u=tuple(u), v=tuple(v))
 
 
-def _cover_from_columns(g: WhirlDigraph, cols: np.ndarray) -> CycleCover:
-    succ = {g.vertices[i]: g.vertices[int(j)] for i, j in enumerate(cols)}
-    return CycleCover(succ=succ)
+def _check_duals(
+    g: WhirlDigraph, head: list[int], cost: list[int], duals: MatchingDuals, total: int
+) -> None:
+    """Exact optimality proof: reduced costs >= 0 and zero duality gap."""
+    u, v = duals.u, duals.v
+    for i, arcs in enumerate(g.out_adj):
+        for a in arcs:
+            if cost[a] - u[i] - v[head[a]] < 0:
+                raise AssertionError(f"potentials violate the reduced cost of arc {a}")
+    if sum(u) + sum(v) != total:
+        raise AssertionError(
+            f"duality gap: potentials sum to {sum(u) + sum(v)}, cover costs {total}"
+        )
 
 
 def coil_interval(g: WhirlDigraph) -> CoilInterval:
     """Extreme coil counts over all cycle covers, with witnessing covers.
 
-    One min-weight and one max-weight matching solve.  The returned
-    endpoints are recounted from the witness covers' arc weights, which
-    doubles as the runtime check of the integrality premise.
+    One min-cost matching solve with arc cost w and one with cost 1 - w.
+    The returned endpoints are recounted from the witness covers' arc
+    weights, which doubles as the runtime check of the integrality
+    premise, and each solve's potentials are checked to prove its cover
+    optimal.
     """
-    w = _weight_matrix(g)
-    lo_cover = _cover_from_columns(g, _min_assignment(w))
-    hi_cover = _cover_from_columns(g, _min_assignment(np.where(w >= _FORBIDDEN, w, -w)))
+    head = [g.vertex_index[a.head] for a in g.arcs]
+    w = g.coil_weight_vector()
+    w_max = [1 - x for x in w]
+    lo_cover, lo_duals = _solve_cover(g, head, w)
+    hi_cover, hi_duals = _solve_cover(g, head, w_max)
     lo = coil_of_cover(g, lo_cover)
     hi = coil_of_cover(g, hi_cover)
+    _check_duals(g, head, w, lo_duals, lo)
+    _check_duals(g, head, w_max, hi_duals, len(g.vertices) - hi)
     if lo > hi:
         raise AssertionError(f"matching solves disagree: min {lo} > max {hi}")
-    return CoilInterval(min_coil=lo, max_coil=hi, argmin=lo_cover, argmax=hi_cover)
+    return CoilInterval(
+        min_coil=lo,
+        max_coil=hi,
+        argmin=lo_cover,
+        argmax=hi_cover,
+        min_duals=lo_duals,
+        max_duals=hi_duals,
+    )
 
 
 def coil_of_cover(g: WhirlDigraph, cover: CycleCover) -> int:

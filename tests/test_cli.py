@@ -71,6 +71,15 @@ class TestLp:
         assert doc["feasible"] == (expected == 0)
         assert doc["min_coil"] <= doc["max_coil"]
 
+    def test_failed_self_check_is_an_error_not_a_negative(self, capsys, monkeypatch):
+        def broken(g, c):
+            raise AssertionError("matching solves disagree:\nmin 6 > max 5")
+
+        monkeypatch.setattr("whirlknight.cli.lp_feasible", broken)
+        code, stdout, stderr = run(capsys, "lp", "--n", "6", "--c", "3")
+        assert code == 2 and stdout == ""
+        assert stderr == "error: AssertionError: matching solves disagree: min 6 > max 5\n"
+
 
 class TestTour:
     def test_search_n3_and_verify(self, tmp_path, capsys):

@@ -42,6 +42,20 @@ FROZEN_INTERVALS = {
 }
 
 
+def assert_certified(g, duals, cost, total):
+    """Reduced costs >= 0 on every arc and sum(u) + sum(v) == total."""
+    idx = g.vertex_index
+    for a in g.arcs:
+        assert cost[a.id] - duals.u[idx[a.tail]] - duals.v[idx[a.head]] >= 0
+    assert sum(duals.u) + sum(duals.v) == total
+
+
+def assert_endpoints_certified(g, iv):
+    """Both endpoints proved optimal by their potentials (max solve: cost 1 - w)."""
+    assert_certified(g, iv.min_duals, [a.w for a in g.arcs], iv.min_coil)
+    assert_certified(g, iv.max_duals, [1 - a.w for a in g.arcs], len(g.vertices) - iv.max_coil)
+
+
 class TestCoilInterval:
     def test_n3_point_interval(self, dg):
         iv = coil_interval(dg(3))
@@ -52,10 +66,20 @@ class TestCoilInterval:
         iv = coil_interval(dg(n))
         assert (iv.min_coil, iv.max_coil) == FROZEN_INTERVALS[n]
 
-    @pytest.mark.parametrize("n", [6, 12, 16])
+    @pytest.mark.parametrize("n", [6, 12, 16, 30, 40])
     def test_against_scipy_oracle(self, n, dg):
-        iv = coil_interval(dg(n))
+        g = dg(n)
+        iv = coil_interval(g)
         assert (iv.min_coil, iv.max_coil) == interval_oracle(n)
+        assert_endpoints_certified(g, iv)
+
+    def test_n100_endpoints_certified(self, dg):
+        # n = 100 is 4 mod 8: the t2 certificate forbids c = 50, so min_coil > 50.
+        g = dg(100)
+        iv = coil_interval(g)
+        assert_endpoints_certified(g, iv)
+        assert iv.min_coil > 50
+        assert verify_certificate(g, build_t2(100)).valid
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
     def test_witness_covers_attain_endpoints(self, n, dg):
@@ -241,7 +265,7 @@ class TestAssignmentValidation:
 
 
 class TestMatchingSolver:
-    """Fuzz the in-package Hungarian against scipy on general instances."""
+    """Fuzz the in-package sparse matching against scipy on general instances."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -249,7 +273,7 @@ class TestMatchingSolver:
         import numpy as np
         from scipy.optimize import linear_sum_assignment
 
-        from whirlknight.polytope import _FORBIDDEN, NoCycleCoverError, _min_assignment
+        from whirlknight.polytope import _min_cost_matching
 
         rng = np.random.default_rng(trial_seed)
         n = int(rng.integers(1, 25))
@@ -259,14 +283,26 @@ class TestMatchingSolver:
         sci = np.where(mask, cost, big)
         rows, cols = linear_sum_assignment(sci)
         feasible = sci[rows, cols].max() < big
+        out_adj, head, arc_cost = [], [], []
+        for i in range(n):
+            js = np.flatnonzero(mask[i]).tolist()
+            out_adj.append(list(range(len(head), len(head) + len(js))))
+            head += js
+            arc_cost += [int(cost[i, j]) for j in js]
         try:
-            got = _min_assignment(np.where(mask, cost, int(_FORBIDDEN)).astype(np.int64))
+            row_arc, u, v = _min_cost_matching(out_adj, head, arc_cost)
         except NoCycleCoverError:
             assert not feasible
             return
         assert feasible
-        assert sorted(got.tolist()) == list(range(n))
-        assert int(sci[np.arange(n), got].sum()) == int(sci[rows, cols].sum())
+        assert all(row_arc[i] in out_adj[i] for i in range(n))
+        assert sorted(head[a] for a in row_arc) == list(range(n))
+        total = sum(arc_cost[a] for a in row_arc)
+        assert total == int(sci[rows, cols].sum())
+        # the potentials are dual-feasible with zero gap
+        for i in range(n):
+            assert all(arc_cost[a] - u[i] - v[head[a]] >= 0 for a in out_adj[i])
+        assert sum(u) + sum(v) == total
 
 
 class TestCoverSerialization:
