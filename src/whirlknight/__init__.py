@@ -12,7 +12,8 @@ exactly, and searches for and verifies tours.
 from .certificates import (
     FactsReport,
     FarkasCertificate,
-    SupportSets,
+    T1Supports,
+    T2Supports,
     VerificationReport,
     build_n3_certificate,
     build_t1,
@@ -38,7 +39,6 @@ from .geometry import (
     crossing_weight,
     is_ccw,
     is_knight_displacement,
-    knight_steps,
 )
 from .polytope import (
     CoilInterval,

@@ -33,7 +33,8 @@ from .geometry import Cell
 __all__ = [
     "FarkasCertificate",
     "VerificationReport",
-    "SupportSets",
+    "T1Supports",
+    "T2Supports",
     "FactsReport",
     "verify_certificate",
     "t1_supports",
@@ -79,16 +80,21 @@ class VerificationReport:
 
 
 @dataclass(frozen=True)
-class SupportSets:
-    """Named support cells of the two certificate families.
-
-    T1 boards (n = 8m+6) populate n_in / n_out; T2 boards (n = 8m+4)
-    populate the triangle parts, the block rows R and the block cells
-    (r, h-1), (r, h) for r in R.  Unused fields stay empty.
-    """
+class T1Supports:
+    """Support cells of the T1 family (n = 8m+6): the in- and out-strips."""
 
     n_in: frozenset[Cell]
     n_out: frozenset[Cell]
+
+
+@dataclass(frozen=True)
+class T2Supports:
+    """Support cells of the T2 family (n = 8m+4).
+
+    The north-east triangle split by (i+j) parity, the block rows R and
+    the block cells (r, h-1), (r, h) for r in R.
+    """
+
     t_even: frozenset[Cell]
     t_odd: frozenset[Cell]
     r_rows: frozenset[int]
@@ -104,7 +110,7 @@ def _require_residue(n: int, residue: int, minimum: int) -> int:
     return (n - residue) // 8
 
 
-def t1_supports(n: int) -> SupportSets:
+def t1_supports(n: int) -> T1Supports:
     """Block supports for n = 8m+6: two column strips flanking the pivot.
 
     Rows come in m+1 two-row blocks {4k, 4k+1}; columns are h-1 (in-side)
@@ -113,17 +119,13 @@ def t1_supports(n: int) -> SupportSets:
     m = _require_residue(n, 6, 6)
     h = n // 2
     rows = [4 * k + d for k in range(m + 1) for d in (0, 1)]
-    return SupportSets(
+    return T1Supports(
         n_in=frozenset(Cell(r, h - 1) for r in rows),
         n_out=frozenset(Cell(r, h) for r in rows),
-        t_even=frozenset(),
-        t_odd=frozenset(),
-        r_rows=frozenset(),
-        blocks=frozenset(),
     )
 
 
-def t2_supports(n: int) -> SupportSets:
+def t2_supports(n: int) -> T2Supports:
     """Triangle and block supports for n = 8m+4.
 
     The north-east triangle T holds the cells (i, j) with 0 <= i <= h-1,
@@ -134,9 +136,7 @@ def t2_supports(n: int) -> SupportSets:
     h = n // 2
     tri = [Cell(i, j) for i in range(h) for j in range(h, n) if i + j <= n - 1]
     r_rows = [4 * k for k in range(m + 1)]
-    return SupportSets(
-        n_in=frozenset(),
-        n_out=frozenset(),
+    return T2Supports(
         t_even=frozenset(c for c in tri if (c.i + c.j) % 2 == 0),
         t_odd=frozenset(c for c in tri if (c.i + c.j) % 2 == 1),
         r_rows=frozenset(r_rows),
@@ -289,14 +289,25 @@ def certificate_to_json(cert: FarkasCertificate) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+def _entries_from_json(name: str, rows) -> dict[Cell, int]:
+    """Support entries [i, j, x] as a cell map; zeros dropped, repeats rejected."""
+    support: dict[Cell, int] = {}
+    for i, j, x in rows:
+        cell = Cell(int(i), int(j))
+        if cell in support:
+            raise ValueError(f"{name} lists cell {tuple(cell)} twice")
+        support[cell] = int(x)
+    return {c: x for c, x in support.items() if x}
+
+
 def certificate_from_json(text: str) -> FarkasCertificate:
     doc = json.loads(text)
     try:
         return FarkasCertificate(
             n=int(doc["n"]),
             c=int(doc["c"]),
-            alpha={Cell(int(i), int(j)): int(x) for i, j, x in doc["alpha"] if int(x)},
-            beta={Cell(int(i), int(j)): int(x) for i, j, x in doc["beta"] if int(x)},
+            alpha=_entries_from_json("alpha", doc["alpha"]),
+            beta=_entries_from_json("beta", doc["beta"]),
             gamma=int(doc["gamma"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

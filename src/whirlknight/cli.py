@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -39,20 +38,10 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _thread_cap() -> int:
-    # Search runs sequentially in this version; WHIRL_THREADS can only
-    # lower the (already minimal) worker count.
-    raw = os.environ.get("WHIRL_THREADS", "1")
-    try:
-        return max(1, min(1, int(raw)))
-    except ValueError:
-        return 1
-
-
 def cmd_digraph(args: argparse.Namespace) -> int:
     g = build_digraph(args.n)
     print(f"n={g.n} vertices={len(g.vertices)} arcs={len(g.arcs)} "
-          f"crossing_arcs={sum(g.coil_weight_vector())}")
+          f"crossing_arcs={sum(g.w)}")
     if args.out:
         _write_or_print(digraph_to_json(g), args.out)
     return 0
@@ -117,8 +106,6 @@ def cmd_tour(args: argparse.Namespace) -> int:
 
     g = build_digraph(args.n)
     stats = SearchStats()
-    threads = _thread_cap()
-    print(f"threads={threads}", file=sys.stderr)
 
     def progress(nodes: int, depth: int) -> None:
         print(f"nodes={nodes} depth={depth}", file=sys.stderr)

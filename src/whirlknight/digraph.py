@@ -2,8 +2,9 @@
 
 Vertices are all board cells, minus the centre cell on odd boards (the
 centre coincides with the pivot).  Arcs are enumerated tail row-major,
-then in knight-step order, and carry dense ids so downstream solvers can
-work with flat arrays.  A built digraph is immutable.
+then in knight-step order; the columns ``tail``, ``head`` (vertex indices)
+and ``w``, indexed by arc id, are what every solver reads.  A built
+digraph is immutable.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ class WhirlDigraph:
     out_adj: tuple[tuple[int, ...], ...]  # vertex index -> arc ids, ascending
     in_adj: tuple[tuple[int, ...], ...]
     vertex_index: dict[Cell, int] = field(repr=False)
+    # Arc-id-indexed columns, derived from arcs and vertex_index.
+    tail: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    head: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    w: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        vi = self.vertex_index
+        object.__setattr__(self, "tail", tuple(vi[a.tail] for a in self.arcs))
+        object.__setattr__(self, "head", tuple(vi[a.head] for a in self.arcs))
+        object.__setattr__(self, "w", tuple(a.w for a in self.arcs))
 
     @property
     def geometry(self) -> BoardGeometry:
@@ -52,16 +63,12 @@ class WhirlDigraph:
         return [self.arcs[a] for a in self.in_adj[self.index_of(v)]]
 
     def arc_between(self, u: Cell, v: Cell) -> Arc | None:
-        iu = self.index_of(u)
+        """The arc u -> v, or None if there is none."""
         iv = self.index_of(v)
-        for a in self.out_adj[iu]:
-            if self.vertex_index[self.arcs[a].head] == iv:
+        for a in self.out_adj[self.index_of(u)]:
+            if self.head[a] == iv:
                 return self.arcs[a]
         return None
-
-    def coil_weight_vector(self) -> list[int]:
-        """Dense arc-id-aligned vector of plumb-line crossing weights."""
-        return [a.w for a in self.arcs]
 
 
 def build_digraph(n: int) -> WhirlDigraph:
@@ -80,14 +87,15 @@ def build_digraph(n: int) -> WhirlDigraph:
     arcs: list[Arc] = []
     out_adj: list[list[int]] = [[] for _ in vertices]
     in_adj: list[list[int]] = [[] for _ in vertices]
-    for u in vertices:
+    for t, u in enumerate(vertices):
         for s in KNIGHT_STEPS:
-            v = Cell(u.i + s.di, u.j + s.dj)
-            if v in vindex and is_ccw(geom, u, v):
+            h = vindex.get(Cell(u.i + s.di, u.j + s.dj))
+            if h is not None and is_ccw(geom, u, vertices[h]):
+                v = vertices[h]
                 aid = len(arcs)
                 arcs.append(Arc(u, v, crossing_weight(geom, u, v), aid))
-                out_adj[vindex[u]].append(aid)
-                in_adj[vindex[v]].append(aid)
+                out_adj[t].append(aid)
+                in_adj[h].append(aid)
     return WhirlDigraph(
         n=n,
         vertices=vertices,

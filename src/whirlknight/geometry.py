@@ -20,7 +20,6 @@ __all__ = [
     "BoardGeometry",
     "KNIGHT_STEPS",
     "RAYS",
-    "knight_steps",
     "is_knight_displacement",
     "ccw_cross",
     "is_ccw",
@@ -56,11 +55,6 @@ KNIGHT_STEPS: tuple[KnightStep, ...] = tuple(
 #: Axis-aligned open rays from the pivot, named from the board's viewpoint:
 #: north points toward row 0, west toward column 0.
 RAYS = ("north", "east", "south", "west")
-
-
-def knight_steps() -> list[KnightStep]:
-    """The eight knight steps, row-major on (di, dj)."""
-    return list(KNIGHT_STEPS)
 
 
 def is_knight_displacement(u: Cell, v: Cell) -> bool:
@@ -147,10 +141,10 @@ def crossing_height(geom: BoardGeometry, u: Cell, v: Cell) -> Fraction | None:
     v do not strictly straddle the pivot column.
     """
     _check_knight_pair(geom, u, v)
-    q = Fraction(geom.n - 1, 2)
-    if (u[1] - q) * (v[1] - q) >= 0:
+    m = geom.n - 1
+    if (2 * u[1] - m) * (2 * v[1] - m) >= 0:
         return None
-    return u[0] + Fraction(v[0] - u[0], v[1] - u[1]) * (q - u[1])
+    return u[0] + Fraction(v[0] - u[0], v[1] - u[1]) * (Fraction(m, 2) - u[1])
 
 
 def crosses_axis_ray(geom: BoardGeometry, u: Cell, v: Cell, ray: str = "north") -> bool:
@@ -176,14 +170,15 @@ def crosses_axis_ray(geom: BoardGeometry, u: Cell, v: Cell, ray: str = "north") 
     if ray in ("north", "south"):
         if odd and u[1] == q:
             return ray == "north" and u[0] < p
-        if (u[1] - q) * (v[1] - q) >= 0:
+        hrow = crossing_height(geom, u, v)
+        if hrow is None:
             return False
-        hrow = u[0] + Fraction(v[0] - u[0], v[1] - u[1]) * (q - u[1])
         return hrow < p if ray == "north" else hrow > p
 
-    if (u[0] - p) * (v[0] - p) >= 0:
+    # East and west are the north/south computation on the transposed board.
+    hcol = crossing_height(geom, Cell(u[1], u[0]), Cell(v[1], v[0]))
+    if hcol is None:
         return False
-    hcol = u[1] + Fraction(v[1] - u[1], v[0] - u[0]) * (p - u[0])
     return hcol < q if ray == "west" else hcol > q
 
 

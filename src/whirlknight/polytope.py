@@ -243,19 +243,15 @@ def _min_cost_matching(
     return row_arc, u, v
 
 
-def _solve_cover(
-    g: WhirlDigraph, head: list[int], cost: list[int]
-) -> tuple[CycleCover, MatchingDuals]:
-    row_arc, u, v = _min_cost_matching(g.out_adj, head, cost)
+def _solve_cover(g: WhirlDigraph, cost: Sequence[int]) -> tuple[CycleCover, MatchingDuals]:
+    row_arc, u, v = _min_cost_matching(g.out_adj, g.head, cost)
     succ = {g.vertices[i]: g.arcs[a].head for i, a in enumerate(row_arc)}
     return CycleCover(succ=succ), MatchingDuals(u=tuple(u), v=tuple(v))
 
 
-def _check_duals(
-    g: WhirlDigraph, head: list[int], cost: list[int], duals: MatchingDuals, total: int
-) -> None:
+def _check_duals(g: WhirlDigraph, cost: Sequence[int], duals: MatchingDuals, total: int) -> None:
     """Exact optimality proof: reduced costs >= 0 and zero duality gap."""
-    u, v = duals.u, duals.v
+    u, v, head = duals.u, duals.v, g.head
     for i, arcs in enumerate(g.out_adj):
         for a in arcs:
             if cost[a] - u[i] - v[head[a]] < 0:
@@ -275,15 +271,13 @@ def coil_interval(g: WhirlDigraph) -> CoilInterval:
     premise, and each solve's potentials are checked to prove its cover
     optimal.
     """
-    head = [g.vertex_index[a.head] for a in g.arcs]
-    w = g.coil_weight_vector()
-    w_max = [1 - x for x in w]
-    lo_cover, lo_duals = _solve_cover(g, head, w)
-    hi_cover, hi_duals = _solve_cover(g, head, w_max)
+    w_max = [1 - x for x in g.w]
+    lo_cover, lo_duals = _solve_cover(g, g.w)
+    hi_cover, hi_duals = _solve_cover(g, w_max)
     lo = coil_of_cover(g, lo_cover)
     hi = coil_of_cover(g, hi_cover)
-    _check_duals(g, head, w, lo_duals, lo)
-    _check_duals(g, head, w_max, hi_duals, len(g.vertices) - hi)
+    _check_duals(g, g.w, lo_duals, lo)
+    _check_duals(g, w_max, hi_duals, len(g.vertices) - hi)
     if lo > hi:
         raise AssertionError(f"matching solves disagree: min {lo} > max {hi}")
     return CoilInterval(
@@ -316,13 +310,12 @@ def _convex_witness(g: WhirlDigraph, iv: CoilInterval, c: int) -> FractionalAssi
     lam = Fraction(1) if iv.max_coil == iv.min_coil else Fraction(
         iv.max_coil - c, iv.max_coil - iv.min_coil
     )
-    arc_of = {(a.tail, a.head): a for a in g.arcs}
     x: dict[int, Fraction] = {}
     for cover, coef in ((iv.argmin, lam), (iv.argmax, 1 - lam)):
         if coef == 0:
             continue
         for t, h in cover.succ.items():
-            aid = arc_of[(t, h)].id
+            aid = g.arc_between(t, h).id
             x[aid] = x.get(aid, Fraction(0)) + coef
     return FractionalAssignment(x=x)
 
@@ -339,7 +332,7 @@ def validate_assignment(g: WhirlDigraph, fa: FractionalAssignment, c: int) -> No
         out = sum(fa.x.get(a, Fraction(0)) for a in g.out_adj[k])
         if into != 1 or out != 1:
             raise ValueError(f"degree rows at {tuple(v)} sum to in={into}, out={out}")
-    coil = sum(g.arcs[aid].w * val for aid, val in fa.x.items())
+    coil = sum(g.w[aid] * val for aid, val in fa.x.items())
     if coil != c:
         raise ValueError(f"coil row sums to {coil}, expected {c}")
 
@@ -386,7 +379,7 @@ def check_reduction(g: WhirlDigraph, tour: "Tour") -> bool:
     ok = all(sum(x[a] for a in g.in_adj[k]) == 1 for k in range(len(g.vertices)))
     ok = ok and all(sum(x[a] for a in g.out_adj[k]) == 1 for k in range(len(g.vertices)))
     ok = ok and all(val in (0, 1) for val in x)
-    coil_row = sum(a.w * x[a.id] for a in g.arcs)
+    coil_row = sum(w * xa for w, xa in zip(g.w, x))
     return ok and coil_row == tour.coil
 
 
@@ -396,10 +389,16 @@ def cover_to_json(n: int, cover: CycleCover) -> str:
 
 
 def cover_from_json(text: str) -> tuple[int, CycleCover]:
+    """Parse a cover file; a tail listed twice is an error, not an overwrite."""
     doc = json.loads(text)
     try:
         n = int(doc["n"])
-        succ = {Cell(int(a), int(b)): Cell(int(c), int(d)) for a, b, c, d in doc["succ"]}
+        succ: dict[Cell, Cell] = {}
+        for a, b, c, d in doc["succ"]:
+            t = Cell(int(a), int(b))
+            if t in succ:
+                raise ValueError(f"tail {tuple(t)} is listed twice")
+            succ[t] = Cell(int(c), int(d))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed cycle-cover JSON: {exc}") from exc
     return n, CycleCover(succ=succ)

@@ -115,11 +115,11 @@ def certificate_spec(cert: FarkasCertificate, fmt: str = "ascii") -> RenderSpec:
 def tour_spec(g: WhirlDigraph, tour: Tour, fmt: str = "ascii") -> RenderSpec:
     nc = len(tour.cells)
     steps = [(tour.cells[k], tour.cells[(k + 1) % nc]) for k in range(nc)]
-    weights = {(a.tail, a.head): a.w for a in g.arcs}
+    crossing = [g.arc_between(*s).w for s in steps]
     base = board_spec(g.n, fmt)
     layers = base.layers[:-2] + (
-        ArcLayer(arcs=tuple(s for s in steps if weights[s] == 0), tag="arc"),
-        ArcLayer(arcs=tuple(s for s in steps if weights[s] == 1), tag="crossing"),
+        ArcLayer(arcs=tuple(s for s, w in zip(steps, crossing) if not w), tag="arc"),
+        ArcLayer(arcs=tuple(s for s, w in zip(steps, crossing) if w), tag="crossing"),
         PathLayer(cells=tour.cells),
         PlumbLineLayer(),
         PivotLayer(),

@@ -141,10 +141,8 @@ def search_tour(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     nv = len(g.vertices)
-    out_opts = [
-        [(g.vertex_index[a.head], a.w, a.id) for a in g.out_arcs(v)] for v in g.vertices
-    ]
-    in_tails = [[g.vertex_index[a.tail] for a in g.in_arcs(v)] for v in g.vertices]
+    out_opts = [[(g.head[a], g.w[a], a) for a in arcs] for arcs in g.out_adj]
+    in_tails = [[g.tail[a] for a in arcs] for arcs in g.in_adj]
     has_cross_out = [any(w for _, w, _ in opts) for opts in out_opts]
     rng = random.Random(seed) if seed else None
     if stats is None:
@@ -251,7 +249,7 @@ def enumerate_cycle_covers(g: WhirlDigraph, cap: int = 10_000) -> list[CycleCove
     if g.n > 4:
         raise ValueError(f"enumeration is intended for n <= 4, got n={g.n}")
     nv = len(g.vertices)
-    out_opts = [[g.vertex_index[a.head] for a in g.out_arcs(v)] for v in g.vertices]
+    out_opts = [[g.head[a] for a in arcs] for arcs in g.out_adj]
     used = bytearray(nv)
     succ = [0] * nv
     covers: list[CycleCover] = []

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +55,7 @@ class TestVerify:
         # gamma = +1 turns every crossing arc into a violation
         cert = FarkasCertificate(n=4, c=0, alpha={}, beta={}, gamma=1)
         report = verify_certificate(g, cert)
-        assert len(report.violations) == sum(g.coil_weight_vector())
+        assert len(report.violations) == sum(g.w)
         assert not report.valid
         ids = [a.id for a, _ in report.violations]
         assert ids == sorted(ids)
@@ -220,8 +221,6 @@ class TestSerialization:
 
     def test_entries_sorted_row_major(self):
         text = certificate_to_json(build_t2(12))
-        import json
-
         doc = json.loads(text)
         assert doc["alpha"] == sorted(doc["alpha"])
         assert doc["beta"] == sorted(doc["beta"])
@@ -229,6 +228,15 @@ class TestSerialization:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             certificate_from_json('{"n": 4, "c": 2}')
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_rejects_repeated_cell(self, field):
+        # A later entry must not silently overwrite an earlier one.
+        doc = json.loads(certificate_to_json(build_t1(6)))
+        i, j, _ = doc[field][0]
+        doc[field].insert(0, [i, j, 7])
+        with pytest.raises(ValueError, match="twice"):
+            certificate_from_json(json.dumps(doc))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=3))

@@ -60,6 +60,20 @@ class TestCert:
         code, _, _ = run(capsys, "cert", "build", "--family", "file")
         assert code == 2
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_verify_file_with_repeated_cell_is_an_error(self, field, tmp_path, capsys):
+        # Last-entry-wins would read this as the valid t1 certificate.
+        path = tmp_path / "c.json"
+        run(capsys, "cert", "build", "--family", "t1", "--n", "6", "--out", str(path))
+        doc = json.loads(path.read_text())
+        i, j, _ = doc[field][0]
+        doc[field].insert(0, [i, j, 7])
+        path.write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, "cert", "verify", "--family", "file",
+                                   "--in", str(path))
+        assert code == 2 and stdout == ""
+        assert "twice" in stderr
+
 
 class TestLp:
     @pytest.mark.parametrize("n,c,expected", [(6, 3, 1), (3, 3, 0), (16, 8, 0)])
@@ -84,10 +98,9 @@ class TestLp:
 class TestTour:
     def test_search_n3_and_verify(self, tmp_path, capsys):
         out = tmp_path / "t3.json"
-        code, stdout, stderr = run(capsys, "tour", "search", "--n", "3",
-                                   "--budget", "1000", "--out", str(out))
+        code, stdout, _ = run(capsys, "tour", "search", "--n", "3",
+                              "--budget", "1000", "--out", str(out))
         assert code == 0 and "found=true" in stdout
-        assert "threads=1" in stderr
         code, stdout, _ = run(capsys, "tour", "verify", "--in", str(out))
         assert code == 0 and "coil=3" in stdout
 

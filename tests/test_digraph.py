@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from whirlknight import Cell, build_digraph, digraph_from_json, digraph_to_json
 
-from oracles import arcs_oracle, board_cells, weight_oracle
+from oracles import KNIGHT_DELTAS, arcs_oracle, board_cells, weight_oracle
 
 
 class TestBuildDigraph:
@@ -73,16 +73,39 @@ class TestAdjacency:
             assert all(g.arcs[a].tail == v for a in g.out_adj[k])
             assert all(g.arcs[a].head == v for a in g.in_adj[k])
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_columns_match_arcs(self, n, dg):
+        g = dg(n)
+        assert len(g.tail) == len(g.head) == len(g.w) == len(g.arcs)
+        for a in g.arcs:
+            assert g.vertices[g.tail[a.id]] == a.tail
+            assert g.vertices[g.head[a.id]] == a.head
+            assert g.w[a.id] == a.w
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_arc_between_matches_scan(self, n, dg):
+        g = dg(n)
+        pairs = [
+            (u, Cell(u.i + di, u.j + dj))
+            for u in g.vertices
+            for di, dj in KNIGHT_DELTAS
+            if Cell(u.i + di, u.j + dj) in g.vertex_index
+        ]
+        assert len(pairs) == 2 * len(g.arcs)  # every knight pair is an arc one way
+        for u, v in pairs:
+            scan = [a for a in g.arcs if a.tail == u and a.head == v]
+            assert g.arc_between(u, v) == (scan[0] if scan else None)
+
 
 class TestCoilWeights:
     def test_n3_exactly_three_crossing_arcs(self, dg):
-        assert sum(dg(3).coil_weight_vector()) == 3
+        assert sum(dg(3).w) == 3
 
     def test_n6_total_matches_ray_oracle(self, dg):
         g = dg(6)
         oracle_total = sum(weight_oracle(6, u, v) for u, v in arcs_oracle(6))
         assert oracle_total == 14  # frozen before the build
-        assert sum(g.coil_weight_vector()) == oracle_total
+        assert sum(g.w) == oracle_total
 
     @pytest.mark.parametrize("n", [4, 6, 10])
     def test_east_arcs_have_zero_weight(self, n, dg):
@@ -93,8 +116,7 @@ class TestCoilWeights:
 
     def test_vector_aligned_with_arc_ids(self, dg):
         g = dg(6)
-        vec = g.coil_weight_vector()
-        assert all(vec[a.id] == a.w for a in g.arcs)
+        assert all(g.w[a.id] == a.w for a in g.arcs)
 
 
 class TestInvariants:

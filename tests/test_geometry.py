@@ -14,7 +14,6 @@ from whirlknight import (
     crossing_weight,
     is_ccw,
     is_knight_displacement,
-    knight_steps,
 )
 
 from oracles import KNIGHT_DELTAS, ccw_oracle, ray_cross_oracle, weight_oracle
@@ -32,7 +31,7 @@ def knight_pairs(n):
 
 class TestKnightSteps:
     def test_exactly_eight_in_row_major_order(self):
-        steps = knight_steps()
+        steps = list(KNIGHT_STEPS)
         assert len(steps) == 8
         assert steps == sorted(steps)
         assert (1, -2) in steps and (-2, -1) in steps

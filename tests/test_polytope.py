@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -318,3 +319,10 @@ class TestCoverSerialization:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             cover_from_json('{"n": 3}')
+
+    def test_rejects_repeated_tail(self, dg):
+        # The first step for (0, 0) is off-board; keeping only the last would hide it.
+        doc = json.loads(cover_to_json(3, coil_interval(dg(3)).argmin))
+        doc["succ"].insert(0, [0, 0, 9, 9])
+        with pytest.raises(ValueError, match="twice"):
+            cover_from_json(json.dumps(doc))
