@@ -4,7 +4,10 @@
 For every n = 6 (mod 8) and n = 4 (mod 8) up to --max-n, builds the
 family certificate, verifies it arc-by-arc against the digraph, and
 cross-checks the LP route: a valid certificate must force
-lp_feasible(n, n/2) to be false with min_coil >= n/2 + 1.
+lp_feasible(n, n/2) to be false with min_coil >= n/2 + 1, and the LP's
+own certificate for that negative must verify too.  The support columns
+count the nonzero alpha and beta entries of the family certificate and
+of the LP one.
 """
 
 import argparse
@@ -20,6 +23,10 @@ from whirlknight import (
 )
 
 
+def support(cert) -> int:
+    return len(cert.alpha) + len(cert.beta)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=30)
@@ -27,8 +34,8 @@ def main() -> None:
                         help="certificate verification only (faster)")
     args = parser.parse_args()
 
-    print(f"{'n':>4} {'family':>6} {'rhs':>4} {'max_lhs':>8} {'valid':>6} "
-          f"{'lp(n/2)':>8} {'min_coil':>8} {'time':>7}")
+    print(f"{'n':>4} {'family':>6} {'rhs':>4} {'max_lhs':>8} {'valid':>6} {'support':>7} "
+          f"{'lp(n/2)':>8} {'min_coil':>8} {'lp_support':>10} {'time':>7}")
     for n in range(4, args.max_n + 1, 2):
         if n % 8 == 6:
             family, cert = "t1", build_t1(n)
@@ -41,17 +48,20 @@ def main() -> None:
         report = verify_certificate(g, cert)
         if family == "t1":
             assert check_facts_abc(g).all_hold
-        lp_txt = min_txt = "-"
+        lp_txt = min_txt = lp_support = "-"
         if not args.skip_lp:
             decision = lp_feasible(g, n // 2)
             if report.valid:  # soundness: a valid certificate forces infeasibility
                 assert not decision.feasible
                 assert decision.min_coil >= cert.sum_alpha() + cert.sum_beta()
+                assert verify_certificate(g, decision.certificate).valid
+                lp_support = support(decision.certificate)
             lp_txt = "feas" if decision.feasible else "infeas"
             min_txt = str(decision.min_coil)
         elapsed = time.perf_counter() - start
         print(f"{n:>4} {family:>6} {report.rhs:>4} {report.max_lhs:>8} "
-              f"{str(report.valid).lower():>6} {lp_txt:>8} {min_txt:>8} {elapsed:>6.2f}s")
+              f"{str(report.valid).lower():>6} {support(cert):>7} {lp_txt:>8} {min_txt:>8} "
+              f"{lp_support:>10} {elapsed:>6.2f}s")
 
 
 if __name__ == "__main__":

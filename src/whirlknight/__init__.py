@@ -45,7 +45,6 @@ from .polytope import (
     CycleCover,
     FractionalAssignment,
     LpDecision,
-    MatchingDuals,
     NoCycleCoverError,
     check_reduction,
     coil_interval,

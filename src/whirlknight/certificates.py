@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 
 from .digraph import Arc, WhirlDigraph
-from .geometry import Cell
+from .geometry import Cell, _json_int
 
 __all__ = [
     "FarkasCertificate",
@@ -293,10 +293,10 @@ def _entries_from_json(name: str, rows) -> dict[Cell, int]:
     """Support entries [i, j, x] as a cell map; zeros dropped, repeats rejected."""
     support: dict[Cell, int] = {}
     for i, j, x in rows:
-        cell = Cell(int(i), int(j))
+        cell = Cell(_json_int(i), _json_int(j))
         if cell in support:
             raise ValueError(f"{name} lists cell {tuple(cell)} twice")
-        support[cell] = int(x)
+        support[cell] = _json_int(x)
     return {c: x for c, x in support.items() if x}
 
 
@@ -304,11 +304,11 @@ def certificate_from_json(text: str) -> FarkasCertificate:
     doc = json.loads(text)
     try:
         return FarkasCertificate(
-            n=int(doc["n"]),
-            c=int(doc["c"]),
+            n=_json_int(doc["n"]),
+            c=_json_int(doc["c"]),
             alpha=_entries_from_json("alpha", doc["alpha"]),
             beta=_entries_from_json("beta", doc["beta"]),
-            gamma=int(doc["gamma"]),
+            gamma=_json_int(doc["gamma"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc

@@ -10,10 +10,11 @@ digraph is immutable.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, crossing_weight, is_ccw
+from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _json_int, crossing_weight, is_ccw
 
 __all__ = ["Arc", "WhirlDigraph", "build_digraph", "digraph_to_json", "digraph_from_json"]
 
@@ -70,6 +71,16 @@ class WhirlDigraph:
                 return self.arcs[a]
         return None
 
+    def step_arcs(self, steps: Iterable[tuple[Cell, Cell]]) -> list[int]:
+        """Arc ids of the steps (tail, head), in order; the first non-arc step raises."""
+        ids = []
+        for t, h in steps:
+            a = self.arc_between(t, h)
+            if a is None:
+                raise ValueError(f"step {tuple(t)} -> {tuple(h)} is not an arc of the digraph")
+            ids.append(a.id)
+        return ids
+
 
 def build_digraph(n: int) -> WhirlDigraph:
     """Build the whirling-knight digraph on the n x n board.
@@ -124,9 +135,10 @@ def digraph_from_json(text: str) -> WhirlDigraph:
     """
     doc = json.loads(text)
     try:
-        n = doc["n"]
-        vertices = [Cell(int(i), int(j)) for i, j in doc["vertices"]]
-        arcs = [(Cell(*a["u"]), Cell(*a["v"]), int(a["w"])) for a in doc["arcs"]]
+        n = _json_int(doc["n"])
+        vertices = [Cell(_json_int(i), _json_int(j)) for i, j in doc["vertices"]]
+        arcs = [(Cell(*map(_json_int, a["u"])), Cell(*map(_json_int, a["v"])), _json_int(a["w"]))
+                for a in doc["arcs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed digraph JSON: {exc}") from exc
     g = build_digraph(n)

@@ -57,6 +57,13 @@ KNIGHT_STEPS: tuple[KnightStep, ...] = tuple(
 RAYS = ("north", "east", "south", "west")
 
 
+def _json_int(x: object) -> int:
+    """A number read from JSON, which must be an integer: no floats, bools or strings."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def is_knight_displacement(u: Cell, v: Cell) -> bool:
     di, dj = v[0] - u[0], v[1] - u[1]
     return di * di + dj * dj == 5

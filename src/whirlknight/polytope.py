@@ -10,22 +10,24 @@ vertices, one edge per arc).
 
 The solver below is a sparse primal-dual matching on the digraph's
 adjacency lists with Python-int potentials, so every comparison is exact;
-there is no floating point in this module.  Each solve returns its
-potentials, which prove the extreme cover optimal by LP duality.
-Feasible decisions come with an exact rational witness: the convex
-combination of the two extreme covers that meets the coil row.
+there is no floating point in this module.  By LP duality each solve's
+potentials are a Farkas certificate in the paper's form, checked by
+``verify_certificate`` like the closed-form families.  Infeasible
+decisions carry one; feasible ones carry an exact rational witness, the
+convex combination of the two extreme covers that meets the coil row.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .certificates import FarkasCertificate, verify_certificate
 from .digraph import WhirlDigraph
-from .geometry import Cell
+from .geometry import Cell, _json_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tours import Tour
@@ -34,7 +36,6 @@ __all__ = [
     "NoCycleCoverError",
     "CycleCover",
     "CoilInterval",
-    "MatchingDuals",
     "FractionalAssignment",
     "LpDecision",
     "coil_interval",
@@ -76,27 +77,13 @@ class CycleCover:
 
 
 @dataclass(frozen=True)
-class MatchingDuals:
-    """Integer potentials that prove a perfect matching optimal.
-
-    ``u`` is indexed by tail vertex and ``v`` by head vertex.  Every arc
-    e = (t, h) of cost c_e has reduced cost c_e - u[t] - v[h] >= 0, and
-    sum(u) + sum(v) equals the matching's cost, so by LP duality no cycle
-    cover costs less.
-    """
-
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CoilInterval:
     min_coil: int
     max_coil: int
     argmin: CycleCover
     argmax: CycleCover
-    min_duals: MatchingDuals  # for arc cost w
-    max_duals: MatchingDuals  # for arc cost 1 - w
+    below: FarkasCertificate  # excludes c = min_coil - 1, with RHS 1
+    above: FarkasCertificate  # excludes c = max_coil + 1, with RHS 1
 
 
 @dataclass(frozen=True)
@@ -113,7 +100,8 @@ class LpDecision:
     feasible: bool
     min_coil: int
     max_coil: int
-    witness: FractionalAssignment | None
+    witness: FractionalAssignment | None  # set iff feasible
+    certificate: FarkasCertificate | None  # set iff infeasible; RHS = distance to the interval
 
 
 def _min_cost_matching(
@@ -243,50 +231,50 @@ def _min_cost_matching(
     return row_arc, u, v
 
 
-def _solve_cover(g: WhirlDigraph, cost: Sequence[int]) -> tuple[CycleCover, MatchingDuals]:
-    row_arc, u, v = _min_cost_matching(g.out_adj, g.head, cost)
-    succ = {g.vertices[i]: g.arcs[a].head for i, a in enumerate(row_arc)}
-    return CycleCover(succ=succ), MatchingDuals(u=tuple(u), v=tuple(v))
+def _extreme_cover(g: WhirlDigraph, gamma: int) -> tuple[CycleCover, int, FarkasCertificate]:
+    """The least-coil (gamma = -1) or most-coil (gamma = +1) cover, its coil and certificate.
 
-
-def _check_duals(g: WhirlDigraph, cost: Sequence[int], duals: MatchingDuals, total: int) -> None:
-    """Exact optimality proof: reduced costs >= 0 and zero duality gap."""
-    u, v, head = duals.u, duals.v, g.head
-    for i, arcs in enumerate(g.out_adj):
-        for a in arcs:
-            if cost[a] - u[i] - v[head[a]] < 0:
-                raise AssertionError(f"potentials violate the reduced cost of arc {a}")
-    if sum(u) + sum(v) != total:
+    The matching's arc cost is k - gamma * w with k = 1 if gamma > 0 else 0.
+    A reduced cost k - gamma * w - u[tail] - v[head] >= 0 is LHS <= 0 for
+    alpha = v, beta = u - k, and a zero duality gap is RHS = 1 at
+    c = coil + gamma: the certificate that must verify proves the cover extreme.
+    """
+    k = int(gamma > 0)
+    row_arc, u, v = _min_cost_matching(g.out_adj, g.head, [k - gamma * x for x in g.w])
+    cells = g.vertices
+    cover = CycleCover(succ={cells[i]: g.arcs[a].head for i, a in enumerate(row_arc)})
+    coil = coil_of_cover(g, cover)
+    cert = FarkasCertificate(
+        n=g.n,
+        c=coil + gamma,
+        alpha={cells[i]: x for i, x in enumerate(v) if x},
+        beta={cells[i]: x - k for i, x in enumerate(u) if x != k},
+        gamma=gamma,
+    )
+    report = verify_certificate(g, cert)
+    if not report.valid or report.rhs != 1:
         raise AssertionError(
-            f"duality gap: potentials sum to {sum(u) + sum(v)}, cover costs {total}"
+            f"potentials give no certificate at c={cert.c}: valid={report.valid} "
+            f"rhs={report.rhs} max_lhs={report.max_lhs}"
         )
+    return cover, coil, cert
 
 
 def coil_interval(g: WhirlDigraph) -> CoilInterval:
     """Extreme coil counts over all cycle covers, with witnessing covers.
 
-    One min-cost matching solve with arc cost w and one with cost 1 - w.
-    The returned endpoints are recounted from the witness covers' arc
-    weights, which doubles as the runtime check of the integrality
-    premise, and each solve's potentials are checked to prove its cover
-    optimal.
+    One matching solve for each end.  The endpoints are recounted from
+    the witness covers' arc weights, which doubles as the runtime check
+    of the integrality premise, and each solve's potentials are returned
+    as a verified Farkas certificate: ``below`` excludes c = min_coil - 1
+    and ``above`` excludes c = max_coil + 1, both with RHS exactly 1.
     """
-    w_max = [1 - x for x in g.w]
-    lo_cover, lo_duals = _solve_cover(g, g.w)
-    hi_cover, hi_duals = _solve_cover(g, w_max)
-    lo = coil_of_cover(g, lo_cover)
-    hi = coil_of_cover(g, hi_cover)
-    _check_duals(g, g.w, lo_duals, lo)
-    _check_duals(g, w_max, hi_duals, len(g.vertices) - hi)
+    lo_cover, lo, below = _extreme_cover(g, -1)
+    hi_cover, hi, above = _extreme_cover(g, 1)
     if lo > hi:
         raise AssertionError(f"matching solves disagree: min {lo} > max {hi}")
     return CoilInterval(
-        min_coil=lo,
-        max_coil=hi,
-        argmin=lo_cover,
-        argmax=hi_cover,
-        min_duals=lo_duals,
-        max_duals=hi_duals,
+        min_coil=lo, max_coil=hi, argmin=lo_cover, argmax=hi_cover, below=below, above=above
     )
 
 
@@ -297,13 +285,7 @@ def coil_of_cover(g: WhirlDigraph, cover: CycleCover) -> int:
         raise ValueError("cover does not assign a successor to every vertex")
     if len(set(succ.values())) != len(succ):
         raise ValueError("cover successors are not a permutation")
-    total = 0
-    for t, h in succ.items():
-        a = g.arc_between(t, h)
-        if a is None:
-            raise ValueError(f"cover step {tuple(t)} -> {tuple(h)} is not an arc")
-        total += a.w
-    return total
+    return sum(g.w[a] for a in g.step_arcs(succ.items()))
 
 
 def _convex_witness(g: WhirlDigraph, iv: CoilInterval, c: int) -> FractionalAssignment:
@@ -314,8 +296,7 @@ def _convex_witness(g: WhirlDigraph, iv: CoilInterval, c: int) -> FractionalAssi
     for cover, coef in ((iv.argmin, lam), (iv.argmax, 1 - lam)):
         if coef == 0:
             continue
-        for t, h in cover.succ.items():
-            aid = g.arc_between(t, h).id
+        for aid in g.step_arcs(cover.succ.items()):
             x[aid] = x.get(aid, Fraction(0)) + coef
     return FractionalAssignment(x=x)
 
@@ -338,18 +319,22 @@ def validate_assignment(g: WhirlDigraph, fa: FractionalAssignment, c: int) -> No
 
 
 def lp_feasible(g: WhirlDigraph, c: int) -> LpDecision:
-    """Decide the cycle-cover LP at coil count c, with an exact witness.
+    """Decide the cycle-cover LP at coil count c, with an exact proof either way.
 
     Feasible iff min_coil <= c <= max_coil.  The witness is the convex
     combination lam*argmin + (1-lam)*argmax with lam chosen so the coil
-    row holds exactly; it is validated before being returned.
+    row holds exactly; it is validated before being returned.  An
+    infeasible c gets the interval's ``below`` or ``above`` certificate
+    moved to c, whose RHS is then the distance from c to the interval.
     """
     iv = coil_interval(g)
     feasible = iv.min_coil <= c <= iv.max_coil
-    witness = None
+    witness = certificate = None
     if feasible:
         witness = _convex_witness(g, iv, c)
         validate_assignment(g, witness, c)
+    else:
+        certificate = replace(iv.below if c < iv.min_coil else iv.above, c=c)
     return LpDecision(
         n=g.n,
         c=c,
@@ -357,30 +342,27 @@ def lp_feasible(g: WhirlDigraph, c: int) -> LpDecision:
         min_coil=iv.min_coil,
         max_coil=iv.max_coil,
         witness=witness,
+        certificate=certificate,
     )
 
 
 def check_reduction(g: WhirlDigraph, tour: "Tour") -> bool:
     """Check the tour-to-LP reduction row by row.
 
-    Converts the tour to its 0/1 arc indicator and verifies the degree
-    rows, the coil row against the tour's coil count, and the box bounds.
-    Raises on inputs that are not Hamiltonian cycles of g at all.
+    Converts the tour to its 0/1 arc indicator and checks it with
+    ``validate_assignment`` against the tour's coil count: degree rows,
+    coil row and box bounds.  Raises on inputs that are not Hamiltonian
+    cycles of g at all.
     """
     cells = [Cell(*c) for c in tour.cells]
     if len(cells) != len(g.vertices) or set(cells) != set(g.vertices):
         raise ValueError("not a Hamiltonian cycle: vertex set mismatch")
-    x = [0] * len(g.arcs)
-    for k, t in enumerate(cells):
-        a = g.arc_between(t, cells[(k + 1) % len(cells)])
-        if a is None:
-            raise ValueError(f"tour step from {tuple(t)} is not an arc")
-        x[a.id] = 1
-    ok = all(sum(x[a] for a in g.in_adj[k]) == 1 for k in range(len(g.vertices)))
-    ok = ok and all(sum(x[a] for a in g.out_adj[k]) == 1 for k in range(len(g.vertices)))
-    ok = ok and all(val in (0, 1) for val in x)
-    coil_row = sum(w * xa for w, xa in zip(g.w, x))
-    return ok and coil_row == tour.coil
+    arcs = g.step_arcs(zip(cells, cells[1:] + cells[:1]))
+    try:
+        validate_assignment(g, FractionalAssignment(x=dict.fromkeys(arcs, Fraction(1))), tour.coil)
+    except ValueError:
+        return False
+    return True
 
 
 def cover_to_json(n: int, cover: CycleCover) -> str:
@@ -392,13 +374,13 @@ def cover_from_json(text: str) -> tuple[int, CycleCover]:
     """Parse a cover file; a tail listed twice is an error, not an overwrite."""
     doc = json.loads(text)
     try:
-        n = int(doc["n"])
+        n = _json_int(doc["n"])
         succ: dict[Cell, Cell] = {}
         for a, b, c, d in doc["succ"]:
-            t = Cell(int(a), int(b))
+            t = Cell(_json_int(a), _json_int(b))
             if t in succ:
                 raise ValueError(f"tail {tuple(t)} is listed twice")
-            succ[t] = Cell(int(c), int(d))
+            succ[t] = Cell(_json_int(c), _json_int(d))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed cycle-cover JSON: {exc}") from exc
     return n, CycleCover(succ=succ)

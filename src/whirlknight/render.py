@@ -115,7 +115,7 @@ def certificate_spec(cert: FarkasCertificate, fmt: str = "ascii") -> RenderSpec:
 def tour_spec(g: WhirlDigraph, tour: Tour, fmt: str = "ascii") -> RenderSpec:
     nc = len(tour.cells)
     steps = [(tour.cells[k], tour.cells[(k + 1) % nc]) for k in range(nc)]
-    crossing = [g.arc_between(*s).w for s in steps]
+    crossing = [g.w[a] for a in g.step_arcs(steps)]
     base = board_spec(g.n, fmt)
     layers = base.layers[:-2] + (
         ArcLayer(arcs=tuple(s for s, w in zip(steps, crossing) if not w), tag="arc"),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .digraph import WhirlDigraph
-from .geometry import RAYS, Cell, crosses_axis_ray
+from .geometry import RAYS, Cell, _json_int, crosses_axis_ray
 from .polytope import CycleCover
 
 __all__ = [
@@ -77,13 +77,7 @@ def verify_tour(g: WhirlDigraph, cells) -> Tour:
     if len(cells) != len(g.vertices):
         missing = sorted(set(g.vertices) - seen)[:3]
         raise ValueError(f"not Hamiltonian: {len(g.vertices) - len(cells)} vertices missing, e.g. {missing}")
-    coil = 0
-    for k, t in enumerate(cells):
-        h = cells[(k + 1) % len(cells)]
-        a = g.arc_between(t, h)
-        if a is None:
-            raise ValueError(f"step {tuple(t)} -> {tuple(h)} is not an arc of the digraph")
-        coil += a.w
+    coil = sum(g.w[a] for a in g.step_arcs(zip(cells, cells[1:] + cells[:1])))
     return Tour(cells=cells, coil=coil)
 
 
@@ -152,8 +146,6 @@ def search_tour(
     visited[start] = 1
     path = [start]
     budget_left = budget
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), nv + 200))
 
     def dfs(current: int, coil: int) -> list[int] | None:
         nonlocal budget_left
@@ -232,7 +224,12 @@ def search_tour(
             visited[head] = 0
         return None
 
-    result = dfs(start, 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, nv + 200))
+    try:
+        result = dfs(start, 0)
+    finally:
+        sys.setrecursionlimit(limit)
     if result is None and budget_left > 0:
         stats.exhausted = True
     if result is None:
@@ -282,8 +279,8 @@ def tour_from_json(text: str) -> tuple[int, list[Cell]]:
     """Parse a tour file; returns (n, cells).  Verification is separate."""
     doc = json.loads(text)
     try:
-        n = int(doc["n"])
-        cells = [Cell(int(i), int(j)) for i, j in doc["cells"]]
+        n = _json_int(doc["n"])
+        cells = [Cell(_json_int(i), _json_int(j)) for i, j in doc["cells"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tour JSON: {exc}") from exc
     return n, cells

@@ -238,6 +238,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="twice"):
             certificate_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [1.9, True, "1"], ids=["float", "bool", "string"])
+    def test_rejects_non_integer(self, bad):
+        # 1.9, true and "1" all read as 1 through int(), i.e. as the valid t1.
+        doc = json.loads(certificate_to_json(build_t1(6)))
+        assert doc["alpha"][0][2] == 1
+        doc["alpha"][0][2] = bad
+        with pytest.raises(ValueError, match="integer"):
+            certificate_from_json(json.dumps(doc))
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=3))
     def test_round_trip_t2_any_m(self, m):

@@ -75,6 +75,20 @@ class TestCert:
         assert "twice" in stderr
 
 
+    def test_verify_file_with_fractional_entries_is_an_error(self, tmp_path, capsys):
+        # Truncated to 1 these are the valid t1 certificate; as written, max LHS is 9/10.
+        path = tmp_path / "c.json"
+        run(capsys, "cert", "build", "--family", "t1", "--n", "6", "--out", str(path))
+        doc = json.loads(path.read_text())
+        assert doc["alpha"] == [[0, 2, 1], [1, 2, 1]]
+        doc["alpha"] = [[0, 2, 1.9], [1, 2, 1.9]]
+        path.write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, "cert", "verify", "--family", "file",
+                                   "--in", str(path))
+        assert code == 2 and stdout == ""
+        assert "integer" in stderr
+
+
 class TestLp:
     @pytest.mark.parametrize("n,c,expected", [(6, 3, 1), (3, 3, 0), (16, 8, 0)])
     def test_exit_codes(self, capsys, n, c, expected):

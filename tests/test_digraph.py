@@ -173,6 +173,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             digraph_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [0.9, False, "0"], ids=["float", "bool", "string"])
+    def test_rejects_non_integer(self, bad, dg):
+        # 0 < 0.9 < 1 is no weight at all, and False == 0 would match the canonical arc.
+        doc = json.loads(digraph_to_json(dg(4)))
+        arc = next(a for a in doc["arcs"] if a["w"] == 0)
+        arc["w"] = bad
+        with pytest.raises(ValueError, match="integer"):
+            digraph_from_json(json.dumps(doc))
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             digraph_from_json('{"n": 4}')

@@ -13,6 +13,7 @@ from whirlknight import (
     WhirlDigraph,
     build_t1,
     build_t2,
+    certificate_to_json,
     check_reduction,
     coil_interval,
     coil_of_cover,
@@ -25,6 +26,7 @@ from whirlknight import (
     validate_assignment,
     verify_certificate,
 )
+from whirlknight.cli import main
 
 from oracles import interval_oracle, weight_oracle
 
@@ -43,18 +45,19 @@ FROZEN_INTERVALS = {
 }
 
 
-def assert_certified(g, duals, cost, total):
-    """Reduced costs >= 0 on every arc and sum(u) + sum(v) == total."""
-    idx = g.vertex_index
+def assert_certified(g, cert, c):
+    """Checked here arc by arc, not by verify_certificate: LHS <= 0 everywhere, RHS = 1 at c."""
+    assert cert.n == g.n and cert.c == c
+    assert set(cert.alpha) | set(cert.beta) <= set(g.vertices)
     for a in g.arcs:
-        assert cost[a.id] - duals.u[idx[a.tail]] - duals.v[idx[a.head]] >= 0
-    assert sum(duals.u) + sum(duals.v) == total
+        assert cert.alpha.get(a.head, 0) + cert.beta.get(a.tail, 0) + cert.gamma * a.w <= 0
+    assert sum(cert.alpha.values()) + sum(cert.beta.values()) + c * cert.gamma == 1
 
 
 def assert_endpoints_certified(g, iv):
-    """Both endpoints proved optimal by their potentials (max solve: cost 1 - w)."""
-    assert_certified(g, iv.min_duals, [a.w for a in g.arcs], iv.min_coil)
-    assert_certified(g, iv.max_duals, [1 - a.w for a in g.arcs], len(g.vertices) - iv.max_coil)
+    """Both endpoints proved extreme: nothing below min_coil, nothing above max_coil."""
+    assert_certified(g, iv.below, iv.min_coil - 1)
+    assert_certified(g, iv.above, iv.max_coil + 1)
 
 
 class TestCoilInterval:
@@ -89,6 +92,24 @@ class TestCoilInterval:
         assert coil_of_cover(g, iv.argmin) == iv.min_coil
         assert coil_of_cover(g, iv.argmax) == iv.max_coil
 
+    @pytest.mark.parametrize("bad", ["lhs", "rhs"])
+    def test_failed_certificate_is_an_assertion(self, bad, dg, monkeypatch):
+        import whirlknight.polytope as polytope
+
+        solve = polytope._min_cost_matching
+
+        def perturbed(*args):
+            row_arc, u, v = solve(*args)
+            if bad == "lhs":
+                v[0] += 1  # some arc into vertex 0 gets LHS 1
+            else:
+                u[0] -= 1  # still LHS <= 0, but RHS drops to 0
+            return row_arc, u, v
+
+        monkeypatch.setattr(polytope, "_min_cost_matching", perturbed)
+        with pytest.raises(AssertionError, match="no certificate"):
+            coil_interval(dg(6))
+
     def test_deterministic(self, dg):
         a = coil_interval(dg(12))
         b = coil_interval(dg(12))
@@ -119,6 +140,22 @@ class TestLpFeasible:
     def test_feasible_cases(self, n, c, dg):
         decision = lp_feasible(dg(n), c)
         assert decision.feasible and decision.witness is not None
+        assert decision.certificate is None
+
+    @pytest.mark.parametrize("side,k", [("min", -2), ("min", -1), ("max", 1), ("max", 2)])
+    @pytest.mark.parametrize("n", range(3, 23))
+    def test_infeasible_decision_is_certified(self, n, side, k, dg, tmp_path, capsys):
+        g = dg(n)
+        iv = coil_interval(g)
+        c = (iv.min_coil if side == "min" else iv.max_coil) + k
+        decision = lp_feasible(g, c)
+        assert not decision.feasible and decision.certificate.c == c
+        report = verify_certificate(g, decision.certificate)
+        assert report.valid and report.rhs == abs(k)
+        path = tmp_path / "lp.json"
+        path.write_text(certificate_to_json(decision.certificate))
+        assert main(["cert", "verify", "--family", "file", "--in", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"valid=true rhs={abs(k)} ")
 
     def test_point_interval_witness(self, dg):
         decision = lp_feasible(dg(3), 3)
@@ -132,7 +169,7 @@ class TestLpFeasible:
 
         g = build_digraph(12)
         decision = lp_feasible(g, c)
-        assert decision.feasible
+        assert decision.feasible and decision.certificate is None
         validate_assignment(g, decision.witness, c)  # zero residual or it raises
 
     def test_witness_lambda_exact_fraction(self, dg):
@@ -319,6 +356,15 @@ class TestCoverSerialization:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             cover_from_json('{"n": 3}')
+
+    @pytest.mark.parametrize("bad", [0.9, False, "0"], ids=["float", "bool", "string"])
+    def test_rejects_non_integer(self, bad, dg):
+        # 0.9, False and "0" all read as 0 through int().
+        doc = json.loads(cover_to_json(3, coil_interval(dg(3)).argmin))
+        assert doc["succ"][0][0] == 0
+        doc["succ"][0][0] = bad
+        with pytest.raises(ValueError, match="integer"):
+            cover_from_json(json.dumps(doc))
 
     def test_rejects_repeated_tail(self, dg):
         # The first step for (0, 0) is off-board; keeping only the last would hide it.

@@ -1,0 +1,46 @@
+"""Smoke tests: each experiment script runs to completion and prints a known row."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def rows(lines):
+    """Table rows as token lists, without the trailing time column."""
+    return [line.split()[:-1] for line in lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "name,args,row",
+    [
+        # n, family, rhs, max_lhs, valid, support, lp(n/2), min_coil, lp_support
+        ("verify_families.py", ["--max-n", "14"],
+         ["14", "t1", "1", "0", "true", "8", "infeas", "9", "135"]),
+        # n, n%8, c=n/2, min, max, c in range
+        ("coil_intervals.py", ["--max-n", "10"], ["6", "6", "3", "5", "5", "false"]),
+    ],
+)
+def test_table_script(name, args, row):
+    assert row in rows(run_script(name, *args))
+
+
+def test_search_tours():
+    lines = run_script("search_tours.py", "--n", "4", "--budget", "1000")
+    assert lines[0] == "n=4: coil interval [4, 4]"
+    assert any(line.startswith("  coil=   4: not found (space exhausted") for line in lines)

@@ -1,3 +1,5 @@
+import json
+import sys
 import warnings
 
 import pytest
@@ -101,6 +103,13 @@ class TestSearch:
         tour = search_tour(dg(3), budget=8)
         assert tour is not None and tour.coil == 3
         assert set(tour.cells) == set(dg(3).vertices)
+
+    def test_leaves_recursion_limit_alone(self, dg):
+        # The search raises the limit to V + 200 = 1100 while it runs.
+        before = sys.getrecursionlimit()
+        assert before < 1100
+        search_tour(dg(30), budget=10)
+        assert sys.getrecursionlimit() == before
 
     def test_n3_needs_budget(self, dg):
         stats = SearchStats()
@@ -209,6 +218,15 @@ class TestTourSerialization:
         n, cells = tour_from_json(text)
         assert n == 3 and verify_tour(g, cells) == tour
         assert tour_to_json(n, verify_tour(g, cells)) == text
+
+    @pytest.mark.parametrize("bad", [0.9, False, "0"], ids=["float", "bool", "string"])
+    def test_rejects_non_integer(self, bad, dg):
+        # 0.9, false and "0" all read as 0 through int().
+        doc = json.loads(tour_to_json(3, verify_tour(dg(3), N3_CYCLE)))
+        assert doc["cells"][0][0] == 0
+        doc["cells"][0][0] = bad
+        with pytest.raises(ValueError, match="integer"):
+            tour_from_json(json.dumps(doc))
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
