@@ -201,24 +201,22 @@ def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> Verification
     """
     if cert.n != g.n:
         raise ValueError(f"certificate is for n={cert.n}, digraph has n={g.n}")
-    for name, support in (("alpha", cert.alpha), ("beta", cert.beta)):
-        for v in support:
-            if Cell(*v) not in g.vertex_index:
+    alpha, beta = [0] * len(g.vertices), [0] * len(g.vertices)  # by vertex index
+    for name, support, col in (("alpha", cert.alpha, alpha), ("beta", cert.beta, beta)):
+        for v, x in support.items():
+            k = g.vertex_index.get(v)
+            if k is None:
                 raise ValueError(f"{name} support cell {tuple(v)} is not a vertex")
-    alpha, beta, gamma = cert.alpha, cert.beta, cert.gamma
-    max_lhs = None
-    violations = []
-    for a in g.arcs:
-        lhs = alpha.get(a.head, 0) + beta.get(a.tail, 0) + gamma * a.w
-        if max_lhs is None or lhs > max_lhs:
-            max_lhs = lhs
-        if lhs > 0:
-            violations.append((a, lhs))
+            col[k] = x
+    gamma = cert.gamma
+    lhs = [alpha[h] + beta[t] + gamma * w for t, h, w in zip(g.tail, g.head, g.w)]
+    max_lhs = max(lhs, default=0)
+    violations = tuple((g.arcs[a], x) for a, x in enumerate(lhs) if x > 0) if max_lhs > 0 else ()
     rhs = cert.sum_alpha() + cert.sum_beta() + cert.c * cert.gamma
     return VerificationReport(
         rhs=rhs,
-        max_lhs=0 if max_lhs is None else max_lhs,
-        violations=tuple(violations),
+        max_lhs=max_lhs,
+        violations=violations,
         valid=not violations and rhs >= 1,
     )
 

@@ -135,11 +135,12 @@ def cmd_render(args: argparse.Namespace) -> int:
         doc = json.loads(text)
         source = args.source
         if source == "auto":
-            if "arcs" in doc:
+            keys = doc if isinstance(doc, dict) else {}
+            if "arcs" in keys:
                 source = "digraph"
-            elif "gamma" in doc:
+            elif "gamma" in keys:
                 source = "cert"
-            elif "cells" in doc:
+            elif "cells" in keys:
                 source = "tour"
             else:
                 raise ValueError("cannot identify input file; pass --source")

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _json_int, crossing_weight, is_ccw
+from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _json_int, ccw_cross, crosses_axis_ray
 
 __all__ = ["Arc", "WhirlDigraph", "build_digraph", "digraph_to_json", "digraph_from_json"]
 
@@ -85,9 +85,10 @@ class WhirlDigraph:
 def build_digraph(n: int) -> WhirlDigraph:
     """Build the whirling-knight digraph on the n x n board.
 
-    Enumerates ordered knight pairs, keeps the counter-clockwise ones and
-    attaches crossing weights.  Deterministic: vertices row-major, arcs
-    tail row-major then knight-step order.
+    Enumerates on-board knight pairs, keeps the counter-clockwise ones and
+    validates only those, once, while reading their north-ray crossing
+    weights.  Deterministic: vertices row-major, arcs tail row-major then
+    knight-step order.
     """
     geom = BoardGeometry(n)
     centre = geom.centre_cell()
@@ -101,10 +102,10 @@ def build_digraph(n: int) -> WhirlDigraph:
     for t, u in enumerate(vertices):
         for s in KNIGHT_STEPS:
             h = vindex.get(Cell(u.i + s.di, u.j + s.dj))
-            if h is not None and is_ccw(geom, u, vertices[h]):
+            if h is not None and ccw_cross(geom, u, vertices[h]) > 0:
                 v = vertices[h]
                 aid = len(arcs)
-                arcs.append(Arc(u, v, crossing_weight(geom, u, v), aid))
+                arcs.append(Arc(u, v, int(crosses_axis_ray(geom, u, v)), aid))
                 out_adj[t].append(aid)
                 in_adj[h].append(aid)
     return WhirlDigraph(

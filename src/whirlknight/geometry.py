@@ -3,9 +3,9 @@
 Cells are (row, col) pairs with row 0 at the top and column 0 at the left.
 The pivot is the board centre ((n-1)/2, (n-1)/2).  Orientation predicates
 work in doubled coordinates (2i - (n-1), 2j - (n-1)), which put the pivot
-at the origin and keep every comparison in plain integers; plumb-line
-crossing heights are exact ``Fraction`` values.  There is no floating
-point anywhere in this module.
+at the origin and keep every comparison in plain integers, axis-ray
+crossings included.  Only ``crossing_height`` returns a ``Fraction``, and
+no predicate reads it.  There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -89,11 +89,6 @@ class BoardGeometry:
         return (self.n - 1, self.n - 1)
 
     @property
-    def pivot(self) -> tuple[Fraction, Fraction]:
-        p = Fraction(self.n - 1, 2)
-        return (p, p)
-
-    @property
     def h(self) -> int:
         if self.n % 2:
             raise ValueError(f"h = n/2 requires an even board, got n={self.n}")
@@ -144,8 +139,10 @@ def is_ccw(geom: BoardGeometry, u: Cell, v: Cell) -> bool:
 def crossing_height(geom: BoardGeometry, u: Cell, v: Cell) -> Fraction | None:
     """Row coordinate where the segment u -> v meets the pivot column.
 
-    Exact rational interpolation.  Returns None when the columns of u and
-    v do not strictly straddle the pivot column.
+    Exact rational interpolation, for callers that want the height itself;
+    ``crosses_axis_ray`` decides by a sign test and never reads it.
+    Returns None when the columns of u and v do not strictly straddle the
+    pivot column.
     """
     _check_knight_pair(geom, u, v)
     m = geom.n - 1
@@ -156,6 +153,11 @@ def crossing_height(geom: BoardGeometry, u: Cell, v: Cell) -> Fraction | None:
 
 def crosses_axis_ray(geom: BoardGeometry, u: Cell, v: Cell, ray: str = "north") -> bool:
     """Does the open segment u -> v cross the given open axis ray from the pivot?
+
+    One integer sign test decides it: a segment strictly straddling the
+    pivot column (doubled uj * vj < 0) meets it at doubled row
+    -ccw_cross / (uj - vj), so it crosses north iff ccw_cross * (uj - vj) > 0
+    and south iff < 0.  West and east are north and south, transposed.
 
     On even boards every ray runs strictly between cells, so a segment
     either misses the ray or crosses it transversally.  On odd boards only
@@ -169,24 +171,18 @@ def crosses_axis_ray(geom: BoardGeometry, u: Cell, v: Cell, ray: str = "north") 
     if ray not in RAYS:
         raise ValueError(f"unknown ray {ray!r}; expected one of {RAYS}")
     _check_knight_pair(geom, u, v)
-    odd = geom.n % 2 == 1
-    if odd and ray != "north":
+    m = geom.n - 1
+    if geom.n % 2 and ray != "north":
         raise ValueError("only the north ray is supported on odd boards")
-    p, q = geom.pivot
-
-    if ray in ("north", "south"):
-        if odd and u[1] == q:
-            return ray == "north" and u[0] < p
-        hrow = crossing_height(geom, u, v)
-        if hrow is None:
-            return False
-        return hrow < p if ray == "north" else hrow > p
-
-    # East and west are the north/south computation on the transposed board.
-    hcol = crossing_height(geom, Cell(u[1], u[0]), Cell(v[1], v[0]))
-    if hcol is None:
+    if ray in ("east", "west"):
+        u, v = Cell(u[1], u[0]), Cell(v[1], v[0])
+    uj, vj = 2 * u[1] - m, 2 * v[1] - m
+    if uj == 0:  # odd board, tail on the north ray
+        return 2 * u[0] < m
+    if uj * vj >= 0:
         return False
-    return hcol < q if ray == "west" else hcol > q
+    side = ccw_cross(geom, u, v) * (uj - vj)
+    return side > 0 if ray in ("north", "west") else side < 0
 
 
 def crossing_weight(geom: BoardGeometry, u: Cell, v: Cell) -> int:

@@ -75,7 +75,7 @@ def verify_tour(g: WhirlDigraph, cells) -> Tour:
             raise ValueError(f"vertex {tuple(c)} is visited twice")
         seen.add(c)
     if len(cells) != len(g.vertices):
-        missing = sorted(set(g.vertices) - seen)[:3]
+        missing = [tuple(c) for c in sorted(set(g.vertices) - seen)[:3]]
         raise ValueError(f"not Hamiltonian: {len(g.vertices) - len(cells)} vertices missing, e.g. {missing}")
     coil = sum(g.w[a] for a in g.step_arcs(zip(cells, cells[1:] + cells[:1])))
     return Tour(cells=cells, coil=coil)
@@ -109,8 +109,8 @@ def search_tour(
 ) -> Tour | None:
     """Budgeted depth-first search for a whirling tour, optionally at a coil count.
 
-    The cycle is grown from vertex (0, 0)-side anchor (the first vertex),
-    which every tour visits, so fixing it loses nothing.  At each node:
+    The cycle is grown from the first vertex, (0, 0), which every tour
+    visits, so fixing it loses nothing.  At each node:
 
     * dead-vertex pruning: any unvisited vertex with no remaining in- or
       out-option kills the branch;

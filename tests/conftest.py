@@ -1,11 +1,6 @@
-import sys
-from pathlib import Path
-
 import pytest
 
 from whirlknight import build_digraph
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 _CACHE = {}
 

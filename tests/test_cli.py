@@ -184,6 +184,14 @@ class TestRender:
         code, _, _ = run(capsys, "render")
         assert code == 2
 
+    @pytest.mark.parametrize("doc", ["5", "[\"arcs\"]", "\"cells\"", "null"])
+    def test_non_object_file_is_a_data_error(self, doc, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text(doc)
+        code, _, stderr = run(capsys, "render", "--in", str(path))
+        assert code == 2
+        assert stderr == "error: cannot identify input file; pass --source\n"
+
     def test_byte_stable_across_runs(self, tmp_path, capsys):
         args = ("render", "--n", "6", "--format", "svg")
         _, first, _ = run(capsys, *args)

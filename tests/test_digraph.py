@@ -28,8 +28,8 @@ class TestBuildDigraph:
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7, 8, 12])
     def test_arc_set_matches_oracle(self, n, dg):
-        got = {(a.tail, a.head) for a in dg(n).arcs}
-        expected = {(Cell(*u), Cell(*v)) for u, v in arcs_oracle(n)}
+        got = {(a.tail, a.head, a.w) for a in dg(n).arcs}
+        expected = {(Cell(*u), Cell(*v), weight_oracle(n, u, v)) for u, v in arcs_oracle(n)}
         assert got == expected
 
     @pytest.mark.parametrize("bad", [2, 1, 0, -4])

@@ -229,6 +229,13 @@ class TestAxisRays:
         for u, v in knight_pairs(n):
             assert crosses_axis_ray(geom, u, v, ray) == ray_cross_oracle(n, u, v, ray)
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_north_matches_oracle_odd(self, n):
+        # every knight pair, CCW or not, so the half-open rule meets the oracle
+        geom = BoardGeometry(n)
+        for u, v in knight_pairs(n):
+            assert crosses_axis_ray(geom, u, v, "north") == ray_cross_oracle(n, u, v, "north")
+
     def test_odd_boards_north_only(self):
         geom = BoardGeometry(3)
         assert crosses_axis_ray(geom, Cell(0, 1), Cell(2, 0), "north")

@@ -44,6 +44,11 @@ class TestVerifyTour:
         with pytest.raises(ValueError, match="missing"):
             verify_tour(g, cells)
 
+    def test_missing_vertex_message_lists_cells(self, dg):
+        g = dg(4)
+        with pytest.raises(ValueError, match=r"1 vertices missing, e\.g\. \[\(3, 3\)\]$"):
+            verify_tour(g, list(g.vertices)[:15])
+
     def test_repeat_rejected(self, dg):
         with pytest.raises(ValueError, match="twice"):
             verify_tour(dg(3), N3_CYCLE[:7] + [N3_CYCLE[0]])
