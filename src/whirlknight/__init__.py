@@ -35,8 +35,6 @@ from .geometry import (
     KnightStep,
     ccw_cross,
     crosses_axis_ray,
-    crossing_height,
-    crossing_weight,
     is_ccw,
     is_knight_displacement,
 )

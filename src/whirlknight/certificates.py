@@ -211,7 +211,7 @@ def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> Verification
     gamma = cert.gamma
     lhs = [alpha[h] + beta[t] + gamma * w for t, h, w in zip(g.tail, g.head, g.w)]
     max_lhs = max(lhs, default=0)
-    violations = tuple((g.arcs[a], x) for a, x in enumerate(lhs) if x > 0) if max_lhs > 0 else ()
+    violations = tuple((g.arc(a), x) for a, x in enumerate(lhs) if x > 0) if max_lhs > 0 else ()
     rhs = cert.sum_alpha() + cert.sum_beta() + cert.c * cert.gamma
     return VerificationReport(
         rhs=rhs,
@@ -255,13 +255,15 @@ def check_facts_abc(g: WhirlDigraph) -> FactsReport:
     """
     sup = t1_supports(g.n)
     bad: list[tuple[str, Arc]] = []
-    for a in g.arcs:
-        if a.head in sup.n_in and a.w != 1:
-            bad.append(("a", a))
-        if a.tail in sup.n_out and a.w != 1:
-            bad.append(("b", a))
-        if a.tail in sup.n_out and a.head in sup.n_in:
-            bad.append(("c", a))
+    vs = g.vertices
+    for a, (t, h, w) in enumerate(zip(g.tail, g.head, g.w)):
+        into, out_of = vs[h] in sup.n_in, vs[t] in sup.n_out
+        if into and w != 1:
+            bad.append(("a", g.arc(a)))
+        if out_of and w != 1:
+            bad.append(("b", g.arc(a)))
+        if out_of and into:
+            bad.append(("c", g.arc(a)))
     facts = {f: all(name != f for name, _ in bad) for f in ("a", "b", "c")}
     return FactsReport(
         fact_a=facts["a"],

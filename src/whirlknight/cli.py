@@ -40,7 +40,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def cmd_digraph(args: argparse.Namespace) -> int:
     g = build_digraph(args.n)
-    print(f"n={g.n} vertices={len(g.vertices)} arcs={len(g.arcs)} "
+    print(f"n={g.n} vertices={len(g.vertices)} arcs={len(g.w)} "
           f"crossing_arcs={sum(g.w)}")
     if args.out:
         _write_or_print(digraph_to_json(g), args.out)
@@ -62,6 +62,8 @@ def _family_certificate(args: argparse.Namespace):
         if not args.infile:
             raise ValueError("--in is required for family file")
         cert = certificate_from_json(Path(args.infile).read_text())
+    if args.n is not None and args.n != cert.n:
+        raise ValueError(f"--n {args.n} contradicts the certificate's n={cert.n}")
     if args.c is not None:
         cert = dataclasses.replace(cert, c=args.c)
     return cert
@@ -95,6 +97,8 @@ def cmd_tour(args: argparse.Namespace) -> int:
         if not args.infile:
             raise ValueError("tour verify requires --in")
         n, cells = tour_from_json(Path(args.infile).read_text())
+        if args.n is not None and args.n != n:
+            raise ValueError(f"--n {args.n} contradicts the tour's n={n}")
         g = build_digraph(n)
         try:
             tour = verify_tour(g, cells)

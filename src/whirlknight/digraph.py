@@ -2,9 +2,10 @@
 
 Vertices are all board cells, minus the centre cell on odd boards (the
 centre coincides with the pivot).  Arcs are enumerated tail row-major,
-then in knight-step order; the columns ``tail``, ``head`` (vertex indices)
-and ``w``, indexed by arc id, are what every solver reads.  A built
-digraph is immutable.
+then in knight-step order.  The digraph is its arc columns ``tail``,
+``head`` (vertex indices) and ``w``, indexed by arc id, which every
+solver reads; ``Arc`` records of cells are built only on request
+(``arc(a)``, ``arcs``).  A built digraph is immutable.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _json_int, ccw_cross, crosses_axis_ray
@@ -30,24 +32,28 @@ class Arc(NamedTuple):
 class WhirlDigraph:
     n: int
     vertices: tuple[Cell, ...]
-    arcs: tuple[Arc, ...]
+    tail: tuple[int, ...]  # arc id -> vertex index
+    head: tuple[int, ...]
+    w: tuple[int, ...]  # arc id -> north plumb-line crossing weight, 0 or 1
     out_adj: tuple[tuple[int, ...], ...]  # vertex index -> arc ids, ascending
     in_adj: tuple[tuple[int, ...], ...]
     vertex_index: dict[Cell, int] = field(repr=False)
-    # Arc-id-indexed columns, derived from arcs and vertex_index.
-    tail: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    head: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    w: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        vi = self.vertex_index
-        object.__setattr__(self, "tail", tuple(vi[a.tail] for a in self.arcs))
-        object.__setattr__(self, "head", tuple(vi[a.head] for a in self.arcs))
-        object.__setattr__(self, "w", tuple(a.w for a in self.arcs))
 
     @property
     def geometry(self) -> BoardGeometry:
         return BoardGeometry(self.n)
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """Every arc as a record, in arc-id order; built from the columns on first use."""
+        vs = self.vertices
+        return tuple(
+            Arc(vs[t], vs[h], x, a) for a, (t, h, x) in enumerate(zip(self.tail, self.head, self.w))
+        )
+
+    def arc(self, a: int) -> Arc:
+        """Arc a as a record of cells."""
+        return Arc(self.vertices[self.tail[a]], self.vertices[self.head[a]], self.w[a], a)
 
     def index_of(self, v: Cell) -> int:
         try:
@@ -57,28 +63,32 @@ class WhirlDigraph:
 
     def out_arcs(self, v: Cell) -> list[Arc]:
         """Arcs with tail v, in arc-id order."""
-        return [self.arcs[a] for a in self.out_adj[self.index_of(v)]]
+        return [self.arc(a) for a in self.out_adj[self.index_of(v)]]
 
     def in_arcs(self, v: Cell) -> list[Arc]:
         """Arcs with head v, in arc-id order."""
-        return [self.arcs[a] for a in self.in_adj[self.index_of(v)]]
+        return [self.arc(a) for a in self.in_adj[self.index_of(v)]]
 
-    def arc_between(self, u: Cell, v: Cell) -> Arc | None:
-        """The arc u -> v, or None if there is none."""
+    def _arc_id(self, u: Cell, v: Cell) -> int | None:
         iv = self.index_of(v)
         for a in self.out_adj[self.index_of(u)]:
             if self.head[a] == iv:
-                return self.arcs[a]
+                return a
         return None
+
+    def arc_between(self, u: Cell, v: Cell) -> Arc | None:
+        """The arc u -> v, or None if there is none."""
+        a = self._arc_id(u, v)
+        return None if a is None else self.arc(a)
 
     def step_arcs(self, steps: Iterable[tuple[Cell, Cell]]) -> list[int]:
         """Arc ids of the steps (tail, head), in order; the first non-arc step raises."""
         ids = []
         for t, h in steps:
-            a = self.arc_between(t, h)
+            a = self._arc_id(t, h)
             if a is None:
                 raise ValueError(f"step {tuple(t)} -> {tuple(h)} is not an arc of the digraph")
-            ids.append(a.id)
+            ids.append(a)
         return ids
 
 
@@ -96,22 +106,27 @@ def build_digraph(n: int) -> WhirlDigraph:
         Cell(i, j) for i in range(n) for j in range(n) if Cell(i, j) != centre
     )
     vindex = {c: k for k, c in enumerate(vertices)}
-    arcs: list[Arc] = []
+    tail: list[int] = []
+    head: list[int] = []
+    w: list[int] = []
     out_adj: list[list[int]] = [[] for _ in vertices]
     in_adj: list[list[int]] = [[] for _ in vertices]
     for t, u in enumerate(vertices):
         for s in KNIGHT_STEPS:
             h = vindex.get(Cell(u.i + s.di, u.j + s.dj))
             if h is not None and ccw_cross(geom, u, vertices[h]) > 0:
-                v = vertices[h]
-                aid = len(arcs)
-                arcs.append(Arc(u, v, int(crosses_axis_ray(geom, u, v)), aid))
+                aid = len(w)
+                tail.append(t)
+                head.append(h)
+                w.append(int(crosses_axis_ray(geom, u, vertices[h])))
                 out_adj[t].append(aid)
                 in_adj[h].append(aid)
     return WhirlDigraph(
         n=n,
         vertices=vertices,
-        arcs=tuple(arcs),
+        tail=tuple(tail),
+        head=tuple(head),
+        w=tuple(w),
         out_adj=tuple(tuple(a) for a in out_adj),
         in_adj=tuple(tuple(a) for a in in_adj),
         vertex_index=vindex,
@@ -120,10 +135,12 @@ def build_digraph(n: int) -> WhirlDigraph:
 
 def digraph_to_json(g: WhirlDigraph) -> str:
     """Canonical JSON form; byte-stable for a given n."""
+    vs = g.vertices
     doc = {
         "n": g.n,
-        "vertices": [[c.i, c.j] for c in g.vertices],
-        "arcs": [{"u": [a.tail.i, a.tail.j], "v": [a.head.i, a.head.j], "w": a.w} for a in g.arcs],
+        "vertices": [[c.i, c.j] for c in vs],
+        "arcs": [{"u": [vs[t].i, vs[t].j], "v": [vs[h].i, vs[h].j], "w": x}
+                 for t, h, x in zip(g.tail, g.head, g.w)],
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
@@ -145,6 +162,6 @@ def digraph_from_json(text: str) -> WhirlDigraph:
     g = build_digraph(n)
     if vertices != list(g.vertices):
         raise ValueError("digraph JSON vertex list does not match the canonical digraph")
-    if arcs != [(a.tail, a.head, a.w) for a in g.arcs]:
+    if arcs != [(vertices[t], vertices[h], x) for t, h, x in zip(g.tail, g.head, g.w)]:
         raise ValueError("digraph JSON arc list does not match the canonical digraph")
     return g

@@ -4,14 +4,13 @@ Cells are (row, col) pairs with row 0 at the top and column 0 at the left.
 The pivot is the board centre ((n-1)/2, (n-1)/2).  Orientation predicates
 work in doubled coordinates (2i - (n-1), 2j - (n-1)), which put the pivot
 at the origin and keep every comparison in plain integers, axis-ray
-crossings included.  Only ``crossing_height`` returns a ``Fraction``, and
-no predicate reads it.  There is no floating point anywhere in this module.
+crossings included.  There are no fractions and no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 __all__ = [
@@ -23,8 +22,6 @@ __all__ = [
     "is_knight_displacement",
     "ccw_cross",
     "is_ccw",
-    "crossing_weight",
-    "crossing_height",
     "crosses_axis_ray",
 ]
 
@@ -136,21 +133,6 @@ def is_ccw(geom: BoardGeometry, u: Cell, v: Cell) -> bool:
     return ccw_cross(geom, u, v) > 0
 
 
-def crossing_height(geom: BoardGeometry, u: Cell, v: Cell) -> Fraction | None:
-    """Row coordinate where the segment u -> v meets the pivot column.
-
-    Exact rational interpolation, for callers that want the height itself;
-    ``crosses_axis_ray`` decides by a sign test and never reads it.
-    Returns None when the columns of u and v do not strictly straddle the
-    pivot column.
-    """
-    _check_knight_pair(geom, u, v)
-    m = geom.n - 1
-    if (2 * u[1] - m) * (2 * v[1] - m) >= 0:
-        return None
-    return u[0] + Fraction(v[0] - u[0], v[1] - u[1]) * (Fraction(m, 2) - u[1])
-
-
 def crosses_axis_ray(geom: BoardGeometry, u: Cell, v: Cell, ray: str = "north") -> bool:
     """Does the open segment u -> v cross the given open axis ray from the pivot?
 
@@ -184,14 +166,3 @@ def crosses_axis_ray(geom: BoardGeometry, u: Cell, v: Cell, ray: str = "north") 
     side = ccw_cross(geom, u, v) * (uj - vj)
     return side > 0 if ray in ("north", "west") else side < 0
 
-
-def crossing_weight(geom: BoardGeometry, u: Cell, v: Cell) -> int:
-    """1 if the CCW arc u -> v crosses the north plumb-line, else 0.
-
-    The north plumb-line is the open ray of points (x, q) with x < p,
-    extending upward from the pivot (p, q).  Rejects pairs that are not
-    arcs of the CCW digraph.
-    """
-    if not is_ccw(geom, u, v):
-        raise ValueError(f"{tuple(u)} -> {tuple(v)} is not an arc of the CCW digraph")
-    return int(crosses_axis_ray(geom, u, v, "north"))

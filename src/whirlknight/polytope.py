@@ -242,7 +242,7 @@ def _extreme_cover(g: WhirlDigraph, gamma: int) -> tuple[CycleCover, int, Farkas
     k = int(gamma > 0)
     row_arc, u, v = _min_cost_matching(g.out_adj, g.head, [k - gamma * x for x in g.w])
     cells = g.vertices
-    cover = CycleCover(succ={cells[i]: g.arcs[a].head for i, a in enumerate(row_arc)})
+    cover = CycleCover(succ={cells[i]: cells[g.head[a]] for i, a in enumerate(row_arc)})
     coil = coil_of_cover(g, cover)
     cert = FarkasCertificate(
         n=g.n,
@@ -306,7 +306,7 @@ def validate_assignment(g: WhirlDigraph, fa: FractionalAssignment, c: int) -> No
     for aid, val in fa.x.items():
         if not (0 <= val <= 1):
             raise ValueError(f"arc {aid} value {val} violates the box bounds")
-        if not (0 <= aid < len(g.arcs)):
+        if not (0 <= aid < len(g.w)):
             raise ValueError(f"unknown arc id {aid}")
     for k, v in enumerate(g.vertices):
         into = sum(fa.x.get(a, Fraction(0)) for a in g.in_adj[k])

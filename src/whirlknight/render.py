@@ -83,8 +83,9 @@ def board_spec(n: int, fmt: str = "ascii") -> RenderSpec:
 
 
 def digraph_spec(g: WhirlDigraph, fmt: str = "ascii") -> RenderSpec:
-    plain = tuple((a.tail, a.head) for a in g.arcs if a.w == 0)
-    crossing = tuple((a.tail, a.head) for a in g.arcs if a.w == 1)
+    vs = g.vertices
+    plain = tuple((vs[t], vs[h]) for t, h, x in zip(g.tail, g.head, g.w) if x == 0)
+    crossing = tuple((vs[t], vs[h]) for t, h, x in zip(g.tail, g.head, g.w) if x == 1)
     base = board_spec(g.n, fmt)
     layers = base.layers[:-2] + (
         ArcLayer(arcs=plain, tag="arc"),

@@ -50,6 +50,8 @@ class Tour:
 class SearchStats:
     """Filled in by search_tour: expansions used and whether the space closed.
 
+    Each call resets both fields, so a reused object describes the last search.
+
     ``exhausted`` True means the depth-first search ran out of branches
     before running out of budget, i.e. no tour satisfying the constraints
     exists from the canonical start vertex (which is every tour, since a
@@ -134,6 +136,8 @@ def search_tour(
         raise ValueError("search supports even boards (and the n=3 fixture)")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if progress_every < 1:
+        raise ValueError("progress_every must be >= 1")
     nv = len(g.vertices)
     out_opts = [[(g.head[a], g.w[a], a) for a in arcs] for arcs in g.out_adj]
     in_tails = [[g.tail[a] for a in arcs] for arcs in g.in_adj]
@@ -141,6 +145,7 @@ def search_tour(
     rng = random.Random(seed) if seed else None
     if stats is None:
         stats = SearchStats()
+    stats.nodes, stats.exhausted = 0, False
     start = 0
     visited = bytearray(nv)
     visited[start] = 1

@@ -88,6 +88,23 @@ class TestCert:
         assert code == 2 and stdout == ""
         assert "integer" in stderr
 
+    @pytest.mark.parametrize("action,n", [("verify", "14"), ("build", "5")])
+    def test_n_contradicting_fixed_family_is_an_error(self, action, n, capsys):
+        code, stdout, stderr = run(capsys, "cert", action, "--family", "n3", "--n", n)
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: --n {n} contradicts the certificate's n=3\n"
+
+    def test_n_contradicting_file_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "c14.json"
+        run(capsys, "cert", "build", "--family", "t1", "--n", "14", "--out", str(path))
+        code, stdout, stderr = run(capsys, "cert", "verify", "--family", "file",
+                                   "--in", str(path), "--n", "6")
+        assert code == 2 and stdout == ""
+        assert stderr == "error: --n 6 contradicts the certificate's n=14\n"
+        code, stdout, _ = run(capsys, "cert", "verify", "--family", "file",
+                              "--in", str(path), "--n", "14")
+        assert code == 0 and "valid=true" in stdout
+
 
 class TestLp:
     @pytest.mark.parametrize("n,c,expected", [(6, 3, 1), (3, 3, 0), (16, 8, 0)])
@@ -139,6 +156,13 @@ class TestTour:
         }))
         code, stdout, _ = run(capsys, "tour", "verify", "--in", str(bad))
         assert code == 1 and "valid=false" in stdout
+
+    def test_verify_with_contradicting_n_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "t3.json"
+        run(capsys, "tour", "search", "--n", "3", "--budget", "1000", "--out", str(out))
+        code, stdout, stderr = run(capsys, "tour", "verify", "--in", str(out), "--n", "8")
+        assert code == 2 and stdout == ""
+        assert stderr == "error: --n 8 contradicts the tour's n=3\n"
 
     def test_search_missing_n(self, capsys):
         code, _, _ = run(capsys, "tour", "search")

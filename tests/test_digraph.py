@@ -1,10 +1,24 @@
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whirlknight import Cell, build_digraph, digraph_from_json, digraph_to_json
+from whirlknight import (
+    Cell,
+    WhirlDigraph,
+    build_digraph,
+    build_t1,
+    coil_interval,
+    digraph_from_json,
+    digraph_to_json,
+    lp_feasible,
+    search_tour,
+    verify_certificate,
+    verify_tour,
+)
+from whirlknight.render import digraph_spec, render
 
 from oracles import KNIGHT_DELTAS, arcs_oracle, board_cells, weight_oracle
 
@@ -26,7 +40,7 @@ class TestBuildDigraph:
         assert len(oracle) == 24  # frozen before the build
         assert len(dg(4).arcs) == len(oracle)
 
-    @pytest.mark.parametrize("n", [3, 5, 6, 7, 8, 12])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12])
     def test_arc_set_matches_oracle(self, n, dg):
         got = {(a.tail, a.head, a.w) for a in dg(n).arcs}
         expected = {(Cell(*u), Cell(*v), weight_oracle(n, u, v)) for u, v in arcs_oracle(n)}
@@ -78,9 +92,10 @@ class TestAdjacency:
         g = dg(n)
         assert len(g.tail) == len(g.head) == len(g.w) == len(g.arcs)
         for a in g.arcs:
-            assert g.vertices[g.tail[a.id]] == a.tail
-            assert g.vertices[g.head[a.id]] == a.head
+            assert a.tail is g.vertices[g.tail[a.id]]
+            assert a.head is g.vertices[g.head[a.id]]
             assert g.w[a.id] == a.w
+            assert g.arc(a.id) == a
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_arc_between_matches_scan(self, n, dg):
@@ -95,6 +110,38 @@ class TestAdjacency:
         for u, v in pairs:
             scan = [a for a in g.arcs if a.tail == u and a.head == v]
             assert g.arc_between(u, v) == (scan[0] if scan else None)
+
+
+def _violations(g):
+    report = verify_certificate(g, dataclasses.replace(build_t1(g.n), gamma=0))
+    assert report.violations
+    return report
+
+
+def _search_and_verify(g):
+    return verify_tour(g, search_tour(g, budget=200_000).cells)
+
+
+PACKAGE_PATHS = {
+    "build_digraph": lambda g: None,
+    "coil_interval": coil_interval,
+    "lp_feasible": lambda g: lp_feasible(g, 5),
+    "lp_infeasible": lambda g: lp_feasible(g, 3),
+    "verify_certificate_violations": _violations,
+    "search_and_verify_tour": _search_and_verify,
+    "json_round_trip": lambda g: digraph_from_json(digraph_to_json(g)),
+    "render_digraph": lambda g: render(digraph_spec(g)),
+}
+
+
+@pytest.mark.parametrize("path", PACKAGE_PATHS)
+def test_package_paths_build_no_arc_records(path):
+    # The columns are the digraph; the Arc records exist only on request.
+    g = build_digraph(6)
+    out = PACKAGE_PATHS[path](g)
+    assert "arcs" not in vars(g)
+    if isinstance(out, WhirlDigraph):
+        assert "arcs" not in vars(out)
 
 
 class TestCoilWeights:

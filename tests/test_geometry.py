@@ -10,13 +10,11 @@ from whirlknight import (
     Cell,
     ccw_cross,
     crosses_axis_ray,
-    crossing_height,
-    crossing_weight,
     is_ccw,
     is_knight_displacement,
 )
 
-from oracles import KNIGHT_DELTAS, ccw_oracle, ray_cross_oracle, weight_oracle
+from oracles import KNIGHT_DELTAS, ccw_oracle, ray_cross_oracle
 
 
 def knight_pairs(n):
@@ -116,14 +114,6 @@ class TestIsCcw:
 
 
 class TestCrossingWeight:
-    def test_crossing_arc_example(self):
-        assert crossing_weight(BoardGeometry(4), Cell(2, 2), Cell(0, 1)) == 1
-
-    def test_derived_n4_arc(self):
-        # independent rational oracle: height 1/4 < 3/2, so it crosses
-        assert weight_oracle(4, (0, 2), (1, 0)) == 1
-        assert crossing_weight(BoardGeometry(4), Cell(0, 2), Cell(1, 0)) == 1
-
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_east_arcs_never_cross(self, n, dg):
         h = n // 2
@@ -131,40 +121,13 @@ class TestCrossingWeight:
             if a.tail.j >= h and a.head.j >= h:
                 assert a.w == 0
 
-    def test_rejects_non_arcs(self):
-        geom = BoardGeometry(4)
-        with pytest.raises(ValueError):
-            crossing_weight(geom, Cell(0, 1), Cell(2, 2))  # clockwise
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12])
-    def test_matches_segment_ray_oracle(self, n):
-        geom = BoardGeometry(n)
-        for u, v in knight_pairs(n):
-            if ccw_oracle(n, u, v):
-                assert crossing_weight(geom, u, v) == weight_oracle(n, u, v)
-
     @pytest.mark.parametrize("n", [4, 6, 10, 14])
     def test_crossing_implies_straddle(self, n):
         geom = BoardGeometry(n)
         q = Fraction(n - 1, 2)
         for u, v in knight_pairs(n):
-            if is_ccw(geom, u, v) and crossing_weight(geom, u, v) == 1:
+            if crosses_axis_ray(geom, u, v, "north"):
                 assert (u.j - q) * (v.j - q) < 0
-
-
-class TestCrossingHeight:
-    def test_crossing_height_example(self):
-        assert crossing_height(BoardGeometry(4), Cell(2, 2), Cell(0, 1)) == 1
-
-    def test_derived_n12_height(self):
-        assert crossing_height(BoardGeometry(12), Cell(5, 6), Cell(6, 4)) == Fraction(21, 4)
-
-    def test_no_straddle_gives_none(self):
-        assert crossing_height(BoardGeometry(12), Cell(0, 9), Cell(1, 11)) is None
-
-    def test_exact_fraction_type(self):
-        h = crossing_height(BoardGeometry(4), Cell(0, 2), Cell(1, 0))
-        assert isinstance(h, Fraction) and h == Fraction(1, 4)
 
 
 class TestPivotColumnFacts:

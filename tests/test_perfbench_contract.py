@@ -1,0 +1,51 @@
+"""The benchmark's contract with the package: the names and attributes ``perfbench/`` reads.
+
+Runs in a subprocess with ``src`` and ``perfbench`` on ``sys.path``, as the
+benchmark does, and without writing bytecode, so nothing lands under
+``perfbench/``.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CONTRACT = """
+import importlib
+import sys
+
+sys.path[:0] = sys.argv[1:3]
+import spans
+import workloads
+
+missing = [
+    f"{layer}.{name}"
+    for layer, names in spans.TRACED.items()
+    for name in names
+    if not callable(getattr(importlib.import_module(f"whirlknight.{layer}"), name, None))
+]
+assert not missing, f"spans.TRACED names missing from the package: {missing}"
+
+ref = workloads.load_reference()
+tour8 = tuple(tuple(c) for c in ref["tours"]["8"]["cells"])
+cases = [
+    (workloads.Certify(ref), workloads.Query("q0", "certify", (14,))),
+    (workloads.LpLadder(ref), workloads.Query("q1", "lp", (14, 10))),
+    (workloads.LpLadder(ref), workloads.Query("q2", "lp", (14, 7))),
+    (workloads.Search(ref), workloads.Query("q3", "verify", (8, "intact", tour8))),
+]
+for workload, query in cases:
+    problem = workload.check(query, workload.run(query))
+    assert problem is None, f"{workload.name} {query.args[:2]}: {problem}"
+print("ok")
+"""
+
+
+def test_workloads_run_and_check_against_the_package():
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", CONTRACT, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -122,7 +122,9 @@ class TestCoilInterval:
         crippled = WhirlDigraph(
             n=3,
             vertices=g.vertices,
-            arcs=g.arcs[:dropped],
+            tail=g.tail[:dropped],
+            head=g.head[:dropped],
+            w=g.w[:dropped],
             out_adj=tuple(tuple(a for a in row if a != dropped) for row in g.out_adj),
             in_adj=tuple(tuple(a for a in row if a != dropped) for row in g.in_adj),
             vertex_index=g.vertex_index,

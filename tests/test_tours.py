@@ -174,6 +174,17 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_tour(dg(3), budget=0)
 
+    def test_bad_progress_every(self, dg):
+        with pytest.raises(ValueError, match="progress_every"):
+            search_tour(dg(3), progress_every=0)
+
+    def test_reused_stats_describe_the_last_search(self, dg):
+        stats = SearchStats()
+        assert search_tour(dg(6), coil_target=3, stats=stats) is None
+        assert stats.exhausted
+        assert search_tour(dg(8), coil_target=6, budget=10, stats=stats) is None
+        assert stats == SearchStats(nodes=10, exhausted=False)
+
     def test_progress_callback_fires(self, dg):
         seen = []
         search_tour(
