@@ -47,35 +47,35 @@ def cmd_digraph(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_n(given: int | None, n: int, what: str) -> None:
+    if given is not None and given != n:
+        raise ValueError(f"--n {given} contradicts the {what}'s n={n}")
+
+
 def _family_certificate(args: argparse.Namespace):
-    if args.family == "t1":
-        if args.n is None:
-            raise ValueError("--n is required for family t1")
-        cert = build_t1(args.n)
-    elif args.family == "t2":
-        if args.n is None:
-            raise ValueError("--n is required for family t2")
-        cert = build_t2(args.n)
-    elif args.family == "n3":
+    if args.family == "n3":
         cert = build_n3_certificate()
-    else:
+    elif args.family == "file":
         if not args.infile:
             raise ValueError("--in is required for family file")
         cert = certificate_from_json(Path(args.infile).read_text())
-    if args.n is not None and args.n != cert.n:
-        raise ValueError(f"--n {args.n} contradicts the certificate's n={cert.n}")
+    else:
+        if args.n is None:
+            raise ValueError(f"--n is required for family {args.family}")
+        # Looked up per call, so a tracer that swaps the module attributes sees it.
+        cert = {"t1": build_t1, "t2": build_t2}[args.family](args.n)
+    _require_n(args.n, cert.n, "certificate")
     if args.c is not None:
         cert = dataclasses.replace(cert, c=args.c)
     return cert
 
 
-def cmd_cert(args: argparse.Namespace) -> int:
-    if args.action == "build":
-        if args.family == "file":
-            raise ValueError("cannot build family 'file'; use t1, t2 or n3")
-        cert = _family_certificate(args)
-        _write_or_print(certificate_to_json(cert), args.out)
-        return 0
+def cmd_cert_build(args: argparse.Namespace) -> int:
+    _write_or_print(certificate_to_json(_family_certificate(args)), args.out)
+    return 0
+
+
+def cmd_cert_verify(args: argparse.Namespace) -> int:
     cert = _family_certificate(args)
     report = verify_certificate(build_digraph(cert.n), cert)
     print(f"valid={str(report.valid).lower()} rhs={report.rhs} "
@@ -92,22 +92,20 @@ def cmd_lp(args: argparse.Namespace) -> int:
     return 0 if decision.feasible else 1
 
 
-def cmd_tour(args: argparse.Namespace) -> int:
-    if args.action == "verify":
-        if not args.infile:
-            raise ValueError("tour verify requires --in")
-        n, cells = tour_from_json(Path(args.infile).read_text())
-        if args.n is not None and args.n != n:
-            raise ValueError(f"--n {args.n} contradicts the tour's n={n}")
-        g = build_digraph(n)
-        try:
-            tour = verify_tour(g, cells)
-        except ValueError as exc:
-            print(f"valid=false error={json.dumps(str(exc))}")
-            return 1
-        print(f"valid=true n={n} coil={tour.coil}")
-        return 0
+def cmd_tour_verify(args: argparse.Namespace) -> int:
+    n, cells = tour_from_json(Path(args.infile).read_text())
+    _require_n(args.n, n, "tour")
+    g = build_digraph(n)
+    try:
+        tour = verify_tour(g, cells)
+    except ValueError as exc:
+        print(f"valid=false error={json.dumps(str(exc))}")
+        return 1
+    print(f"valid=true n={n} coil={tour.coil}")
+    return 0
 
+
+def cmd_tour_search(args: argparse.Namespace) -> int:
     g = build_digraph(args.n)
     stats = SearchStats()
 
@@ -137,25 +135,22 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.infile:
         text = Path(args.infile).read_text()
         doc = json.loads(text)
-        source = args.source
-        if source == "auto":
-            keys = doc if isinstance(doc, dict) else {}
-            if "arcs" in keys:
-                source = "digraph"
-            elif "gamma" in keys:
-                source = "cert"
-            elif "cells" in keys:
-                source = "tour"
-            else:
-                raise ValueError("cannot identify input file; pass --source")
-        if source == "digraph":
-            spec = digraph_spec(digraph_from_json(text), args.format)
-        elif source == "cert":
-            spec = certificate_spec(certificate_from_json(text), args.format)
-        else:
+        keys = doc if isinstance(doc, dict) else {}
+        if "arcs" in keys:
+            g = digraph_from_json(text)
+            _require_n(args.n, g.n, "digraph")
+            spec = digraph_spec(g, args.format)
+        elif "gamma" in keys:
+            cert = certificate_from_json(text)
+            _require_n(args.n, cert.n, "certificate")
+            spec = certificate_spec(cert, args.format)
+        elif "cells" in keys:
             n, cells = tour_from_json(text)
+            _require_n(args.n, n, "tour")
             g = build_digraph(n)
             spec = tour_spec(g, verify_tour(g, cells), args.format)
+        else:
+            raise ValueError("cannot identify input file")
     else:
         if args.n is None:
             raise ValueError("render needs --in or --n")
@@ -178,13 +173,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_digraph)
 
     p = sub.add_parser("cert", help="build or verify Farkas certificates")
-    p.add_argument("action", choices=["build", "verify"])
-    p.add_argument("--family", choices=["t1", "t2", "n3", "file"], required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=int, help="override the certificate's coil count")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_cert)
+    actions = p.add_subparsers(dest="action", required=True)
+    build = actions.add_parser("build", help="write a family's certificate as JSON")
+    verify = actions.add_parser("verify", help="check a certificate on its board")
+    build.add_argument("--family", choices=["t1", "t2", "n3"], required=True)
+    verify.add_argument("--family", choices=["t1", "t2", "n3", "file"], required=True)
+    for a in (build, verify):
+        a.add_argument("--n", type=int)
+        a.add_argument("--c", type=int, help="override the certificate's coil count")
+    build.add_argument("--out")
+    build.set_defaults(func=cmd_cert_build)
+    verify.add_argument("--in", dest="infile")
+    verify.set_defaults(func=cmd_cert_verify)
 
     p = sub.add_parser("lp", help="decide cycle-cover LP feasibility exactly")
     p.add_argument("--n", type=int, required=True)
@@ -192,18 +192,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lp)
 
     p = sub.add_parser("tour", help="search for or verify whirling tours")
-    p.add_argument("action", choices=["search", "verify"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--coil", type=int)
-    p.add_argument("--budget", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_tour)
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("search", help="search for a tour")
+    a.add_argument("--n", type=int, required=True)
+    a.add_argument("--coil", type=int)
+    a.add_argument("--budget", type=int, default=1_000_000)
+    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--out")
+    a.set_defaults(func=cmd_tour_search)
+    a = actions.add_parser("verify", help="verify a tour file")
+    a.add_argument("--in", dest="infile", required=True)
+    a.add_argument("--n", type=int)
+    a.set_defaults(func=cmd_tour_verify)
 
     p = sub.add_parser("render", help="draw boards, digraphs, certificates, tours")
     p.add_argument("--in", dest="infile")
-    p.add_argument("--source", choices=["auto", "digraph", "cert", "tour"], default="auto")
     p.add_argument("--n", type=int)
     p.add_argument("--format", choices=["ascii", "svg"], default="ascii")
     p.add_argument("--out")
@@ -214,9 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.func is cmd_tour and args.action == "search" and args.n is None:
-        print("error: tour search requires --n", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -1,11 +1,12 @@
 """Deterministic ASCII and SVG board diagrams.
 
-A RenderSpec is a board size plus an ordered list of layers (cell fills,
-arcs, the plumb-line marker, the pivot marker).  Rendering is a pure
-function of the spec: byte-identical output for identical input.  SVG
-places the centre of cell (i, j) at (j + 0.5, i + 0.5) board units from
-the top-left corner, rows growing downward, so diagrams read like the
-board itself.
+A RenderSpec is a board size plus an ordered list of layers: cell signs,
+arcs and a path.  The board frame (the excluded centre on odd n, the
+grid, the north plumb-line and the pivot) is not a layer: render always
+draws it.  Rendering is a pure function of the spec: byte-identical
+output for identical input.  SVG places the centre of cell (i, j) at
+(j + 0.5, i + 0.5) board units from the top-left corner, rows growing
+downward, so diagrams read like the board itself.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ __all__ = [
     "CellLayer",
     "ArcLayer",
     "PathLayer",
-    "PlumbLineLayer",
-    "PivotLayer",
     "RenderSpec",
     "board_spec",
     "digraph_spec",
@@ -36,7 +35,7 @@ __all__ = [
 @dataclass(frozen=True)
 class CellLayer:
     cells: tuple[Cell, ...]
-    tag: str  # alpha_pos | alpha_neg | beta_pos | beta_neg | excluded
+    tag: str  # alpha_pos | alpha_neg | beta_pos | beta_neg
 
 
 @dataclass(frozen=True)
@@ -52,48 +51,34 @@ class PathLayer:
     cells: tuple[Cell, ...]
 
 
-@dataclass(frozen=True)
-class PlumbLineLayer:
-    pass
-
-
-@dataclass(frozen=True)
-class PivotLayer:
-    pass
-
-
-Layer = Union[CellLayer, ArcLayer, PathLayer, PlumbLineLayer, PivotLayer]
+Layer = Union[CellLayer, ArcLayer, PathLayer]
 
 
 @dataclass(frozen=True)
 class RenderSpec:
+    """Cell signs, arcs and a path on an n×n board; render adds the board frame."""
+
     n: int
     layers: tuple[Layer, ...]
     format: str = "ascii"  # ascii | svg
 
 
 def board_spec(n: int, fmt: str = "ascii") -> RenderSpec:
-    geom = BoardGeometry(n)
-    layers: list[Layer] = []
-    centre = geom.centre_cell()
-    if centre is not None:
-        layers.append(CellLayer(cells=(centre,), tag="excluded"))
-    layers += [PlumbLineLayer(), PivotLayer()]
-    return RenderSpec(n=n, layers=tuple(layers), format=fmt)
+    return RenderSpec(n, (), fmt)
+
+
+def _arc_layers(steps, weights) -> tuple[ArcLayer, ArcLayer]:
+    """Split (tail, head) steps into the plain and the crossing arc layer by weight."""
+    return (
+        ArcLayer(arcs=tuple(s for s, w in zip(steps, weights) if not w), tag="arc"),
+        ArcLayer(arcs=tuple(s for s, w in zip(steps, weights) if w), tag="crossing"),
+    )
 
 
 def digraph_spec(g: WhirlDigraph, fmt: str = "ascii") -> RenderSpec:
     vs = g.vertices
-    plain = tuple((vs[t], vs[h]) for t, h, x in zip(g.tail, g.head, g.w) if x == 0)
-    crossing = tuple((vs[t], vs[h]) for t, h, x in zip(g.tail, g.head, g.w) if x == 1)
-    base = board_spec(g.n, fmt)
-    layers = base.layers[:-2] + (
-        ArcLayer(arcs=plain, tag="arc"),
-        ArcLayer(arcs=crossing, tag="crossing"),
-        PlumbLineLayer(),
-        PivotLayer(),
-    )
-    return RenderSpec(n=g.n, layers=layers, format=fmt)
+    steps = [(vs[t], vs[h]) for t, h in zip(g.tail, g.head)]
+    return RenderSpec(g.n, _arc_layers(steps, g.w), fmt)
 
 
 def _signed_cells(support: dict[Cell, int], positive: bool) -> tuple[Cell, ...]:
@@ -101,70 +86,56 @@ def _signed_cells(support: dict[Cell, int], positive: bool) -> tuple[Cell, ...]:
 
 
 def certificate_spec(cert: FarkasCertificate, fmt: str = "ascii") -> RenderSpec:
-    base = board_spec(cert.n, fmt)
-    layers = base.layers[:-2] + (
+    layers = (
         CellLayer(cells=_signed_cells(cert.alpha, False), tag="alpha_neg"),
         CellLayer(cells=_signed_cells(cert.alpha, True), tag="alpha_pos"),
         CellLayer(cells=_signed_cells(cert.beta, False), tag="beta_neg"),
         CellLayer(cells=_signed_cells(cert.beta, True), tag="beta_pos"),
-        PlumbLineLayer(),
-        PivotLayer(),
     )
-    return RenderSpec(n=cert.n, layers=layers, format=fmt)
+    return RenderSpec(cert.n, layers, fmt)
 
 
 def tour_spec(g: WhirlDigraph, tour: Tour, fmt: str = "ascii") -> RenderSpec:
     nc = len(tour.cells)
     steps = [(tour.cells[k], tour.cells[(k + 1) % nc]) for k in range(nc)]
-    crossing = [g.w[a] for a in g.step_arcs(steps)]
-    base = board_spec(g.n, fmt)
-    layers = base.layers[:-2] + (
-        ArcLayer(arcs=tuple(s for s, w in zip(steps, crossing) if not w), tag="arc"),
-        ArcLayer(arcs=tuple(s for s, w in zip(steps, crossing) if w), tag="crossing"),
-        PathLayer(cells=tour.cells),
-        PlumbLineLayer(),
-        PivotLayer(),
-    )
-    return RenderSpec(n=g.n, layers=layers, format=fmt)
+    weights = [g.w[a] for a in g.step_arcs(steps)]
+    layers = _arc_layers(steps, weights) + (PathLayer(cells=tour.cells),)
+    return RenderSpec(g.n, layers, fmt)
 
 
 def render(spec: RenderSpec) -> str:
     geom = BoardGeometry(spec.n)
     for layer in spec.layers:
-        refs: tuple = ()
-        if isinstance(layer, CellLayer):
+        if isinstance(layer, ArcLayer):
+            refs = (c for arc in layer.arcs for c in arc)
+        else:
             refs = layer.cells
-        elif isinstance(layer, PathLayer):
-            refs = layer.cells
-        elif isinstance(layer, ArcLayer):
-            refs = tuple(c for arc in layer.arcs for c in arc)
         for c in refs:
             if not geom.on_board(c):
                 raise ValueError(f"layer references off-board cell {tuple(c)}")
     if spec.format == "ascii":
-        return _render_ascii(spec)
+        return _render_ascii(spec, geom.centre_cell())
     if spec.format == "svg":
-        return _render_svg(spec)
+        return _render_svg(spec, geom.centre_cell())
     raise ValueError(f"unknown render format {spec.format!r}")
 
 
 # ---------------------------------------------------------------- ascii
 
-def _render_ascii(spec: RenderSpec) -> str:
+# Certificate cell token: alpha's sign in the first slot, beta's in the second.
+_CERT_TOKEN = {
+    "alpha_pos": (0, "A"),
+    "alpha_neg": (0, "a"),
+    "beta_pos": (1, "B"),
+    "beta_neg": (1, "b"),
+}
+
+
+def _render_ascii(spec: RenderSpec, centre: Cell | None) -> str:
     n = spec.n
     path = next((ly for ly in spec.layers if isinstance(ly, PathLayer)), None)
     arc_layers = [ly for ly in spec.layers if isinstance(ly, ArcLayer)]
-    cert_layers = [
-        ly for ly in spec.layers if isinstance(ly, CellLayer) and ly.tag != "excluded"
-    ]
-    excluded = {
-        c
-        for ly in spec.layers
-        if isinstance(ly, CellLayer) and ly.tag == "excluded"
-        for c in ly.cells
-    }
-    has_plumb = any(isinstance(ly, PlumbLineLayer) for ly in spec.layers)
-    has_pivot = any(isinstance(ly, PivotLayer) for ly in spec.layers)
+    cert_layers = [ly for ly in spec.layers if isinstance(ly, CellLayer)]
 
     if path is not None:
         width = max(2, len(str(len(path.cells) - 1)))
@@ -173,21 +144,13 @@ def _render_ascii(spec: RenderSpec) -> str:
             tokens[c] = str(k).rjust(width)
     elif cert_layers:
         width = 2
-        alpha: dict[Cell, str] = {}
-        beta: dict[Cell, str] = {}
+        marks = {c: [".", "."] for c in _board_cells(n)}
         for layer in cert_layers:
-            for c in layer.cells:
-                if layer.tag == "alpha_pos":
-                    alpha[c] = "A"
-                elif layer.tag == "alpha_neg":
-                    alpha[c] = "a"
-                elif layer.tag == "beta_pos":
-                    beta[c] = "B"
-                elif layer.tag == "beta_neg":
-                    beta[c] = "b"
-        tokens = {
-            c: alpha.get(c, ".") + beta.get(c, ".") for c in _board_cells(n)
-        }
+            if layer.tag in _CERT_TOKEN:
+                slot, letter = _CERT_TOKEN[layer.tag]
+                for c in layer.cells:
+                    marks[c][slot] = letter
+        tokens = {c: "".join(m) for c, m in marks.items()}
     elif arc_layers:
         # Out-degree per cell, crossing arcs counted separately is overkill:
         # a single digit per cell keeps the diagram legible.
@@ -201,28 +164,25 @@ def _render_ascii(spec: RenderSpec) -> str:
         width = 1
         tokens = {c: "." for c in _board_cells(n)}
 
-    for c in excluded:
-        tokens[c] = "#" * width
+    if centre is not None:
+        tokens[centre] = "#" * width
 
+    # The plumb-line runs north from the pivot between the middle columns;
+    # on odd boards it splits around the excluded centre column.
+    half = n // 2
     lines = []
     for i in range(n):
         seps = [" "] * (n - 1)
-        if has_plumb:
-            if n % 2 == 0 and i < n // 2:
-                seps[n // 2 - 1] = "|"
-            elif n % 2 == 1 and 2 * i < n - 1:
-                q = (n - 1) // 2
-                if q - 1 >= 0:
-                    seps[q - 1] = "|"
-                if q < n - 1:
-                    seps[q] = "|"
+        if i < half:
+            seps[half - 1] = "|"
+            if n % 2:
+                seps[half] = "|"
         row = tokens[Cell(i, 0)]
         for j in range(1, n):
             row += seps[j - 1] + tokens[Cell(i, j)]
         lines.append(row)
-        if has_pivot and n % 2 == 0 and i == n // 2 - 1:
-            offset = (n // 2) * width + (n // 2 - 1)
-            lines.append(" " * offset + "+")
+        if n % 2 == 0 and i == half - 1:
+            lines.append(" " * (half * width + half - 1) + "+")
     return "\n".join(lines) + "\n"
 
 
@@ -238,8 +198,8 @@ _MARGIN = 20
 _FILL = {
     "alpha_pos": "#1f5fa8",
     "alpha_neg": "#aecbe8",
-    "excluded": "#bbbbbb",
 }
+_EXCLUDED = "#bbbbbb"
 _INSET = {
     "beta_pos": "#d97706",
     "beta_neg": "#f2c894",
@@ -259,7 +219,12 @@ def _centre(c: Cell) -> tuple[int, int]:
     return (x + _SCALE // 2, y + _SCALE // 2)
 
 
-def _render_svg(spec: RenderSpec) -> str:
+def _fill_rect(c: Cell, fill: str) -> str:
+    x, y = _xy(c)
+    return f'<rect x="{x}" y="{y}" width="{_SCALE}" height="{_SCALE}" fill="{fill}"/>'
+
+
+def _render_svg(spec: RenderSpec, centre: Cell | None) -> str:
     n = spec.n
     size = n * _SCALE + 2 * _MARGIN
     out = [
@@ -275,15 +240,12 @@ def _render_svg(spec: RenderSpec) -> str:
         "</defs>",
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>',
     ]
+    if centre is not None:
+        out.append(_fill_rect(centre, _EXCLUDED))
 
     for layer in spec.layers:
         if isinstance(layer, CellLayer) and layer.tag in _FILL:
-            for c in layer.cells:
-                x, y = _xy(c)
-                out.append(
-                    f'<rect x="{x}" y="{y}" width="{_SCALE}" height="{_SCALE}" '
-                    f'fill="{_FILL[layer.tag]}"/>'
-                )
+            out += [_fill_rect(c, _FILL[layer.tag]) for c in layer.cells]
         elif isinstance(layer, CellLayer) and layer.tag in _INSET:
             for c in layer.cells:
                 x, y = _xy(c)
@@ -304,7 +266,6 @@ def _render_svg(spec: RenderSpec) -> str:
             f'<line x1="{a}" y1="{_MARGIN}" x2="{a}" y2="{b}" stroke="#999999" stroke-width="1"/>'
         )
 
-    mid = _MARGIN + n * _SCALE // 2
     for layer in spec.layers:
         if isinstance(layer, ArcLayer):
             stroke = _STROKE.get(layer.tag, "#222222")
@@ -316,13 +277,11 @@ def _render_svg(spec: RenderSpec) -> str:
                     f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                     f'stroke="{stroke}" stroke-width="2" marker-end="url(#{marker})"/>'
                 )
-        elif isinstance(layer, PlumbLineLayer):
-            out.append(
-                f'<line x1="{mid}" y1="{_MARGIN}" x2="{mid}" y2="{mid}" '
-                'stroke="#555555" stroke-width="2" stroke-dasharray="6,4"/>'
-            )
-        elif isinstance(layer, PivotLayer):
-            out.append(f'<circle cx="{mid}" cy="{mid}" r="5" fill="#000000"/>')
-
-    out.append("</svg>")
+    mid = _MARGIN + n * _SCALE // 2
+    out += [
+        f'<line x1="{mid}" y1="{_MARGIN}" x2="{mid}" y2="{mid}" '
+        'stroke="#555555" stroke-width="2" stroke-dasharray="6,4"/>',
+        f'<circle cx="{mid}" cy="{mid}" r="5" fill="#000000"/>',
+        "</svg>",
+    ]
     return "\n".join(out) + "\n"

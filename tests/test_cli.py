@@ -11,6 +11,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """The exit code of an argparse usage error; nothing may reach stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert capsys.readouterr().out == ""
+    return exc.value.code
+
+
 class TestDigraph:
     def test_n6_writes_file(self, tmp_path, capsys):
         out = tmp_path / "g6.json"
@@ -57,8 +65,13 @@ class TestCert:
         assert code == 1 and "valid=false" in stdout
 
     def test_build_file_family_rejected(self, capsys):
-        code, _, _ = run(capsys, "cert", "build", "--family", "file")
-        assert code == 2
+        assert usage_error(capsys, "cert", "build", "--family", "file") == 2
+
+    def test_verify_rejects_out(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert usage_error(capsys, "cert", "verify", "--family", "t1", "--n", "14",
+                           "--out", str(out)) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     def test_verify_file_with_repeated_cell_is_an_error(self, field, tmp_path, capsys):
@@ -165,8 +178,17 @@ class TestTour:
         assert stderr == "error: --n 8 contradicts the tour's n=3\n"
 
     def test_search_missing_n(self, capsys):
-        code, _, _ = run(capsys, "tour", "search")
-        assert code == 2
+        assert usage_error(capsys, "tour", "search") == 2
+
+    def test_verify_rejects_coil(self, tmp_path, capsys):
+        path = tmp_path / "t3.json"
+        run(capsys, "tour", "search", "--n", "3", "--budget", "1000", "--out", str(path))
+        assert usage_error(capsys, "tour", "verify", "--in", str(path), "--coil", "3") == 2
+
+    def test_search_rejects_in(self, tmp_path, capsys):
+        path = tmp_path / "t3.json"
+        run(capsys, "tour", "search", "--n", "3", "--budget", "1000", "--out", str(path))
+        assert usage_error(capsys, "tour", "search", "--n", "6", "--in", str(path)) == 2
 
     def test_seed_and_budget_flags(self, capsys):
         code, stdout, _ = run(capsys, "tour", "search", "--n", "6", "--budget", "50000",
@@ -214,7 +236,24 @@ class TestRender:
         path.write_text(doc)
         code, _, stderr = run(capsys, "render", "--in", str(path))
         assert code == 2
-        assert stderr == "error: cannot identify input file; pass --source\n"
+        assert stderr == "error: cannot identify input file\n"
+
+    @pytest.mark.parametrize("kind,what", [
+        ("digraph", "digraph"), ("cert", "certificate"), ("tour", "tour"),
+    ])
+    def test_n_contradicting_the_file_is_an_error(self, kind, what, tmp_path, capsys):
+        path = tmp_path / f"{kind}.json"
+        build = {
+            "digraph": ["digraph", "--n", "6"],
+            "cert": ["cert", "build", "--family", "t1", "--n", "6"],
+            "tour": ["tour", "search", "--n", "6", "--budget", "200000"],
+        }[kind]
+        assert run(capsys, *build, "--out", str(path))[0] == 0
+        code, stdout, stderr = run(capsys, "render", "--in", str(path), "--n", "8")
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: --n 8 contradicts the {what}'s n=6\n"
+        code, stdout, _ = run(capsys, "render", "--in", str(path), "--n", "6")
+        assert code == 0 and stdout
 
     def test_byte_stable_across_runs(self, tmp_path, capsys):
         args = ("render", "--n", "6", "--format", "svg")

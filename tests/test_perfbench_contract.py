@@ -2,7 +2,9 @@
 
 Runs in a subprocess with ``src`` and ``perfbench`` on ``sys.path``, as the
 benchmark does, and without writing bytecode, so nothing lands under
-``perfbench/``.
+``perfbench/``.  The cli-mix queries write their files under
+``perfbench/out/work`` relative to the working directory, so they run from
+a temporary one.
 """
 
 import subprocess
@@ -49,3 +51,31 @@ def test_workloads_run_and_check_against_the_package():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+CLI_MIX = """
+import sys
+
+sys.path[:0] = sys.argv[1:3]
+import workloads
+
+# cli.main in process: the n = 30 digraph, its SVG (grid, arcs, plumb-line) and a broken file.
+cli = workloads.CliMix(workloads.load_reference(), in_process=True)
+queries = [q for q in cli.queries(0, 0) if q.args[0] in ("digraph", "render", "render-bad")]
+assert len(queries) == 3
+for query in queries:
+    cli.prepare(query)
+    problem = cli.check(query, cli.run(query))
+    assert problem is None, f"cli-mix {query.args[0]}: {problem}"
+print("ok")
+"""
+
+
+def test_cli_mix_render_queries_check_in_process(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", CLI_MIX, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+    assert (tmp_path / "perfbench" / "out" / "work" / "g30.svg").is_file()

@@ -1,6 +1,16 @@
+import hashlib
+from dataclasses import replace
+
 import pytest
 
-from whirlknight import Cell, build_n3_certificate, build_t1, build_t2, search_tour
+from whirlknight import (
+    Cell,
+    build_n3_certificate,
+    build_t1,
+    build_t2,
+    coil_interval,
+    search_tour,
+)
 from whirlknight.render import (
     ArcLayer,
     CellLayer,
@@ -125,3 +135,21 @@ class TestDigraphAndTourViews:
     def test_digraph_svg_arrow_markers(self, dg):
         out = render(digraph_spec(dg(4), "svg"))
         assert out.count("marker-end") == 24  # one per arc
+
+
+class TestGoldenBytes:
+    # sha256 over the ASCII then SVG output of each spec below, in order.
+    GOLDEN = "fcac26e1e75c8c890c0565828d45afee9ca5831e9e576f875c65e705fc3e4a8f"
+
+    def test_output_matches_recorded_hash(self, dg):
+        specs = []
+        for n in range(3, 15):  # odd boards included
+            specs += [board_spec(n), digraph_spec(dg(n))]
+        certs = (build_t1(14), build_t2(12), build_n3_certificate(), coil_interval(dg(6)).below)
+        specs += [certificate_spec(cert) for cert in certs]
+        specs += [tour_spec(dg(n), search_tour(dg(n), budget=200_000)) for n in (3, 6)]
+        digest = hashlib.sha256()
+        for spec in specs:
+            for fmt in ("ascii", "svg"):
+                digest.update(render(replace(spec, format=fmt)).encode())
+        assert digest.hexdigest() == self.GOLDEN
