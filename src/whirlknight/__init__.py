@@ -12,8 +12,6 @@ exactly, and searches for and verifies tours.
 from .certificates import (
     FactsReport,
     FarkasCertificate,
-    T1Supports,
-    T2Supports,
     VerificationReport,
     build_n3_certificate,
     build_t1,
@@ -22,8 +20,6 @@ from .certificates import (
     certificate_to_json,
     check_facts_abc,
     parity_census,
-    t1_supports,
-    t2_supports,
     verify_certificate,
 )
 from .digraph import Arc, WhirlDigraph, build_digraph, digraph_from_json, digraph_to_json

@@ -11,13 +11,16 @@ coil count c when
 Everything here is integer-valued and verified arc-by-arc with exact
 arithmetic; there are no tolerances.
 
-Two closed-form families are provided, one per residue class of n mod 8:
+Two closed-form families are provided, one per residue class of n mod 8.
+Each builder writes the paper's alpha/beta entries straight from its
+formula (h = n/2):
 
-* ``build_t1`` (n = 8m+6): unit weights on two (m+1)-block column strips
-  flanking the pivot column, gamma = -1.
-* ``build_t2`` (n = 8m+4): alternating-sign weights on the north-east
-  triangle by coordinate parity, plus unit block corrections on rows
-  {0, 4, ..., 4m}, gamma = -1.
+* ``build_t1`` (n = 8m+6): alpha = 1 on the in-strip (r, h-1) and beta = 1
+  on the out-strip (r, h), for the rows r of the m+1 two-row blocks
+  {4k, 4k+1} flanking the pivot column; gamma = -1.
+* ``build_t2`` (n = 8m+4): on the north-east triangle, alpha = -1 on even
+  i+j and beta = 1 on odd i+j; on each block row r in {0, 4, ..., 4m},
+  alpha = 1 at (r, h-1) and beta = 1 at (r, h); gamma = -1.
 
 Both achieve RHS exactly 1.
 """
@@ -33,12 +36,8 @@ from .geometry import Cell, _json_int
 __all__ = [
     "FarkasCertificate",
     "VerificationReport",
-    "T1Supports",
-    "T2Supports",
     "FactsReport",
     "verify_certificate",
-    "t1_supports",
-    "t2_supports",
     "build_t1",
     "build_t2",
     "build_n3_certificate",
@@ -79,28 +78,6 @@ class VerificationReport:
     valid: bool
 
 
-@dataclass(frozen=True)
-class T1Supports:
-    """Support cells of the T1 family (n = 8m+6): the in- and out-strips."""
-
-    n_in: frozenset[Cell]
-    n_out: frozenset[Cell]
-
-
-@dataclass(frozen=True)
-class T2Supports:
-    """Support cells of the T2 family (n = 8m+4).
-
-    The north-east triangle split by (i+j) parity, the block rows R and
-    the block cells (r, h-1), (r, h) for r in R.
-    """
-
-    t_even: frozenset[Cell]
-    t_odd: frozenset[Cell]
-    r_rows: frozenset[int]
-    blocks: frozenset[Cell]
-
-
 def _require_residue(n: int, residue: int, minimum: int) -> int:
     """Validate n = residue (mod 8) and return m = (n - residue) / 8."""
     if not isinstance(n, int) or isinstance(n, bool) or n < minimum or n % 8 != residue:
@@ -110,76 +87,45 @@ def _require_residue(n: int, residue: int, minimum: int) -> int:
     return (n - residue) // 8
 
 
-def t1_supports(n: int) -> T1Supports:
-    """Block supports for n = 8m+6: two column strips flanking the pivot.
-
-    Rows come in m+1 two-row blocks {4k, 4k+1}; columns are h-1 (in-side)
-    and h (out-side).
-    """
+def build_t1(n: int) -> FarkasCertificate:
+    """Certificate for coil count c = n/2 on boards with n = 6 (mod 8)."""
     m = _require_residue(n, 6, 6)
     h = n // 2
     rows = [4 * k + d for k in range(m + 1) for d in (0, 1)]
-    return T1Supports(
-        n_in=frozenset(Cell(r, h - 1) for r in rows),
-        n_out=frozenset(Cell(r, h) for r in rows),
-    )
-
-
-def t2_supports(n: int) -> T2Supports:
-    """Triangle and block supports for n = 8m+4.
-
-    The north-east triangle T holds the cells (i, j) with 0 <= i <= h-1,
-    h <= j <= n-1 and i + j <= n-1, split by (i+j) parity; the block rows
-    are R = {0, 4, ..., 4m}.
-    """
-    m = _require_residue(n, 4, 4)
-    h = n // 2
-    tri = [Cell(i, j) for i in range(h) for j in range(h, n) if i + j <= n - 1]
-    r_rows = [4 * k for k in range(m + 1)]
-    return T2Supports(
-        t_even=frozenset(c for c in tri if (c.i + c.j) % 2 == 0),
-        t_odd=frozenset(c for c in tri if (c.i + c.j) % 2 == 1),
-        r_rows=frozenset(r_rows),
-        blocks=frozenset(Cell(r, j) for r in r_rows for j in (h - 1, h)),
-    )
-
-
-def build_t1(n: int) -> FarkasCertificate:
-    """Certificate for coil count c = n/2 on boards with n = 6 (mod 8)."""
-    sup = t1_supports(n)
     return FarkasCertificate(
         n=n,
-        c=n // 2,
-        alpha={v: 1 for v in sorted(sup.n_in)},
-        beta={v: 1 for v in sorted(sup.n_out)},
+        c=h,
+        alpha={Cell(r, h - 1): 1 for r in rows},
+        beta={Cell(r, h): 1 for r in rows},
         gamma=-1,
     )
+
+
+def _triangle(n: int):
+    """The north-east triangle row-major: cells (i, j) with i < h <= j and i + j <= n-1."""
+    h = n // 2
+    return (Cell(i, j) for i in range(h) for j in range(h, n - i))
 
 
 def build_t2(n: int) -> FarkasCertificate:
     """Certificate for coil count c = n/2 on boards with n = 4 (mod 8).
 
-    alpha is -1 on even-parity triangle cells and +1 on the block cells
-    (r, h-1); beta is +1 on odd-parity triangle cells and +1 on the block
-    cells (r, h).  The block cells (r, h) also sit in the even triangle,
-    so they carry alpha = -1 and beta = +1 simultaneously.
+    The block cells (r, h) also sit in the even triangle, so they carry
+    alpha = -1 and beta = +1 simultaneously.  Entries are written row-major.
     """
-    sup = t2_supports(n)
+    _require_residue(n, 4, 4)
     h = n // 2
     alpha: dict[Cell, int] = {}
     beta: dict[Cell, int] = {}
-    for v in sup.t_even:
-        alpha[v] = alpha.get(v, 0) - 1
-    for v in sup.t_odd:
-        beta[v] = beta.get(v, 0) + 1
-    for r in sup.r_rows:
-        a = Cell(r, h - 1)
-        b = Cell(r, h)
-        alpha[a] = alpha.get(a, 0) + 1
-        beta[b] = beta.get(b, 0) + 1
-    alpha = {v: x for v, x in sorted(alpha.items()) if x}
-    beta = {v: x for v, x in sorted(beta.items()) if x}
-    return FarkasCertificate(n=n, c=n // 2, alpha=alpha, beta=beta, gamma=-1)
+    for v in _triangle(n):
+        if v.j == h and v.i % 4 == 0:  # block row r: (r, h-1), (r, h) open the row
+            alpha[Cell(v.i, h - 1)] = 1
+            beta[v] = 1
+        if (v.i + v.j) % 2:
+            beta[v] = 1
+        else:
+            alpha[v] = -1
+    return FarkasCertificate(n=n, c=h, alpha=alpha, beta=beta, gamma=-1)
 
 
 def build_n3_certificate() -> FarkasCertificate:
@@ -227,8 +173,9 @@ def parity_census(n: int) -> tuple[int, int]:
     Returns (even_count, odd_count), by direct enumeration of the
     triangle.  The odd count exceeds the even count by 2m+1.
     """
-    sup = t2_supports(n)
-    return (len(sup.t_even), len(sup.t_odd))
+    _require_residue(n, 4, 4)
+    parities = [(v.i + v.j) % 2 for v in _triangle(n)]
+    return (parities.count(0), parities.count(1))
 
 
 @dataclass(frozen=True)
@@ -251,13 +198,15 @@ def check_facts_abc(g: WhirlDigraph) -> FactsReport:
     (a) every arc whose head lies in n_in crosses the north plumb-line;
     (b) every arc whose tail lies in n_out crosses it;
     (c) no arc joins n_out to n_in.
-    Requires n = 6 (mod 8).
+    n_in and n_out are the supports of t1's alpha and beta.  Requires
+    n = 6 (mod 8).
     """
-    sup = t1_supports(g.n)
+    t1 = build_t1(g.n)
+    n_in, n_out = t1.alpha, t1.beta
     bad: list[tuple[str, Arc]] = []
     vs = g.vertices
     for a, (t, h, w) in enumerate(zip(g.tail, g.head, g.w)):
-        into, out_of = vs[h] in sup.n_in, vs[t] in sup.n_out
+        into, out_of = vs[h] in n_in, vs[t] in n_out
         if into and w != 1:
             bad.append(("a", g.arc(a)))
         if out_of and w != 1:

@@ -76,6 +76,8 @@ def cmd_cert_build(args: argparse.Namespace) -> int:
 
 
 def cmd_cert_verify(args: argparse.Namespace) -> int:
+    if args.infile and args.family != "file":
+        raise ValueError("--in is read only with --family file")
     cert = _family_certificate(args)
     report = verify_certificate(build_digraph(cert.n), cert)
     print(f"valid={str(report.valid).lower()} rhs={report.rhs} "

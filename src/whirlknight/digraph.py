@@ -159,8 +159,9 @@ def digraph_from_json(text: str) -> WhirlDigraph:
                 for a in doc["arcs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed digraph JSON: {exc}") from exc
-    g = build_digraph(n)
-    if vertices != list(g.vertices):
+    # Counted first, so a short vertex list never costs a build of size n².
+    g = build_digraph(n) if len(vertices) == n * n - n % 2 else None
+    if g is None or vertices != list(g.vertices):
         raise ValueError("digraph JSON vertex list does not match the canonical digraph")
     if arcs != [(vertices[t], vertices[h], x) for t, h, x in zip(g.tail, g.head, g.w)]:
         raise ValueError("digraph JSON arc list does not match the canonical digraph")

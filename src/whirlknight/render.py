@@ -1,10 +1,11 @@
 """Deterministic ASCII and SVG board diagrams.
 
-A RenderSpec is a board size plus an ordered list of layers: cell signs,
-arcs and a path.  The board frame (the excluded centre on odd n, the
-grid, the north plumb-line and the pivot) is not a layer: render always
-draws it.  Rendering is a pure function of the spec: byte-identical
-output for identical input.  SVG places the centre of cell (i, j) at
+A RenderSpec is a board size, an output format and the data drawn on the
+board: a certificate's alpha/beta entries, arcs as (tail, head, w) and a
+path of cells.  The board frame (the excluded centre on odd n, the grid,
+the north plumb-line and the pivot) is not data: render always draws it.
+Rendering is a pure function of the spec: byte-identical output for
+identical input.  SVG places the centre of cell (i, j) at
 (j + 0.5, i + 0.5) board units from the top-left corner, rows growing
 downward, so diagrams read like the board itself.
 """
@@ -12,7 +13,7 @@ downward, so diagrams read like the board itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from itertools import chain
 
 from .certificates import FarkasCertificate
 from .digraph import WhirlDigraph
@@ -20,9 +21,6 @@ from .geometry import BoardGeometry, Cell
 from .tours import Tour
 
 __all__ = [
-    "CellLayer",
-    "ArcLayer",
-    "PathLayer",
     "RenderSpec",
     "board_spec",
     "digraph_spec",
@@ -33,86 +31,48 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CellLayer:
-    cells: tuple[Cell, ...]
-    tag: str  # alpha_pos | alpha_neg | beta_pos | beta_neg
-
-
-@dataclass(frozen=True)
-class ArcLayer:
-    arcs: tuple[tuple[Cell, Cell], ...]
-    tag: str  # arc | crossing
-
-
-@dataclass(frozen=True)
-class PathLayer:
-    """Cells in visiting order; ASCII shows the visit index per cell."""
-
-    cells: tuple[Cell, ...]
-
-
-Layer = Union[CellLayer, ArcLayer, PathLayer]
-
-
-@dataclass(frozen=True)
 class RenderSpec:
-    """Cell signs, arcs and a path on an n×n board; render adds the board frame."""
+    """What to draw on an n×n board; render adds the board frame.
+
+    ``cert`` is a certificate's (alpha, beta) entries, or None when no
+    certificate is drawn; an empty certificate still draws ``..`` cells.
+    ``arcs`` are (tail, head, w) with w = 1 on a plumb-line crossing;
+    ``path`` holds cells in visiting order.
+    """
 
     n: int
-    layers: tuple[Layer, ...]
     format: str = "ascii"  # ascii | svg
+    cert: tuple[dict[Cell, int], dict[Cell, int]] | None = None
+    arcs: tuple[tuple[Cell, Cell, int], ...] = ()
+    path: tuple[Cell, ...] = ()
 
 
 def board_spec(n: int, fmt: str = "ascii") -> RenderSpec:
-    return RenderSpec(n, (), fmt)
-
-
-def _arc_layers(steps, weights) -> tuple[ArcLayer, ArcLayer]:
-    """Split (tail, head) steps into the plain and the crossing arc layer by weight."""
-    return (
-        ArcLayer(arcs=tuple(s for s, w in zip(steps, weights) if not w), tag="arc"),
-        ArcLayer(arcs=tuple(s for s, w in zip(steps, weights) if w), tag="crossing"),
-    )
+    return RenderSpec(n, fmt)
 
 
 def digraph_spec(g: WhirlDigraph, fmt: str = "ascii") -> RenderSpec:
     vs = g.vertices
-    steps = [(vs[t], vs[h]) for t, h in zip(g.tail, g.head)]
-    return RenderSpec(g.n, _arc_layers(steps, g.w), fmt)
-
-
-def _signed_cells(support: dict[Cell, int], positive: bool) -> tuple[Cell, ...]:
-    return tuple(sorted(c for c, x in support.items() if x and (x > 0) == positive))
+    arcs = tuple((vs[t], vs[h], x) for t, h, x in zip(g.tail, g.head, g.w))
+    return RenderSpec(g.n, fmt, arcs=arcs)
 
 
 def certificate_spec(cert: FarkasCertificate, fmt: str = "ascii") -> RenderSpec:
-    layers = (
-        CellLayer(cells=_signed_cells(cert.alpha, False), tag="alpha_neg"),
-        CellLayer(cells=_signed_cells(cert.alpha, True), tag="alpha_pos"),
-        CellLayer(cells=_signed_cells(cert.beta, False), tag="beta_neg"),
-        CellLayer(cells=_signed_cells(cert.beta, True), tag="beta_pos"),
-    )
-    return RenderSpec(cert.n, layers, fmt)
+    return RenderSpec(cert.n, fmt, cert=(cert.alpha, cert.beta))
 
 
 def tour_spec(g: WhirlDigraph, tour: Tour, fmt: str = "ascii") -> RenderSpec:
-    nc = len(tour.cells)
-    steps = [(tour.cells[k], tour.cells[(k + 1) % nc]) for k in range(nc)]
-    weights = [g.w[a] for a in g.step_arcs(steps)]
-    layers = _arc_layers(steps, weights) + (PathLayer(cells=tour.cells),)
-    return RenderSpec(g.n, layers, fmt)
+    steps = list(zip(tour.cells, tour.cells[1:] + tour.cells[:1]))
+    arcs = tuple((t, h, g.w[a]) for (t, h), a in zip(steps, g.step_arcs(steps)))
+    return RenderSpec(g.n, fmt, arcs=arcs, path=tour.cells)
 
 
 def render(spec: RenderSpec) -> str:
     geom = BoardGeometry(spec.n)
-    for layer in spec.layers:
-        if isinstance(layer, ArcLayer):
-            refs = (c for arc in layer.arcs for c in arc)
-        else:
-            refs = layer.cells
-        for c in refs:
-            if not geom.on_board(c):
-                raise ValueError(f"layer references off-board cell {tuple(c)}")
+    alpha, beta = spec.cert or ({}, {})
+    for c in chain(alpha, beta, (c for t, h, _ in spec.arcs for c in (t, h)), spec.path):
+        if not geom.on_board(c):
+            raise ValueError(f"spec references off-board cell {tuple(c)}")
     if spec.format == "ascii":
         return _render_ascii(spec, geom.centre_cell())
     if spec.format == "svg":
@@ -122,43 +82,32 @@ def render(spec: RenderSpec) -> str:
 
 # ---------------------------------------------------------------- ascii
 
-# Certificate cell token: alpha's sign in the first slot, beta's in the second.
-_CERT_TOKEN = {
-    "alpha_pos": (0, "A"),
-    "alpha_neg": (0, "a"),
-    "beta_pos": (1, "B"),
-    "beta_neg": (1, "b"),
-}
+def _sign(x: int, neg: str, pos: str) -> str:
+    return pos if x > 0 else neg if x < 0 else "."
 
 
 def _render_ascii(spec: RenderSpec, centre: Cell | None) -> str:
     n = spec.n
-    path = next((ly for ly in spec.layers if isinstance(ly, PathLayer)), None)
-    arc_layers = [ly for ly in spec.layers if isinstance(ly, ArcLayer)]
-    cert_layers = [ly for ly in spec.layers if isinstance(ly, CellLayer)]
-
-    if path is not None:
-        width = max(2, len(str(len(path.cells) - 1)))
+    if spec.path:
+        width = max(2, len(str(len(spec.path) - 1)))
         tokens = {c: "." * width for c in _board_cells(n)}
-        for k, c in enumerate(path.cells):
+        for k, c in enumerate(spec.path):
             tokens[c] = str(k).rjust(width)
-    elif cert_layers:
+    elif spec.cert is not None:
+        # alpha's sign in the first slot, beta's in the second
         width = 2
-        marks = {c: [".", "."] for c in _board_cells(n)}
-        for layer in cert_layers:
-            if layer.tag in _CERT_TOKEN:
-                slot, letter = _CERT_TOKEN[layer.tag]
-                for c in layer.cells:
-                    marks[c][slot] = letter
-        tokens = {c: "".join(m) for c, m in marks.items()}
-    elif arc_layers:
+        alpha, beta = spec.cert
+        tokens = {
+            c: _sign(alpha.get(c, 0), "a", "A") + _sign(beta.get(c, 0), "b", "B")
+            for c in _board_cells(n)
+        }
+    elif spec.arcs:
         # Out-degree per cell, crossing arcs counted separately is overkill:
         # a single digit per cell keeps the diagram legible.
         width = 1
         outdeg = {c: 0 for c in _board_cells(n)}
-        for layer in arc_layers:
-            for tail, _ in layer.arcs:
-                outdeg[tail] += 1
+        for tail, _, _ in spec.arcs:
+            outdeg[tail] += 1
         tokens = {c: str(d) if d else "." for c, d in outdeg.items()}
     else:
         width = 1
@@ -195,19 +144,9 @@ def _board_cells(n: int) -> list[Cell]:
 _SCALE = 40
 _MARGIN = 20
 
-_FILL = {
-    "alpha_pos": "#1f5fa8",
-    "alpha_neg": "#aecbe8",
-}
+_FILL = ("#aecbe8", "#1f5fa8")  # alpha < 0, alpha > 0
 _EXCLUDED = "#bbbbbb"
-_INSET = {
-    "beta_pos": "#d97706",
-    "beta_neg": "#f2c894",
-}
-_STROKE = {
-    "arc": "#222222",
-    "crossing": "#cc2222",
-}
+_INSET = ("#f2c894", "#d97706")  # beta < 0, beta > 0
 
 
 def _xy(c: Cell) -> tuple[int, int]:
@@ -217,6 +156,10 @@ def _xy(c: Cell) -> tuple[int, int]:
 def _centre(c: Cell) -> tuple[int, int]:
     x, y = _xy(c)
     return (x + _SCALE // 2, y + _SCALE // 2)
+
+
+def _signed_cells(entries: dict[Cell, int], positive: bool) -> list[Cell]:
+    return sorted(c for c, x in entries.items() if x and (x > 0) == positive)
 
 
 def _fill_rect(c: Cell, fill: str) -> str:
@@ -243,17 +186,17 @@ def _render_svg(spec: RenderSpec, centre: Cell | None) -> str:
     if centre is not None:
         out.append(_fill_rect(centre, _EXCLUDED))
 
-    for layer in spec.layers:
-        if isinstance(layer, CellLayer) and layer.tag in _FILL:
-            out += [_fill_rect(c, _FILL[layer.tag]) for c in layer.cells]
-        elif isinstance(layer, CellLayer) and layer.tag in _INSET:
-            for c in layer.cells:
-                x, y = _xy(c)
-                out.append(
-                    f'<rect x="{x + 4}" y="{y + 4}" width="{_SCALE - 8}" '
-                    f'height="{_SCALE - 8}" fill="none" '
-                    f'stroke="{_INSET[layer.tag]}" stroke-width="4"/>'
-                )
+    alpha, beta = spec.cert or ({}, {})
+    for positive in (False, True):
+        out += [_fill_rect(c, _FILL[positive]) for c in _signed_cells(alpha, positive)]
+    for positive in (False, True):
+        for c in _signed_cells(beta, positive):
+            x, y = _xy(c)
+            out.append(
+                f'<rect x="{x + 4}" y="{y + 4}" width="{_SCALE - 8}" '
+                f'height="{_SCALE - 8}" fill="none" '
+                f'stroke="{_INSET[positive]}" stroke-width="4"/>'
+            )
 
     # grid above fills, below arcs
     for k in range(n + 1):
@@ -266,11 +209,11 @@ def _render_svg(spec: RenderSpec, centre: Cell | None) -> str:
             f'<line x1="{a}" y1="{_MARGIN}" x2="{a}" y2="{b}" stroke="#999999" stroke-width="1"/>'
         )
 
-    for layer in spec.layers:
-        if isinstance(layer, ArcLayer):
-            stroke = _STROKE.get(layer.tag, "#222222")
-            marker = "arrow-cross" if layer.tag == "crossing" else "arrow-plain"
-            for tail, head in layer.arcs:
+    # plain arcs first, crossing arcs drawn over them
+    for crossing, stroke, marker in ((False, "#222222", "arrow-plain"),
+                                     (True, "#cc2222", "arrow-cross")):
+        for tail, head, w in spec.arcs:
+            if bool(w) == crossing:
                 x1, y1 = _centre(tail)
                 x2, y2 = _centre(head)
                 out.append(

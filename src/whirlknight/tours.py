@@ -119,7 +119,7 @@ def search_tour(
     * forced arcs: an unvisited vertex whose only remaining in-option is
       the current path head must be visited next (two such vertices kill
       the branch);
-    * ordering: fewest onward successors first, arc id as tie-break; a
+    * ordering: fewest onward successors first, ties in arc-id order; a
       nonzero seed shuffles equal-priority candidates reproducibly;
     * coil pruning (with a target): the running crossing count must never
       exceed the target, and an admissible upper bound on the remaining
@@ -139,9 +139,10 @@ def search_tour(
     if progress_every < 1:
         raise ValueError("progress_every must be >= 1")
     nv = len(g.vertices)
-    out_opts = [[(g.head[a], g.w[a], a) for a in arcs] for arcs in g.out_adj]
+    out_opts = [[(g.head[a], g.w[a]) for a in arcs] for arcs in g.out_adj]  # arc-id order
     in_tails = [[g.tail[a] for a in arcs] for arcs in g.in_adj]
-    has_cross_out = [any(w for _, w, _ in opts) for opts in out_opts]
+    has_cross_out = [any(w for _, w in opts) for opts in out_opts]
+    onward = [0] * nv  # remaining out-options per unvisited vertex, set by each sweep
     rng = random.Random(seed) if seed else None
     if stats is None:
         stats = SearchStats()
@@ -162,7 +163,7 @@ def search_tour(
             progress(stats.nodes, len(path))
 
         if len(path) == nv:
-            for head, w, _ in out_opts[current]:
+            for head, w in out_opts[current]:
                 if head == start and (coil_target is None or coil + w == coil_target):
                     return path + []
             return None
@@ -185,13 +186,14 @@ def search_tour(
                 return None
             out_ok = 0
             cross_ok = False
-            for head, w, _ in out_opts[u]:
+            for head, w in out_opts[u]:
                 if not visited[head] or head == start:
                     out_ok += 1
                     if w:
                         cross_ok = True
             if out_ok == 0:
                 return None
+            onward[u] = out_ok
             if cross_ok:
                 cross_bound += 1
             if in_ok == 1 and in_from_current:
@@ -202,24 +204,19 @@ def search_tour(
             return None
 
         candidates = []
-        for head, w, aid in out_opts[current]:
+        for head, w in out_opts[current]:
             if visited[head]:
                 continue
             if forced >= 0 and head != forced:
                 continue
             if coil_target is not None and coil + w > coil_target:
                 continue
-            onward = sum(
-                1 for h2, _, _ in out_opts[head] if not visited[h2] or h2 == start
-            )
-            candidates.append((onward, aid, head, w))
+            candidates.append((onward[head], head, w))
         if rng is not None:
             rng.shuffle(candidates)
-            candidates.sort(key=lambda t: t[0])
-        else:
-            candidates.sort()
+        candidates.sort(key=lambda t: t[0])  # stable: ties keep arc-id or shuffled order
 
-        for _, _, head, w in candidates:
+        for _, head, w in candidates:
             visited[head] = 1
             path.append(head)
             found = dfs(head, coil + w)

@@ -24,3 +24,11 @@ def test_package_reexports_exactly_module_all(module):
     names = _reexported(module)
     assert names == set(mod.__all__)
     assert all(getattr(whirlknight, name) is getattr(mod, name) for name in names)
+
+
+@pytest.mark.parametrize(
+    "module", ["certificates", "cli", "digraph", "geometry", "polytope", "render", "tours"]
+)
+def test_module_all_names_exist(module):
+    mod = importlib.import_module(f"whirlknight.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -16,8 +17,6 @@ from whirlknight import (
     check_facts_abc,
     lp_feasible,
     parity_census,
-    t1_supports,
-    t2_supports,
     verify_certificate,
 )
 
@@ -63,20 +62,21 @@ class TestVerify:
 
 class TestT1Family:
     def test_n6_supports(self):
-        sup = t1_supports(6)
-        assert sup.n_in == {Cell(0, 2), Cell(1, 2)}
-        assert sup.n_out == {Cell(0, 3), Cell(1, 3)}
+        cert = build_t1(6)
+        assert cert.alpha == {Cell(0, 2): 1, Cell(1, 2): 1}  # N_in
+        assert cert.beta == {Cell(0, 3): 1, Cell(1, 3): 1}  # N_out
 
     def test_n14_support_rows_and_columns(self):
-        sup = t1_supports(14)
-        assert {c.i for c in sup.n_in} == {0, 1, 4, 5}
-        assert {c.j for c in sup.n_in} == {6}
-        assert {c.j for c in sup.n_out} == {7}
+        cert = build_t1(14)
+        assert {c.i for c in cert.alpha} == {c.i for c in cert.beta} == {0, 1, 4, 5}
+        assert {c.j for c in cert.alpha} == {6}
+        assert {c.j for c in cert.beta} == {7}
 
     @pytest.mark.parametrize("n", T1_SIZES)
     def test_support_sizes(self, n):
-        sup = t1_supports(n)
-        assert len(sup.n_in) == len(sup.n_out) == (n + 2) // 4
+        cert = build_t1(n)
+        assert len(cert.alpha) == len(cert.beta) == (n + 2) // 4
+        assert set(cert.alpha.values()) == set(cert.beta.values()) == {1}
 
     @pytest.mark.parametrize("n", T1_SIZES)
     def test_valid_with_rhs_exactly_one(self, n, dg):
@@ -99,9 +99,9 @@ class TestT1Family:
 
     @pytest.mark.parametrize("n", T1_SIZES)
     def test_block_arc_exclusion(self, n, dg):
-        sup = t1_supports(n)
+        cert = build_t1(n)
         for a in dg(n).arcs:
-            assert not (a.tail in sup.n_out and a.head in sup.n_in)
+            assert not (a.tail in cert.beta and a.head in cert.alpha)
 
 
 class TestT2Family:
@@ -112,15 +112,31 @@ class TestT2Family:
         assert cert.gamma == -1 and cert.c == 2
 
     def test_n12_triangle_size(self):
-        sup = t2_supports(12)
-        assert len(sup.t_even) + len(sup.t_odd) == 21  # h(h+1)/2 at h=6
+        assert sum(parity_census(12)) == 21  # h(h+1)/2 at h=6
+
+    @pytest.mark.parametrize("n", T2_SIZES)
+    def test_triangle_split_by_parity(self, n):
+        # Even triangle cells carry alpha = -1; odd ones beta = +1 (blocks aside).
+        h = n // 2
+        tri = {Cell(i, j) for i in range(h) for j in range(h, n) if i + j <= n - 1}
+        cert = build_t2(n)
+        blocks = {Cell(r, j) for r in range(0, h, 4) for j in (h - 1, h)}
+        even = {c for c, x in cert.alpha.items() if x == -1}
+        odd = {c for c in cert.beta if c not in blocks}
+        assert even == {c for c in tri if (c.i + c.j) % 2 == 0}
+        assert odd == {c for c in tri if (c.i + c.j) % 2 == 1}
+        assert (len(even), len(odd)) == parity_census(n)
 
     def test_n12_block_rows(self):
-        assert t2_supports(12).r_rows == {0, 4}
+        assert {c.i for c, x in build_t2(12).alpha.items() if x == 1} == {0, 4}
 
     def test_block_cells(self):
-        sup = t2_supports(12)
-        assert sup.blocks == {Cell(0, 5), Cell(0, 6), Cell(4, 5), Cell(4, 6)}
+        # (r, h-1) carries alpha = +1; (r, h) is the one cell with both alpha and beta.
+        cert = build_t2(12)
+        heads = {c for c, x in cert.alpha.items() if x == 1}
+        tails = {c for c in cert.beta if c in cert.alpha}
+        assert heads | tails == {Cell(0, 5), Cell(0, 6), Cell(4, 5), Cell(4, 6)}
+        assert all(cert.beta[c] == 1 and cert.alpha[c] == -1 for c in tails)
 
     def test_shared_cell_keeps_both_fields(self):
         cert = build_t2(4)
@@ -142,10 +158,9 @@ class TestT2Family:
 
     @pytest.mark.parametrize("n", T2_SIZES)
     def test_block_arc_exclusion(self, n, dg):
-        h = n // 2
-        rows = t2_supports(n).r_rows
-        heads = {Cell(r, h - 1) for r in rows}
-        tails = {Cell(r, h) for r in rows}
+        cert = build_t2(n)
+        heads = {c for c, x in cert.alpha.items() if x == 1}  # (r, h-1), r in R
+        tails = {c for c in cert.beta if c in cert.alpha}  # (r, h), r in R
         for a in dg(n).arcs:
             assert not (a.tail in tails and a.head in heads)
 
@@ -252,3 +267,17 @@ class TestSerialization:
     def test_round_trip_t2_any_m(self, m):
         cert = build_t2(8 * m + 4)
         assert certificate_from_json(certificate_to_json(cert)) == cert
+
+
+class TestGoldenFamilies:
+    # sha256 over certificate_to_json(build_t1 or build_t2(n)) for every n <= 200
+    # with n mod 8 in {4, 6}, in increasing n.
+    GOLDEN = "3da591d947986d62062532a9aef483c309899fd61b706516bca98798b6ebff90"
+
+    def test_json_matches_recorded_hash(self):
+        digest = hashlib.sha256()
+        for n in range(4, 201):
+            build = {4: build_t2, 6: build_t1}.get(n % 8)
+            if build is not None:
+                digest.update(certificate_to_json(build(n)).encode())
+        assert digest.hexdigest() == self.GOLDEN

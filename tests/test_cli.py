@@ -73,6 +73,14 @@ class TestCert:
                            "--out", str(out)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["t1", "t2", "n3"])
+    def test_verify_fixed_family_rejects_in(self, family, capsys):
+        n = {"t1": ["--n", "14"], "t2": ["--n", "12"], "n3": []}[family]
+        code, stdout, stderr = run(capsys, "cert", "verify", "--family", family, *n,
+                                   "--in", "/nonexistent.json")
+        assert code == 2 and stdout == ""
+        assert stderr == "error: --in is read only with --family file\n"
+
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     def test_verify_file_with_repeated_cell_is_an_error(self, field, tmp_path, capsys):
         # Last-entry-wins would read this as the valid t1 certificate.

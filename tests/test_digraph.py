@@ -233,5 +233,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             digraph_from_json('{"n": 4}')
 
+    def test_short_vertex_list_rejected_before_building(self, monkeypatch):
+        # The vertex count alone contradicts n, so no 10**10-cell board may be built.
+        def forbidden(n):
+            pytest.fail(f"build_digraph({n}) called for a file with no vertices")
+
+        monkeypatch.setattr("whirlknight.digraph.build_digraph", forbidden)
+        with pytest.raises(ValueError, match="vertex list does not match"):
+            digraph_from_json('{"n": 100000, "vertices": [], "arcs": []}')
+
     def test_vertices_row_major(self, dg):
         assert list(dg(5).vertices) == [Cell(*c) for c in board_cells(5)]

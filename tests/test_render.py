@@ -12,8 +12,6 @@ from whirlknight import (
     search_tour,
 )
 from whirlknight.render import (
-    ArcLayer,
-    CellLayer,
     RenderSpec,
     board_spec,
     certificate_spec,
@@ -95,20 +93,18 @@ class TestCertificates:
 
 class TestValidationAndErrors:
     def test_off_board_cells_rejected(self):
-        spec = RenderSpec(n=4, layers=(CellLayer(cells=(Cell(4, 0),), tag="alpha_pos"),))
+        spec = RenderSpec(n=4, cert=({Cell(4, 0): 1}, {}))
         with pytest.raises(ValueError):
             render(spec)
 
     def test_off_board_arc_rejected(self):
-        spec = RenderSpec(
-            n=4, layers=(ArcLayer(arcs=((Cell(0, 0), Cell(-1, 2)),), tag="arc"),)
-        )
+        spec = RenderSpec(n=4, arcs=((Cell(0, 0), Cell(-1, 2), 0),))
         with pytest.raises(ValueError):
             render(spec)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            render(RenderSpec(n=4, layers=(), format="png"))
+            render(RenderSpec(n=4, format="png"))
 
 
 class TestDigraphAndTourViews:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import warnings
@@ -195,6 +196,33 @@ class TestSearch:
             progress_every=100,
         )
         assert seen and all(n % 100 == 0 for n, _ in seen)
+
+    # (n, coil_target, seed, nodes, exhausted, sha256 prefix of tour_to_json), budget 30 000.
+    PINNED = [
+        (6, None, 0, 135, False, "c20236dee5245bbd"),
+        (6, None, 7, 166, False, "c20236dee5245bbd"),
+        (6, None, 12345, 135, False, "c20236dee5245bbd"),
+        (6, 5, 0, 135, False, "c20236dee5245bbd"),
+        (6, 5, 7, 162, False, "c20236dee5245bbd"),
+        (6, 5, 12345, 135, False, "c20236dee5245bbd"),
+        (6, 4, 0, 516, True, None),
+        (6, 4, 7, 516, True, None),
+        (6, 4, 12345, 516, True, None),
+        (8, None, 0, 11164, False, "eb9bb46993628772"),
+        (8, None, 7, 26926, False, "783efde628634cca"),
+        (8, None, 12345, 11502, False, "0be521995d55b902"),
+        (8, 7, 0, 9770, False, "eb9bb46993628772"),
+        (8, 7, 7, 16388, False, "4276b52b13e51857"),
+        (8, 7, 12345, 9908, False, "eb9bb46993628772"),
+    ]
+
+    @pytest.mark.parametrize("n,coil,seed,nodes,exhausted,digest", PINNED)
+    def test_search_order_is_pinned(self, n, coil, seed, nodes, exhausted, digest, dg):
+        stats = SearchStats()
+        tour = search_tour(dg(n), coil_target=coil, budget=30_000, seed=seed, stats=stats)
+        assert (stats.nodes, stats.exhausted) == (nodes, exhausted)
+        got = tour and hashlib.sha256(tour_to_json(n, tour).encode()).hexdigest()[:16]
+        assert got == digest
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=1, max_value=2**31))
