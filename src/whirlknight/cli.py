@@ -24,9 +24,10 @@ from .certificates import (
     verify_certificate,
 )
 from .digraph import build_digraph, digraph_from_json, digraph_to_json
+from .geometry import BoardGeometry
 from .polytope import lp_decision_to_json, lp_feasible
 from .render import board_spec, certificate_spec, digraph_spec, render, tour_spec
-from .tours import SearchStats, search_tour, tour_from_json, tour_to_json, verify_tour
+from .tours import SearchStats, _check_cells, search_tour, tour_from_json, tour_to_json, verify_tour
 
 __all__ = ["main"]
 
@@ -97,9 +98,10 @@ def cmd_lp(args: argparse.Namespace) -> int:
 def cmd_tour_verify(args: argparse.Namespace) -> int:
     n, cells = tour_from_json(Path(args.infile).read_text())
     _require_n(args.n, n, "tour")
-    g = build_digraph(n)
+    geom = BoardGeometry(n)  # a bad n is an error, not an invalid tour
     try:
-        tour = verify_tour(g, cells)
+        _check_cells(geom, cells)  # before the digraph, so a short file is cheap
+        tour = verify_tour(build_digraph(n), cells)
     except ValueError as exc:
         print(f"valid=false error={json.dumps(str(exc))}")
         return 1
@@ -122,8 +124,6 @@ def cmd_tour_search(args: argparse.Namespace) -> int:
         progress=progress,
         stats=stats,
     )
-    print(f"nodes={stats.nodes} exhausted={str(stats.exhausted).lower()}",
-          file=sys.stderr)
     if tour is None:
         print(f"found=false nodes={stats.nodes} exhausted={str(stats.exhausted).lower()}")
         return 1
@@ -149,6 +149,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         elif "cells" in keys:
             n, cells = tour_from_json(text)
             _require_n(args.n, n, "tour")
+            _check_cells(BoardGeometry(n), cells)  # before the digraph, so a short file is cheap
             g = build_digraph(n)
             spec = tour_spec(g, verify_tour(g, cells), args.format)
         else:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 from .digraph import WhirlDigraph
-from .geometry import RAYS, Cell, _json_int, crosses_axis_ray
+from .geometry import RAYS, BoardGeometry, Cell, _json_int, crosses_axis_ray
 from .polytope import CycleCover
 
 __all__ = [
@@ -32,6 +32,8 @@ __all__ = [
     "tour_to_json",
     "tour_from_json",
 ]
+
+_PROGRESS_EVERY = 100_000  # node expansions between progress calls
 
 
 class CapExceededError(RuntimeError):
@@ -55,7 +57,8 @@ class SearchStats:
     ``exhausted`` True means the depth-first search ran out of branches
     before running out of budget, i.e. no tour satisfying the constraints
     exists from the canonical start vertex (which is every tour, since a
-    Hamiltonian cycle visits it).
+    Hamiltonian cycle visits it).  It needs budget to spare: when the
+    space closes on exactly the last node of the budget, it stays False.
     """
 
     nodes: int = 0
@@ -68,19 +71,31 @@ def verify_tour(g: WhirlDigraph, cells) -> Tour:
     Checks that every vertex appears exactly once and that each cyclically
     consecutive pair is an arc; reports the first offending pair.
     """
+    cells = _check_cells(g.geometry, cells)
+    coil = sum(g.w[a] for a in g.step_arcs(zip(cells, cells[1:] + cells[:1])))
+    return Tour(cells=cells, coil=coil)
+
+
+def _check_cells(geom: BoardGeometry, cells) -> tuple[Cell, ...]:
+    """verify_tour's checks that need only the board: each vertex appears exactly once.
+
+    They cost O(len(cells)), so callers run them before building a file's digraph.
+    """
+    n, centre = geom.n, geom.centre_cell()
     cells = tuple(Cell(*c) for c in cells)
     seen: set[Cell] = set()
     for c in cells:
-        if c not in g.vertex_index:
-            raise ValueError(f"{tuple(c)} is not a vertex of the n={g.n} digraph")
+        if not geom.on_board(c) or c == centre:
+            raise ValueError(f"{tuple(c)} is not a vertex of the n={n} digraph")
         if c in seen:
             raise ValueError(f"vertex {tuple(c)} is visited twice")
         seen.add(c)
-    if len(cells) != len(g.vertices):
-        missing = [tuple(c) for c in sorted(set(g.vertices) - seen)[:3]]
-        raise ValueError(f"not Hamiltonian: {len(g.vertices) - len(cells)} vertices missing, e.g. {missing}")
-    coil = sum(g.w[a] for a in g.step_arcs(zip(cells, cells[1:] + cells[:1])))
-    return Tour(cells=cells, coil=coil)
+    nv = n * n - n % 2
+    if len(cells) != nv:
+        unseen = ((i, j) for i in range(n) for j in range(n) if (i, j) not in seen and (i, j) != centre)
+        missing = list(islice(unseen, 3))
+        raise ValueError(f"not Hamiltonian: {nv - len(cells)} vertices missing, e.g. {missing}")
+    return cells
 
 
 def winding_by_ray(g: WhirlDigraph, tour: Tour, ray: str = "north") -> int:
@@ -106,7 +121,6 @@ def search_tour(
     budget: int = 1_000_000,
     seed: int = 0,
     progress: Callable[[int, int], None] | None = None,
-    progress_every: int = 100_000,
     stats: SearchStats | None = None,
 ) -> Tour | None:
     """Budgeted depth-first search for a whirling tour, optionally at a coil count.
@@ -126,6 +140,10 @@ def search_tour(
       crossings (one per future tail with a crossing out-arc still open)
       must keep the target reachable.
 
+    The search is one loop over an explicit stack: a frame per depth holds
+    its untried moves and the coil on arrival, so no recursion limit caps
+    the depth.  ``progress(nodes, depth)`` is called every 100 000 nodes.
+
     Every pruning rule only discards branches with no valid completion,
     so returning None with budget to spare means the (start-anchored)
     space was exhausted; returning None at budget means "not found".
@@ -136,8 +154,6 @@ def search_tour(
         raise ValueError("search supports even boards (and the n=3 fixture)")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if progress_every < 1:
-        raise ValueError("progress_every must be >= 1")
     nv = len(g.vertices)
     out_opts = [[(g.head[a], g.w[a]) for a in arcs] for arcs in g.out_adj]  # arc-id order
     in_tails = [[g.tail[a] for a in arcs] for arcs in g.in_adj]
@@ -151,23 +167,11 @@ def search_tour(
     visited = bytearray(nv)
     visited[start] = 1
     path = [start]
-    budget_left = budget
 
-    def dfs(current: int, coil: int) -> list[int] | None:
-        nonlocal budget_left
-        if budget_left <= 0:
-            return None
-        budget_left -= 1
-        stats.nodes += 1
-        if progress is not None and stats.nodes % progress_every == 0:
-            progress(stats.nodes, len(path))
-
+    def moves(current: int, coil: int) -> list[tuple[int, int]]:
+        """The (head, w) moves from the path head in search order; [] if dead or full."""
         if len(path) == nv:
-            for head, w in out_opts[current]:
-                if head == start and (coil_target is None or coil + w == coil_target):
-                    return path + []
-            return None
-
+            return []
         # Pruning sweep over unvisited vertices: liveness, forcing, coil bound.
         forced = -1
         cross_bound = 1 if (coil_target is not None and has_cross_out[current]) else 0
@@ -183,7 +187,7 @@ def search_tour(
                     in_ok += 1
                     in_from_current = True
             if in_ok == 0:
-                return None
+                return []
             out_ok = 0
             cross_ok = False
             for head, w in out_opts[u]:
@@ -192,51 +196,45 @@ def search_tour(
                     if w:
                         cross_ok = True
             if out_ok == 0:
-                return None
+                return []
             onward[u] = out_ok
             if cross_ok:
                 cross_bound += 1
             if in_ok == 1 and in_from_current:
                 if forced >= 0 and forced != u:
-                    return None
+                    return []
                 forced = u
         if coil_target is not None and coil + cross_bound < coil_target:
-            return None
-
-        candidates = []
-        for head, w in out_opts[current]:
-            if visited[head]:
-                continue
-            if forced >= 0 and head != forced:
-                continue
-            if coil_target is not None and coil + w > coil_target:
-                continue
-            candidates.append((onward[head], head, w))
+            return []
+        candidates = [(head, w) for head, w in out_opts[current] if not visited[head] and forced in (-1, head)
+                      and (coil_target is None or coil + w <= coil_target)]
         if rng is not None:
             rng.shuffle(candidates)
-        candidates.sort(key=lambda t: t[0])  # stable: ties keep arc-id or shuffled order
+        candidates.sort(key=lambda m: onward[m[0]])  # stable: ties keep arc-id or shuffled order
+        return candidates
 
-        for _, head, w in candidates:
-            visited[head] = 1
-            path.append(head)
-            found = dfs(head, coil + w)
-            if found is not None:
-                return found
-            path.pop()
-            visited[head] = 0
-        return None
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, nv + 200))
-    try:
-        result = dfs(start, 0)
-    finally:
-        sys.setrecursionlimit(limit)
-    if result is None and budget_left > 0:
-        stats.exhausted = True
-    if result is None:
-        return None
-    return verify_tour(g, [g.vertices[k] for k in result])
+    frames: list[tuple[list[tuple[int, int]], int]] = []  # untried moves, coil on arrival
+    coil = 0
+    while stats.nodes < budget:
+        stats.nodes += 1
+        if progress is not None and stats.nodes % _PROGRESS_EVERY == 0:
+            progress(stats.nodes, len(path))
+        current = path[-1]
+        if len(path) == nv and any(h == start and coil_target in (None, coil + w) for h, w in out_opts[current]):
+            return verify_tour(g, [g.vertices[k] for k in path])
+        frames.append((moves(current, coil)[::-1], coil))  # reversed: pop() takes the next move
+        while frames and not frames[-1][0]:  # backtrack to the deepest frame with an untried move
+            frames.pop()
+            visited[path.pop()] = 0
+        if not frames:
+            stats.exhausted = stats.nodes < budget
+            return None
+        untried, arrival = frames[-1]
+        head, w = untried.pop()
+        visited[head] = 1
+        path.append(head)
+        coil = arrival + w
+    return None
 
 
 def enumerate_cycle_covers(g: WhirlDigraph, cap: int = 10_000) -> list[CycleCover]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from whirlknight import cli
 from whirlknight.cli import main
 
 
@@ -202,6 +203,36 @@ class TestTour:
         code, stdout, _ = run(capsys, "tour", "search", "--n", "6", "--budget", "50000",
                               "--seed", "11")
         assert code in (0, 1)
+
+    @pytest.mark.parametrize("argv,code", [
+        (("--n", "3", "--budget", "1000"), 0),
+        (("--n", "6", "--coil", "3", "--budget", "10000000"), 1),
+    ])
+    def test_search_stderr_holds_only_progress_lines(self, argv, code, capsys):
+        # Both searches end below 100 000 nodes, so no progress line is due.
+        got, _, stderr = run(capsys, "tour", "search", *argv)
+        assert got == code and stderr == ""
+
+    SHORT_FILES = [
+        (3000, [], "not Hamiltonian: 9000000 vertices missing, e.g. [(0, 0), (0, 1), (0, 2)]"),
+        (3000, [[0, 0], [0, 0]], "vertex (0, 0) is visited twice"),
+        (3000, [[0, 0], [3000, 0]], "(3000, 0) is not a vertex of the n=3000 digraph"),
+        (3001, [[1500, 1500]], "(1500, 1500) is not a vertex of the n=3001 digraph"),
+    ]
+
+    @pytest.mark.parametrize("n,cells,message", SHORT_FILES)
+    def test_bad_cells_rejected_before_building(self, n, cells, message, tmp_path, capsys,
+                                                monkeypatch):
+        def refuse(size):
+            raise AssertionError(f"built the n={size} digraph")
+
+        monkeypatch.setattr(cli, "build_digraph", refuse)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"n": n, "cells": cells}))
+        code, stdout, stderr = run(capsys, "tour", "verify", "--in", str(path))
+        assert (code, stdout, stderr) == (1, f"valid=false error={json.dumps(message)}\n", "")
+        code, stdout, stderr = run(capsys, "render", "--in", str(path))
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
 
 class TestRender:

@@ -36,10 +36,17 @@ cases = [
     (workloads.LpLadder(ref), workloads.Query("q1", "lp", (14, 10))),
     (workloads.LpLadder(ref), workloads.Query("q2", "lp", (14, 7))),
     (workloads.Search(ref), workloads.Query("q3", "verify", (8, "intact", tour8))),
+    (workloads.Search(ref), workloads.Query("q4", "search", (6, 5, 12345))),
+    (workloads.Search(ref), workloads.Query("q5", "search", (8, 6, 12345))),
 ]
+outs = []
 for workload, query in cases:
-    problem = workload.check(query, workload.run(query))
+    outs.append(workload.run(query))
+    problem = workload.check(query, outs[-1])
     assert problem is None, f"{workload.name} {query.args[:2]}: {problem}"
+# The n = 6 search finds its tour; the n = 8 one spends the whole budget, which check_search counts.
+assert outs[4]["tour"] is not None
+assert outs[5]["tour"] is None and not outs[5]["exhausted"]
 print("ok")
 """
 
@@ -59,10 +66,12 @@ import sys
 sys.path[:0] = sys.argv[1:3]
 import workloads
 
-# cli.main in process: the n = 30 digraph, its SVG (grid, arcs, plumb-line) and a broken file.
+# cli.main in process: the n = 30 digraph, its SVG (grid, arcs, plumb-line), a broken file,
+# and a found and a budget-limited search, whose stdout line perfbench parses.
 cli = workloads.CliMix(workloads.load_reference(), in_process=True)
-queries = [q for q in cli.queries(0, 0) if q.args[0] in ("digraph", "render", "render-bad")]
-assert len(queries) == 3
+names = ("digraph", "render", "render-bad", "search-found", "search-budget")
+queries = [q for q in cli.queries(0, 0) if q.args[0] in names]
+assert len(queries) == 5
 for query in queries:
     cli.prepare(query)
     problem = cli.check(query, cli.run(query))
@@ -79,3 +88,4 @@ def test_cli_mix_render_queries_check_in_process(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
     assert (tmp_path / "perfbench" / "out" / "work" / "g30.svg").is_file()
+    assert (tmp_path / "perfbench" / "out" / "work" / "found6.json").is_file()

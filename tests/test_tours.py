@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import whirlknight.tours as tours
 from whirlknight import (
     CapExceededError,
     SearchStats,
@@ -175,10 +176,6 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_tour(dg(3), budget=0)
 
-    def test_bad_progress_every(self, dg):
-        with pytest.raises(ValueError, match="progress_every"):
-            search_tour(dg(3), progress_every=0)
-
     def test_reused_stats_describe_the_last_search(self, dg):
         stats = SearchStats()
         assert search_tour(dg(6), coil_target=3, stats=stats) is None
@@ -186,16 +183,36 @@ class TestSearch:
         assert search_tour(dg(8), coil_target=6, budget=10, stats=stats) is None
         assert stats == SearchStats(nodes=10, exhausted=False)
 
-    def test_progress_callback_fires(self, dg):
+    def test_progress_callback_fires(self, dg, monkeypatch):
+        monkeypatch.setattr(tours, "_PROGRESS_EVERY", 100)
         seen = []
+        stats = SearchStats()
         search_tour(
             dg(6),
             coil_target=3,
             budget=10**5,
             progress=lambda nodes, depth: seen.append((nodes, depth)),
-            progress_every=100,
+            stats=stats,
         )
-        assert seen and all(n % 100 == 0 for n, _ in seen)
+        assert [n for n, _ in seen] == list(range(100, stats.nodes + 1, 100))
+        assert all(1 <= depth <= 36 for _, depth in seen)
+
+    def test_needs_no_recursion_limit(self, dg, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"search_tour set the recursion limit to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        stats = SearchStats()
+        tour = search_tour(dg(6), budget=30_000, stats=stats)
+        assert (stats.nodes, stats.exhausted) == (135, False)
+        assert hashlib.sha256(tour_to_json(6, tour).encode()).hexdigest()[:16] == "c20236dee5245bbd"
+
+    @pytest.mark.parametrize("budget,exhausted", [(516, False), (517, True)])
+    def test_exhausted_needs_budget_to_spare(self, dg, budget, exhausted):
+        # The n = 6, coil 4 space closes on its 516th node.
+        stats = SearchStats()
+        assert search_tour(dg(6), coil_target=4, budget=budget, stats=stats) is None
+        assert (stats.nodes, stats.exhausted) == (516, exhausted)
 
     # (n, coil_target, seed, nodes, exhausted, sha256 prefix of tour_to_json), budget 30 000.
     PINNED = [
