@@ -45,15 +45,14 @@ from .polytope import (
     coil_of_cover,
     cover_from_json,
     cover_to_json,
+    enumerate_cycle_covers,
     lp_decision_to_json,
     lp_feasible,
     validate_assignment,
 )
 from .tours import (
-    CapExceededError,
     SearchStats,
     Tour,
-    enumerate_cycle_covers,
     search_tour,
     tour_from_json,
     tour_to_json,

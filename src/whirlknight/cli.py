@@ -27,7 +27,7 @@ from .digraph import build_digraph, digraph_from_json, digraph_to_json
 from .geometry import BoardGeometry
 from .polytope import lp_decision_to_json, lp_feasible
 from .render import board_spec, certificate_spec, digraph_spec, render, tour_spec
-from .tours import SearchStats, _check_cells, search_tour, tour_from_json, tour_to_json, verify_tour
+from .tours import SearchStats, _check_cells, _check_search, search_tour, tour_from_json, tour_to_json, verify_tour
 
 __all__ = ["main"]
 
@@ -110,6 +110,7 @@ def cmd_tour_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_tour_search(args: argparse.Namespace) -> int:
+    _check_search(args.n, args.budget)  # before the digraph, so a rejection is cheap
     g = build_digraph(args.n)
     stats = SearchStats()
 

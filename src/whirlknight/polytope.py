@@ -9,12 +9,15 @@ decided by two perfect-matching solves (out-copies vs in-copies of the
 vertices, one edge per arc).
 
 The solver below is a sparse primal-dual matching on the digraph's
-adjacency lists with Python-int potentials, so every comparison is exact;
-there is no floating point in this module.  By LP duality each solve's
-potentials are a Farkas certificate in the paper's form, checked by
-``verify_certificate`` like the closed-form families.  Infeasible
-decisions carry one; feasible ones carry an exact rational witness, the
-convex combination of the two extreme covers that meets the coil row.
+adjacency lists with Python-int potentials.  They start at zero, which is
+dual feasible because every arc cost it is given is 0 or 1; every
+comparison is exact, and there is no floating point in this module.  By
+LP duality each solve's potentials are a Farkas certificate in the
+paper's form, checked by ``verify_certificate`` like the closed-form
+families.  Infeasible decisions carry one; feasible ones carry an exact
+rational witness, the convex combination of the two extreme covers that
+meets the coil row.  Small boards (n <= 7) can also have every cycle
+cover enumerated, as a brute-force check of the interval.
 """
 
 from __future__ import annotations
@@ -23,14 +26,11 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .certificates import FarkasCertificate, verify_certificate
 from .digraph import WhirlDigraph
 from .geometry import Cell, _json_int
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .tours import Tour
+from .tours import Tour
 
 __all__ = [
     "NoCycleCoverError",
@@ -41,6 +41,7 @@ __all__ = [
     "coil_interval",
     "lp_feasible",
     "coil_of_cover",
+    "enumerate_cycle_covers",
     "check_reduction",
     "validate_assignment",
     "cover_to_json",
@@ -110,8 +111,10 @@ def _min_cost_matching(
     """Exact minimum-cost perfect matching of rows to columns on a sparse graph.
 
     Row i may take column head[a] at integer cost cost[a] for each arc id
-    a in out_adj[i].  Primal-dual successive shortest paths with integer
-    potentials u (rows) and v (columns).  Each phase runs one Dial
+    a in out_adj[i]; every cost must be >= 0.  Primal-dual successive
+    shortest paths with integer potentials u (rows) and v (columns), both
+    starting at zero, which is dual feasible because no cost is negative
+    (Ahuja, Magnanti & Orlin, Network Flows, 1993).  Each phase runs one Dial
     bucket-queue Dijkstra over the reduced costs cost[a] - u[i] - v[head[a]]
     from all free rows at once, raises the potentials so that every
     shortest augmenting path becomes tight (reduced cost 0), then augments
@@ -119,30 +122,15 @@ def _min_cost_matching(
     DFS.  Reduced costs stay >= 0 and matched arcs stay tight throughout,
     so the final potentials prove the matching optimal.  Dial's queue
     keeps one bucket per distance up to the largest one reached, which
-    suits small integer costs such as the 0/1 coil weights.  Iteration order is
-    fixed, so the result is deterministic.
+    suits small integer costs such as the 0/1 coil weights.  Iteration
+    order is fixed, so the result is deterministic.
 
     Returns the matched arc id of each row, u and v.  Raises
-    NoCycleCoverError when some free row has no augmenting path.
+    NoCycleCoverError when no free row has an augmenting path, which is
+    also how a vertex without out- or in-arcs shows.
     """
     nv = len(out_adj)
-    u = []
-    for arcs in out_adj:
-        if not arcs:
-            raise NoCycleCoverError("no cycle cover exists: some vertex has no out-arc")
-        u.append(min(cost[a] for a in arcs))
-    v = [0] * nv
-    has_in = bytearray(nv)
-    for i, arcs in enumerate(out_adj):
-        for a in arcs:
-            h = head[a]
-            r = cost[a] - u[i]
-            if not has_in[h] or r < v[h]:
-                v[h] = r
-                has_in[h] = 1
-    if not all(has_in):
-        raise NoCycleCoverError("no cycle cover exists: some vertex has no in-arc")
-
+    u, v = [0] * nv, [0] * nv
     row_arc = [-1] * nv  # matched arc of each row
     col_row = [-1] * nv  # matched row of each column
     free = list(range(nv))
@@ -288,6 +276,35 @@ def coil_of_cover(g: WhirlDigraph, cover: CycleCover) -> int:
     return sum(g.w[a] for a in g.step_arcs(succ.items()))
 
 
+def enumerate_cycle_covers(g: WhirlDigraph) -> list[CycleCover]:
+    """All cycle covers of a small digraph, by successor-choice DFS.
+
+    Guarded to n <= 7, where the covers number 1, 1, 1, 16 and 289 for
+    n = 3..7; the state space explodes beyond that.
+    """
+    if g.n > 7:
+        raise ValueError(f"enumeration is intended for n <= 7, got n={g.n}")
+    nv = len(g.vertices)
+    out_opts = [[g.head[a] for a in arcs] for arcs in g.out_adj]
+    used = bytearray(nv)
+    succ = [0] * nv
+    covers: list[CycleCover] = []
+
+    def rec(k: int) -> None:
+        if k == nv:
+            covers.append(CycleCover(succ={g.vertices[t]: g.vertices[h] for t, h in enumerate(succ)}))
+            return
+        for head in out_opts[k]:
+            if not used[head]:
+                used[head] = 1
+                succ[k] = head
+                rec(k + 1)
+                used[head] = 0
+
+    rec(0)
+    return covers
+
+
 def _convex_witness(g: WhirlDigraph, iv: CoilInterval, c: int) -> FractionalAssignment:
     lam = Fraction(1) if iv.max_coil == iv.min_coil else Fraction(
         iv.max_coil - c, iv.max_coil - iv.min_coil
@@ -302,18 +319,23 @@ def _convex_witness(g: WhirlDigraph, iv: CoilInterval, c: int) -> FractionalAssi
 
 
 def validate_assignment(g: WhirlDigraph, fa: FractionalAssignment, c: int) -> None:
-    """Check every LP row of an assignment exactly; raise on any residual."""
+    """Check every LP row of an assignment exactly; raise on any residual.
+
+    One pass over the entries sums every row, checking each entry's box
+    bound and arc id before the id is used.
+    """
+    into, out, coil = [0] * len(g.vertices), [0] * len(g.vertices), 0
     for aid, val in fa.x.items():
         if not (0 <= val <= 1):
             raise ValueError(f"arc {aid} value {val} violates the box bounds")
         if not (0 <= aid < len(g.w)):
             raise ValueError(f"unknown arc id {aid}")
-    for k, v in enumerate(g.vertices):
-        into = sum(fa.x.get(a, Fraction(0)) for a in g.in_adj[k])
-        out = sum(fa.x.get(a, Fraction(0)) for a in g.out_adj[k])
-        if into != 1 or out != 1:
-            raise ValueError(f"degree rows at {tuple(v)} sum to in={into}, out={out}")
-    coil = sum(g.w[aid] * val for aid, val in fa.x.items())
+        into[g.head[aid]] += val
+        out[g.tail[aid]] += val
+        coil += g.w[aid] * val
+    for v, i, o in zip(g.vertices, into, out):
+        if i != 1 or o != 1:
+            raise ValueError(f"degree rows at {tuple(v)} sum to in={i}, out={o}")
     if coil != c:
         raise ValueError(f"coil row sums to {coil}, expected {c}")
 
@@ -346,7 +368,7 @@ def lp_feasible(g: WhirlDigraph, c: int) -> LpDecision:
     )
 
 
-def check_reduction(g: WhirlDigraph, tour: "Tour") -> bool:
+def check_reduction(g: WhirlDigraph, tour: Tour) -> bool:
     """Check the tour-to-LP reduction row by row.
 
     Converts the tour to its 0/1 arc indicator and checks it with

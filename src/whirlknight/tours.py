@@ -19,25 +19,18 @@ from typing import Callable
 
 from .digraph import WhirlDigraph
 from .geometry import RAYS, BoardGeometry, Cell, _json_int, crosses_axis_ray
-from .polytope import CycleCover
 
 __all__ = [
     "Tour",
     "SearchStats",
-    "CapExceededError",
     "verify_tour",
     "winding_by_ray",
     "search_tour",
-    "enumerate_cycle_covers",
     "tour_to_json",
     "tour_from_json",
 ]
 
 _PROGRESS_EVERY = 100_000  # node expansions between progress calls
-
-
-class CapExceededError(RuntimeError):
-    """Cycle-cover enumeration found more covers than the caller's cap."""
 
 
 @dataclass(frozen=True)
@@ -115,6 +108,18 @@ def winding_by_ray(g: WhirlDigraph, tour: Tour, ray: str = "north") -> int:
     )
 
 
+def _check_search(n: int, budget: int) -> None:
+    """search_tour's argument checks, which need only n and the budget.
+
+    Callers run them before building the digraph, so a rejection is cheap.
+    """
+    BoardGeometry(n)  # a bad n keeps the board's own message
+    if n % 2 and n != 3:
+        raise ValueError("search supports even boards (and the n=3 fixture)")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+
+
 def search_tour(
     g: WhirlDigraph,
     coil_target: int | None = None,
@@ -150,10 +155,7 @@ def search_tour(
     A returned tour is re-verified before being handed back.  n must be
     even, except n = 3 which hosts the classic 3x3 fixture.
     """
-    if g.n % 2 and g.n != 3:
-        raise ValueError("search supports even boards (and the n=3 fixture)")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_search(g.n, budget)
     nv = len(g.vertices)
     out_opts = [[(g.head[a], g.w[a]) for a in arcs] for arcs in g.out_adj]  # arc-id order
     in_tails = [[g.tail[a] for a in arcs] for arcs in g.in_adj]
@@ -235,39 +237,6 @@ def search_tour(
         path.append(head)
         coil = arrival + w
     return None
-
-
-def enumerate_cycle_covers(g: WhirlDigraph, cap: int = 10_000) -> list[CycleCover]:
-    """All cycle covers of a tiny digraph, by successor-choice DFS.
-
-    Guarded to n <= 4 (the state space explodes beyond that); raises
-    CapExceededError as soon as more than ``cap`` covers are found.
-    """
-    if g.n > 4:
-        raise ValueError(f"enumeration is intended for n <= 4, got n={g.n}")
-    nv = len(g.vertices)
-    out_opts = [[g.head[a] for a in arcs] for arcs in g.out_adj]
-    used = bytearray(nv)
-    succ = [0] * nv
-    covers: list[CycleCover] = []
-
-    def rec(k: int) -> None:
-        if k == nv:
-            if len(covers) >= cap:
-                raise CapExceededError(f"more than cap={cap} cycle covers")
-            covers.append(
-                CycleCover(succ={g.vertices[t]: g.vertices[succ[t]] for t in range(nv)})
-            )
-            return
-        for head in out_opts[k]:
-            if not used[head]:
-                used[head] = 1
-                succ[k] = head
-                rec(k + 1)
-                used[head] = 0
-
-    rec(0)
-    return covers
 
 
 def tour_to_json(n: int, tour: Tour) -> str:

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from whirlknight import cli
+from whirlknight import certificate_from_json, cli, cover_from_json, digraph_from_json, tour_from_json
 from whirlknight.cli import main
 
 
@@ -234,6 +236,19 @@ class TestTour:
         code, stdout, stderr = run(capsys, "render", "--in", str(path))
         assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("n,budget,message", [
+        (3001, 10, "search supports even boards (and the n=3 fixture)"),
+        (3000, 0, "budget must be >= 1"),
+        (1, 10, "board side must be an integer >= 3, got 1"),
+    ])
+    def test_bad_search_rejected_before_building(self, n, budget, message, capsys, monkeypatch):
+        def refuse(size):
+            raise AssertionError(f"built the n={size} digraph")
+
+        monkeypatch.setattr(cli, "build_digraph", refuse)
+        got = run(capsys, "tour", "search", "--n", str(n), "--budget", str(budget))
+        assert got == (2, "", f"error: {message}\n")
+
 
 class TestRender:
     def test_empty_board(self, capsys):
@@ -315,3 +330,27 @@ class TestRoundTrips:
         if code == 0:
             code, _, _ = run(capsys, "tour", "verify", "--in", str(path))
             assert code == 0
+
+
+# Keys of the four file formats, so generated documents reach past the first lookup.
+FORMAT_KEYS = ["n", "c", "alpha", "beta", "gamma", "cells", "coil", "succ", "vertices", "arcs",
+               "u", "v", "w"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 9) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FORMAT_KEYS) | st.text(max_size=2), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+class TestLoaderFuzz:
+    """Every loader returns or raises ValueError (exit 2), whatever document it reads."""
+
+    @settings(max_examples=100, deadline=None)  # kept small, so the test takes well under 1 s
+    @given(st.one_of(JSON_VALUES.map(json.dumps), st.text(max_size=8)))
+    def test_loaders_raise_only_value_error(self, text):
+        for load in (certificate_from_json, tour_from_json, cover_from_json, digraph_from_json):
+            try:
+                load(text)
+            except ValueError:
+                pass

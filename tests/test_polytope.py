@@ -243,7 +243,7 @@ class TestCheckReduction:
 
     def test_two_cycle_cover_rejected(self, dg):
         g = dg(4)
-        cover = enumerate_cycle_covers(g, cap=10)[0]
+        cover = enumerate_cycle_covers(g)[0]
         assert len(cover.cycles()) > 1
         cyc = cover.cycles()[0]
 
@@ -266,11 +266,13 @@ class TestCheckReduction:
 
 
 class TestIntervalConsistency:
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_enumerated_covers_within_interval(self, n, dg):
         g = dg(n)
         iv = coil_interval(g)
-        coils = {coil_of_cover(g, cov) for cov in enumerate_cycle_covers(g, cap=10_000)}
+        covers = enumerate_cycle_covers(g)
+        assert len(covers) == {3: 1, 4: 1, 5: 1, 6: 16, 7: 289}[n]
+        coils = {coil_of_cover(g, cov) for cov in covers}
         assert min(coils) == iv.min_coil
         assert max(coils) == iv.max_coil
 
@@ -295,6 +297,13 @@ class TestAssignmentValidation:
         bad = FractionalAssignment(x={a.id: Fraction(1, 2) for a in g.arcs})
         with pytest.raises(ValueError):
             validate_assignment(g, bad, 3)
+
+    @pytest.mark.parametrize("where", ["negative", "past the end"])
+    def test_unknown_arc_id(self, where, dg):
+        g = dg(3)
+        aid = -1 if where == "negative" else len(g.w)
+        with pytest.raises(ValueError, match=f"unknown arc id {aid}$"):
+            validate_assignment(g, FractionalAssignment(x={aid: Fraction(1)}), 3)
 
     def test_coil_row_violation(self, dg):
         g = dg(3)
