@@ -241,6 +241,50 @@ class TestSearch:
         got = tour and hashlib.sha256(tour_to_json(n, tour).encode()).hexdigest()[:16]
         assert got == digest
 
+    # (n, coil_target, seed, nodes, exhausted, sha256 prefix of tour_to_json,
+    # sha256 prefix of the space-joined depth at every node), budget 12 000: the
+    # perfbench search queries.  Past n = 8 no tour is found, so only the depth
+    # trace shows that the nodes are visited in the same order.
+    PINNED_TRACES = [
+        (6, None, 0, 135, False, "c20236dee5245bbd", "72bbae7199819b80"),
+        (6, None, 7, 166, False, "c20236dee5245bbd", "fd410aa3f4910e94"),
+        (6, None, 12345, 135, False, "c20236dee5245bbd", "8856e8c042b34589"),
+        (6, 5, 0, 135, False, "c20236dee5245bbd", "72bbae7199819b80"),
+        (6, 5, 7, 162, False, "c20236dee5245bbd", "995d5e989cd451aa"),
+        (6, 5, 12345, 135, False, "c20236dee5245bbd", "8856e8c042b34589"),
+        (8, None, 0, 11164, False, "eb9bb46993628772", "d35403584c2597cd"),
+        (8, None, 7, 12000, False, None, "5fe24c7ed1c9e22f"),
+        (8, None, 12345, 11502, False, "0be521995d55b902", "db7814e7544d0618"),
+        (8, 7, 0, 9770, False, "eb9bb46993628772", "003d87129b36ab30"),
+        (8, 7, 7, 12000, False, None, "56760d64966d797e"),
+        (8, 7, 12345, 9908, False, "eb9bb46993628772", "98635d60293bfdae"),
+        (8, 6, 0, 12000, False, None, "da98ca9809e1650f"),
+        (8, 6, 7, 12000, False, None, "53197f31a1a54c7b"),
+        (8, 6, 12345, 12000, False, None, "750808cc4e170dcb"),
+        (10, None, 0, 12000, False, None, "9ee3256a2e46ceae"),
+        (10, None, 7, 12000, False, None, "a8a7966794d07ccd"),
+        (10, None, 12345, 12000, False, None, "c2bc5230efae3766"),
+        (12, None, 0, 12000, False, None, "09e059114c13a037"),
+        (12, None, 7, 12000, False, None, "decdfc19598d0c02"),
+        (12, None, 12345, 12000, False, None, "e342947eb5e850c2"),
+        (16, None, 0, 12000, False, None, "f98c86cdcc8ae56c"),
+        (16, None, 7, 12000, False, None, "b822342f793302b2"),
+        (16, None, 12345, 12000, False, None, "76674601633d09ce"),
+    ]
+
+    @pytest.mark.parametrize("n,coil,seed,nodes,exhausted,digest,trace", PINNED_TRACES)
+    def test_depth_trace_is_pinned(self, n, coil, seed, nodes, exhausted, digest, trace, dg, monkeypatch):
+        monkeypatch.setattr(tours, "_PROGRESS_EVERY", 1)
+        depths = []
+        stats = SearchStats()
+        tour = search_tour(dg(n), coil_target=coil, budget=12_000, seed=seed, stats=stats,
+                           progress=lambda _, depth: depths.append(depth))
+        assert (stats.nodes, stats.exhausted) == (nodes, exhausted)
+        got = tour and hashlib.sha256(tour_to_json(n, tour).encode()).hexdigest()[:16]
+        assert got == digest
+        assert hashlib.sha256(" ".join(map(str, depths)).encode()).hexdigest()[:16] == trace
+        assert len(depths) == nodes
+
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=1, max_value=2**31))
     def test_any_seed_returns_valid_tour_or_none(self, dg, seed):
