@@ -2,7 +2,8 @@
 """Budgeted tour search experiments on small even boards.
 
 Runs the backtracking search with and without a coil target and reports
-what it finds within the node budget.  A not-found result is just that;
+what it finds within the node budget, with the elapsed time and the
+search throughput in nodes per second.  A not-found result is just that;
 nonexistence statements come from the certificate and LP modules.
 """
 
@@ -30,14 +31,15 @@ def main() -> None:
         tour = search_tour(g, coil_target=target, budget=args.budget,
                            seed=args.seed, stats=stats)
         elapsed = time.perf_counter() - start
+        timing = f"[{elapsed:.2f}s, {stats.nodes / elapsed:,.0f} nodes/s]"
         label = "any" if target is None else str(target)
         if tour is not None:
             print(f"  coil={label:>4}: found coil={tour.coil} "
-                  f"nodes={stats.nodes} [{elapsed:.2f}s]")
+                  f"nodes={stats.nodes} {timing}")
         else:
             closed = "space exhausted" if stats.exhausted else "budget exhausted"
             print(f"  coil={label:>4}: not found ({closed}, nodes={stats.nodes}) "
-                  f"[{elapsed:.2f}s]")
+                  f"{timing}")
 
 
 if __name__ == "__main__":

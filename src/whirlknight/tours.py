@@ -4,9 +4,12 @@ A whirling tour is a Hamiltonian directed cycle of the digraph; its coil
 count is the number of tour arcs crossing the north plumb-line, which
 (all arcs being CCW) equals the winding number of the cycle about the
 pivot.  Search is depth-first backtracking with forced-arc propagation,
-dead-vertex pruning and Warnsdorff-style successor ordering; it is
-explicitly budgeted, and a not-found result never means nonexistence.
-Nonexistence claims belong to the certificate and LP modules.
+dead-vertex pruning, coil pruning and Warnsdorff-style successor
+ordering, all read from per-vertex counts of the arcs still open; pushing
+or popping a path vertex updates only its neighbours' counts, so a node
+costs O(deg), not a pass over the board.  Search is explicitly budgeted,
+and a not-found result never means nonexistence.  Nonexistence claims
+belong to the certificate and LP modules.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ class Tour:
 
 @dataclass
 class SearchStats:
-    """Filled in by search_tour: expansions used and whether the space closed.
+    """Filled in by search_tour: expansions used, whether the space closed, and
+    the longest path reached (``max_depth``, in vertices).
 
-    Each call resets both fields, so a reused object describes the last search.
+    Each call resets every field, so a reused object describes the last search.
 
     ``exhausted`` True means the depth-first search ran out of branches
     before running out of budget, i.e. no tour satisfying the constraints
@@ -56,6 +60,7 @@ class SearchStats:
 
     nodes: int = 0
     exhausted: bool = False
+    max_depth: int = 0
 
 
 def verify_tour(g: WhirlDigraph, cells) -> Tour:
@@ -131,15 +136,25 @@ def search_tour(
     """Budgeted depth-first search for a whirling tour, optionally at a coil count.
 
     The cycle is grown from the first vertex, (0, 0), which every tour
-    visits, so fixing it loses nothing.  At each node:
+    visits, so fixing it loses nothing.  Three counters per vertex u are
+    kept for the path as it stands:
 
-    * dead-vertex pruning: any unvisited vertex with no remaining in- or
-      out-option kills the branch;
-    * forced arcs: an unvisited vertex whose only remaining in-option is
-      the current path head must be visited next (two such vertices kill
-      the branch);
-    * ordering: fewest onward successors first, ties in arc-id order; a
-      nonzero seed shuffles equal-priority candidates reproducibly;
+    * ``in_free[u]``: in-arcs from unvisited tails;
+    * ``out_free[u]``: out-arcs to unvisited heads or back to the start;
+    * ``cross_free[u]``: the crossing arcs among those out-arcs.
+
+    Pushing or popping a vertex v changes only the counters of v's
+    neighbours, so each update costs O(deg v).  Aggregates over the
+    unvisited vertices turn the counters into the pruning rules at each
+    node, with no pass over the other vertices:
+
+    * stranded vertices: an unvisited vertex with ``out_free`` 0 kills the
+      branch, and so does one with ``in_free`` 0 unless the path head has
+      an arc to it;
+    * forced arcs: that one vertex must be visited next, and two vertices
+      with ``in_free`` 0 kill the branch;
+    * ordering: fewest ``out_free`` first, ties in arc-id order; a nonzero
+      seed shuffles equal-priority candidates reproducibly;
     * coil pruning (with a target): the running crossing count must never
       exceed the target, and an admissible upper bound on the remaining
       crossings (one per future tail with a crossing out-arc still open)
@@ -158,82 +173,96 @@ def search_tour(
     _check_search(g.n, budget)
     nv = len(g.vertices)
     out_opts = [[(g.head[a], g.w[a]) for a in arcs] for arcs in g.out_adj]  # arc-id order
-    in_tails = [[g.tail[a] for a in arcs] for arcs in g.in_adj]
+    in_opts = [[(g.tail[a], g.w[a]) for a in arcs] for arcs in g.in_adj]
     has_cross_out = [any(w for _, w in opts) for opts in out_opts]
-    onward = [0] * nv  # remaining out-options per unvisited vertex, set by each sweep
     rng = random.Random(seed) if seed else None
     if stats is None:
         stats = SearchStats()
-    stats.nodes, stats.exhausted = 0, False
+    stats.nodes, stats.exhausted, stats.max_depth = 0, False, 0
     start = 0
     visited = bytearray(nv)
     visited[start] = 1
     path = [start]
+    in_free = [sum(t != start for t, _ in opts) for opts in in_opts]
+    out_free = [len(opts) for opts in out_opts]
+    cross_free = [sum(w for _, w in opts) for opts in out_opts]  # w is 0 or 1
+    # Aggregates over the unvisited vertices.
+    no_in = {u for u in range(nv) if not visited[u] and not in_free[u]}
+    no_out = sum(1 for u in range(nv) if not visited[u] and not out_free[u])
+    crossing = sum(1 for u in range(nv) if not visited[u] and cross_free[u])
+
+    def visit(v: int) -> None:
+        nonlocal no_out, crossing
+        visited[v] = 1
+        no_in.discard(v)
+        no_out -= not out_free[v]
+        crossing -= cross_free[v] > 0
+        for h, _ in out_opts[v]:
+            in_free[h] -= 1
+            if not in_free[h] and not visited[h]:
+                no_in.add(h)
+        for t, w in in_opts[v]:
+            out_free[t] -= 1
+            cross_free[t] -= w
+            if not visited[t]:
+                no_out += not out_free[t]
+                crossing -= w and not cross_free[t]
+
+    def unvisit(v: int) -> None:
+        """Exactly undo visit(v)."""
+        nonlocal no_out, crossing
+        for h, _ in out_opts[v]:
+            if not in_free[h]:
+                no_in.discard(h)
+            in_free[h] += 1
+        for t, w in in_opts[v]:
+            if not visited[t]:
+                no_out -= not out_free[t]
+                crossing += w and not cross_free[t]
+            out_free[t] += 1
+            cross_free[t] += w
+        visited[v] = 0
+        if not in_free[v]:
+            no_in.add(v)
+        no_out += not out_free[v]
+        crossing += cross_free[v] > 0
 
     def moves(current: int, coil: int) -> list[tuple[int, int]]:
         """The (head, w) moves from the path head in search order; [] if dead or full."""
-        if len(path) == nv:
+        if len(path) == nv or no_out or len(no_in) > 1:
             return []
-        # Pruning sweep over unvisited vertices: liveness, forcing, coil bound.
-        forced = -1
-        cross_bound = 1 if (coil_target is not None and has_cross_out[current]) else 0
-        for u in range(nv):
-            if visited[u]:
-                continue
-            in_ok = 0
-            in_from_current = False
-            for t in in_tails[u]:
-                if not visited[t]:
-                    in_ok += 1
-                elif t == current:
-                    in_ok += 1
-                    in_from_current = True
-            if in_ok == 0:
-                return []
-            out_ok = 0
-            cross_ok = False
-            for head, w in out_opts[u]:
-                if not visited[head] or head == start:
-                    out_ok += 1
-                    if w:
-                        cross_ok = True
-            if out_ok == 0:
-                return []
-            onward[u] = out_ok
-            if cross_ok:
-                cross_bound += 1
-            if in_ok == 1 and in_from_current:
-                if forced >= 0 and forced != u:
-                    return []
-                forced = u
-        if coil_target is not None and coil + cross_bound < coil_target:
+        if coil_target is not None and coil + has_cross_out[current] + crossing < coil_target:
             return []
-        candidates = [(head, w) for head, w in out_opts[current] if not visited[head] and forced in (-1, head)
-                      and (coil_target is None or coil + w <= coil_target)]
+        # A vertex left with no unvisited tail can only be entered from current, now.
+        candidates = [(head, w) for head, w in out_opts[current] if not visited[head]
+                      and (not no_in or head in no_in) and (coil_target is None or coil + w <= coil_target)]
         if rng is not None:
             rng.shuffle(candidates)
-        candidates.sort(key=lambda m: onward[m[0]])  # stable: ties keep arc-id or shuffled order
+        candidates.sort(key=lambda m: out_free[m[0]])  # stable: ties keep arc-id or shuffled order
         return candidates
 
     frames: list[tuple[list[tuple[int, int]], int]] = []  # untried moves, coil on arrival
     coil = 0
     while stats.nodes < budget:
         stats.nodes += 1
+        depth = len(path)
+        if depth > stats.max_depth:
+            stats.max_depth = depth
         if progress is not None and stats.nodes % _PROGRESS_EVERY == 0:
-            progress(stats.nodes, len(path))
+            progress(stats.nodes, depth)
         current = path[-1]
-        if len(path) == nv and any(h == start and coil_target in (None, coil + w) for h, w in out_opts[current]):
+        if depth == nv and any(h == start and coil_target in (None, coil + w) for h, w in out_opts[current]):
             return verify_tour(g, [g.vertices[k] for k in path])
         frames.append((moves(current, coil)[::-1], coil))  # reversed: pop() takes the next move
-        while frames and not frames[-1][0]:  # backtrack to the deepest frame with an untried move
+        while len(frames) > 1 and not frames[-1][0]:  # backtrack to the deepest frame with an untried move
             frames.pop()
-            visited[path.pop()] = 0
-        if not frames:
+            unvisit(path.pop())
+        untried, arrival = frames[-1]
+        if not untried:
             stats.exhausted = stats.nodes < budget
             return None
-        untried, arrival = frames[-1]
         head, w = untried.pop()
-        visited[head] = 1
+        visit(head)
         path.append(head)
         coil = arrival + w
     return None

@@ -179,9 +179,9 @@ class TestSearch:
     def test_reused_stats_describe_the_last_search(self, dg):
         stats = SearchStats()
         assert search_tour(dg(6), coil_target=3, stats=stats) is None
-        assert stats.exhausted
+        assert stats == SearchStats(nodes=497, exhausted=True, max_depth=29)
         assert search_tour(dg(8), coil_target=6, budget=10, stats=stats) is None
-        assert stats == SearchStats(nodes=10, exhausted=False)
+        assert stats == SearchStats(nodes=10, exhausted=False, max_depth=10)
 
     def test_progress_callback_fires(self, dg, monkeypatch):
         monkeypatch.setattr(tours, "_PROGRESS_EVERY", 100)
@@ -283,7 +283,7 @@ class TestSearch:
         got = tour and hashlib.sha256(tour_to_json(n, tour).encode()).hexdigest()[:16]
         assert got == digest
         assert hashlib.sha256(" ".join(map(str, depths)).encode()).hexdigest()[:16] == trace
-        assert len(depths) == nodes
+        assert len(depths) == nodes and max(depths) == stats.max_depth
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=1, max_value=2**31))
