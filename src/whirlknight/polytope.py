@@ -294,7 +294,7 @@ def enumerate_cycle_covers(g: WhirlDigraph) -> list[CycleCover]:
     out_opts = [[g.head[a] for a in arcs] for arcs in g.out_adj]
     in_opts = [[g.tail[a] for a in arcs] for arcs in g.in_adj]
     heads_left = [len(heads) for heads in out_opts]  # unused heads of each row
-    rows_left = [len(tails) for tails in in_opts]  # rows from k on that reach each column
+    rows_left = [len(tails) for tails in in_opts]  # rows still to choose that reach each column
     used = bytearray(nv)
     succ = [0] * nv
     covers: list[CycleCover] = []

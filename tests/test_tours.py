@@ -306,6 +306,20 @@ class TestEnumerate:
         assert len(covers[0].cycles()) > 1
         assert coil_of_cover(g, covers[0]) == 4
 
+    # (n, covers, sha256 prefix of every cover's (tail, head) cells, in order).
+    @pytest.mark.parametrize("n,count,digest", [
+        (3, 1, "069d82f595ea33a3"),
+        (4, 1, "cb48fb4bcfba6a2f"),
+        (5, 1, "7019ceca81d33369"),
+        (6, 16, "41922ab556162fdc"),
+        (7, 289, "a43101d4b5286152"),
+    ])
+    def test_covers_and_their_order_are_pinned(self, dg, n, count, digest):
+        covers = enumerate_cycle_covers(dg(n))
+        cells = [[[*t, *h] for t, h in c.succ.items()] for c in covers]
+        assert len(covers) == count
+        assert hashlib.sha256(json.dumps(cells).encode()).hexdigest()[:16] == digest
+
     def test_large_boards_guarded(self, dg):
         with pytest.raises(ValueError):
             enumerate_cycle_covers(dg(8))
