@@ -43,8 +43,6 @@ from .polytope import (
     check_reduction,
     coil_interval,
     coil_of_cover,
-    cover_from_json,
-    cover_to_json,
     enumerate_cycle_covers,
     lp_decision_to_json,
     lp_feasible,

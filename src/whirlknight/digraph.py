@@ -69,26 +69,17 @@ class WhirlDigraph:
         """Arcs with head v, in arc-id order."""
         return [self.arc(a) for a in self.in_adj[self.index_of(v)]]
 
-    def _arc_id(self, u: Cell, v: Cell) -> int | None:
-        iv = self.index_of(v)
-        for a in self.out_adj[self.index_of(u)]:
-            if self.head[a] == iv:
-                return a
-        return None
-
-    def arc_between(self, u: Cell, v: Cell) -> Arc | None:
-        """The arc u -> v, or None if there is none."""
-        a = self._arc_id(u, v)
-        return None if a is None else self.arc(a)
-
     def step_arcs(self, steps: Iterable[tuple[Cell, Cell]]) -> list[int]:
         """Arc ids of the steps (tail, head), in order; the first non-arc step raises."""
         ids = []
         for t, h in steps:
-            a = self._arc_id(t, h)
-            if a is None:
+            ih = self.index_of(h)
+            for a in self.out_adj[self.index_of(t)]:
+                if self.head[a] == ih:
+                    ids.append(a)
+                    break
+            else:
                 raise ValueError(f"step {tuple(t)} -> {tuple(h)} is not an arc of the digraph")
-            ids.append(a)
         return ids
 
 

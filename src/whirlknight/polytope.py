@@ -6,7 +6,9 @@ coil functional sum(w_e x_e) over it are attained at cycle covers, and
 the functional's range is the whole interval between them.  Feasibility
 of the LP at coil count c is therefore exactly min_coil <= c <= max_coil,
 decided by two perfect-matching solves (out-copies vs in-copies of the
-vertices, one edge per arc).
+vertices, one edge per arc).  A solve matches each vertex to one arc
+leaving it, and the tuple of those arc ids is the cover
+(``CycleCover.arcs``).
 
 The solver below is a sparse primal-dual matching on the digraph's
 adjacency lists with Python-int potentials.  They start at zero, which is
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from .certificates import FarkasCertificate, verify_certificate
 from .digraph import WhirlDigraph
-from .geometry import Cell, _json_int
+from .geometry import Cell
 from .tours import Tour
 
 __all__ = [
@@ -44,8 +46,6 @@ __all__ = [
     "enumerate_cycle_covers",
     "check_reduction",
     "validate_assignment",
-    "cover_to_json",
-    "cover_from_json",
     "lp_decision_to_json",
 ]
 
@@ -56,24 +56,27 @@ class NoCycleCoverError(ValueError):
 
 @dataclass(frozen=True)
 class CycleCover:
-    """Successor permutation along arcs: vertex-disjoint cycles covering V."""
+    """Vertex-disjoint cycles covering V, as arc ids: arcs[k] is the arc leaving vertex k.
 
-    succ: dict[Cell, Cell]
+    Valid when every arc leaves its vertex and the heads are a
+    permutation; ``coil_of_cover`` checks both.
+    """
 
-    def cycles(self) -> list[list[Cell]]:
-        """The cycles of the cover, each starting at its smallest cell."""
-        seen: set[Cell] = set()
+    arcs: tuple[int, ...]
+
+    def cycles(self, g: WhirlDigraph) -> list[list[Cell]]:
+        """The cycles of the cover in g, each starting at its smallest cell."""
+        seen = bytearray(len(self.arcs))
         out = []
-        for start in sorted(self.succ):
-            if start in seen:
-                continue
+        for start in range(len(self.arcs)):
             cyc = []
             v = start
-            while v not in seen:
-                seen.add(v)
-                cyc.append(v)
-                v = self.succ[v]
-            out.append(cyc)
+            while not seen[v]:
+                seen[v] = 1
+                cyc.append(g.vertices[v])
+                v = g.head[self.arcs[v]]
+            if cyc:
+                out.append(cyc)
         return out
 
 
@@ -230,7 +233,7 @@ def _extreme_cover(g: WhirlDigraph, gamma: int) -> tuple[CycleCover, int, Farkas
     k = int(gamma > 0)
     row_arc, u, v = _min_cost_matching(g.out_adj, g.head, [k - gamma * x for x in g.w])
     cells = g.vertices
-    cover = CycleCover(succ={cells[i]: cells[g.head[a]] for i, a in enumerate(row_arc)})
+    cover = CycleCover(arcs=tuple(row_arc))
     coil = coil_of_cover(g, cover)
     cert = FarkasCertificate(
         n=g.n,
@@ -268,18 +271,21 @@ def coil_interval(g: WhirlDigraph) -> CoilInterval:
 
 def coil_of_cover(g: WhirlDigraph, cover: CycleCover) -> int:
     """Total plumb-line crossing weight of a cover; validates it first."""
-    succ = cover.succ
-    if set(succ) != set(g.vertices):
-        raise ValueError("cover does not assign a successor to every vertex")
-    if len(set(succ.values())) != len(succ):
-        raise ValueError("cover successors are not a permutation")
-    return sum(g.w[a] for a in g.step_arcs(succ.items()))
+    arcs = cover.arcs
+    if len(arcs) != len(g.vertices):
+        raise ValueError(f"cover has {len(arcs)} arcs for {len(g.vertices)} vertices")
+    for k, a in enumerate(arcs):
+        if not (0 <= a < len(g.w) and g.tail[a] == k):
+            raise ValueError(f"cover arc {a} does not leave vertex {tuple(g.vertices[k])}")
+    if len({g.head[a] for a in arcs}) != len(arcs):
+        raise ValueError("cover heads are not a permutation")
+    return sum(g.w[a] for a in arcs)
 
 
 def enumerate_cycle_covers(g: WhirlDigraph) -> list[CycleCover]:
-    """All cycle covers of a small digraph, by successor-choice DFS.
+    """All cycle covers of a small digraph, by arc-choice DFS.
 
-    Rows (tails) take a successor in vertex order.  A branch ends as soon
+    Rows (tails) take an out-arc in vertex order.  A branch ends as soon
     as a later row has no unused head left, or an unused column (head) has
     no later row that reaches it; both counts are kept per vertex and
     updated in O(deg) per choice.  Neither check drops a cover, so the
@@ -296,16 +302,16 @@ def enumerate_cycle_covers(g: WhirlDigraph) -> list[CycleCover]:
     heads_left = [len(heads) for heads in out_opts]  # unused heads of each row
     rows_left = [len(tails) for tails in in_opts]  # rows still to choose that reach each column
     used = bytearray(nv)
-    succ = [0] * nv
+    chosen = [0] * nv
     covers: list[CycleCover] = []
 
     def rec(k: int) -> None:
         if k == nv:
-            covers.append(CycleCover(succ={g.vertices[t]: g.vertices[h] for t, h in enumerate(succ)}))
+            covers.append(CycleCover(arcs=tuple(chosen)))
             return
         for head in out_opts[k]:
             rows_left[head] -= 1
-        for head in out_opts[k]:
+        for a, head in zip(g.out_adj[k], out_opts[k]):
             if used[head]:
                 continue
             used[head] = 1
@@ -313,7 +319,7 @@ def enumerate_cycle_covers(g: WhirlDigraph) -> list[CycleCover]:
                 heads_left[t] -= 1
             if not (any(t > k and not heads_left[t] for t in in_opts[head])
                     or any(not used[h] and not rows_left[h] for h in out_opts[k])):
-                succ[k] = head
+                chosen[k] = a
                 rec(k + 1)
             for t in in_opts[head]:
                 heads_left[t] += 1
@@ -333,7 +339,7 @@ def _convex_witness(g: WhirlDigraph, iv: CoilInterval, c: int) -> FractionalAssi
     for cover, coef in ((iv.argmin, lam), (iv.argmax, 1 - lam)):
         if coef == 0:
             continue
-        for aid in g.step_arcs(cover.succ.items()):
+        for aid in cover.arcs:
             x[aid] = x.get(aid, Fraction(0)) + coef
     return FractionalAssignment(x=x)
 
@@ -405,27 +411,6 @@ def check_reduction(g: WhirlDigraph, tour: Tour) -> bool:
     except ValueError:
         return False
     return True
-
-
-def cover_to_json(n: int, cover: CycleCover) -> str:
-    steps = [[t.i, t.j, h.i, h.j] for t, h in sorted(cover.succ.items())]
-    return json.dumps({"n": n, "succ": steps}, separators=(",", ":")) + "\n"
-
-
-def cover_from_json(text: str) -> tuple[int, CycleCover]:
-    """Parse a cover file; a tail listed twice is an error, not an overwrite."""
-    doc = json.loads(text)
-    try:
-        n = _json_int(doc["n"])
-        succ: dict[Cell, Cell] = {}
-        for a, b, c, d in doc["succ"]:
-            t = Cell(_json_int(a), _json_int(b))
-            if t in succ:
-                raise ValueError(f"tail {tuple(t)} is listed twice")
-            succ[t] = Cell(_json_int(c), _json_int(d))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed cycle-cover JSON: {exc}") from exc
-    return n, CycleCover(succ=succ)
 
 
 def lp_decision_to_json(d: LpDecision) -> str:

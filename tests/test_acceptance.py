@@ -129,9 +129,9 @@ def test_criterion_6_n3_fixture(dg):
         g = dg(3)
         covers = enumerate_cycle_covers(g)
         assert len(covers) == 1
-        assert len(covers[0].cycles()) == 1  # the unique cover is one 8-cycle
+        assert len(covers[0].cycles(g)) == 1  # the unique cover is one 8-cycle
         assert coil_of_cover(g, covers[0]) == 3
-        tour = verify_tour(g, covers[0].cycles()[0])
+        tour = verify_tour(g, covers[0].cycles(g)[0])
         assert tour.coil == 3
         found = search_tour(g, budget=1000)
         assert found is not None and set(found.cells) == set(tour.cells)
@@ -155,7 +155,7 @@ def test_criterion_7_brute_force_oracle_equivalence(dg):
             for cov in covers:
                 totals = {
                     ray: sum(
-                        crosses_axis_ray(geom, t, h, ray) for t, h in cov.succ.items()
+                        crosses_axis_ray(geom, a.tail, a.head, ray) for a in map(g.arc, cov.arcs)
                     )
                     for ray in rays
                 }

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whirlknight import certificate_from_json, cli, cover_from_json, digraph_from_json, tour_from_json
+from whirlknight import certificate_from_json, cli, digraph_from_json, tour_from_json
 from whirlknight.cli import main
 
 
@@ -332,9 +332,8 @@ class TestRoundTrips:
             assert code == 0
 
 
-# Keys of the four file formats, so generated documents reach past the first lookup.
-FORMAT_KEYS = ["n", "c", "alpha", "beta", "gamma", "cells", "coil", "succ", "vertices", "arcs",
-               "u", "v", "w"]
+# Keys of the three file formats, so generated documents reach past the first lookup.
+FORMAT_KEYS = ["n", "c", "alpha", "beta", "gamma", "cells", "coil", "vertices", "arcs", "u", "v", "w"]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-4, 9) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4)
@@ -349,7 +348,7 @@ class TestLoaderFuzz:
     @settings(max_examples=100, deadline=None)  # kept small, so the test takes well under 1 s
     @given(st.one_of(JSON_VALUES.map(json.dumps), st.text(max_size=8)))
     def test_loaders_raise_only_value_error(self, text):
-        for load in (certificate_from_json, tour_from_json, cover_from_json, digraph_from_json):
+        for load in (certificate_from_json, tour_from_json, digraph_from_json):
             try:
                 load(text)
             except ValueError:

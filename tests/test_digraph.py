@@ -108,8 +108,12 @@ class TestAdjacency:
         ]
         assert len(pairs) == 2 * len(g.arcs)  # every knight pair is an arc one way
         for u, v in pairs:
-            scan = [a for a in g.arcs if a.tail == u and a.head == v]
-            assert g.arc_between(u, v) == (scan[0] if scan else None)
+            scan = [a.id for a in g.arcs if a.tail == u and a.head == v]
+            if scan:
+                assert g.step_arcs([(u, v)]) == scan
+            else:
+                with pytest.raises(ValueError, match="not an arc"):
+                    g.step_arcs([(u, v)])
 
 
 def _violations(g):

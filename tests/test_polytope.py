@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -17,8 +16,6 @@ from whirlknight import (
     check_reduction,
     coil_interval,
     coil_of_cover,
-    cover_from_json,
-    cover_to_json,
     enumerate_cycle_covers,
     lp_decision_to_json,
     lp_feasible,
@@ -28,7 +25,7 @@ from whirlknight import (
 )
 from whirlknight.cli import main
 
-from oracles import interval_oracle, weight_oracle
+from oracles import arcs_oracle, board_cells, interval_oracle, weight_oracle
 
 # Interval endpoints frozen from the independent scipy matching oracle
 # before the solver was written.
@@ -76,6 +73,12 @@ class TestCoilInterval:
         iv = coil_interval(g)
         assert (iv.min_coil, iv.max_coil) == interval_oracle(n)
         assert_endpoints_certified(g, iv)
+        oracle_arcs, cells = set(arcs_oracle(n)), board_cells(n)
+        for cover, coil in ((iv.argmin, iv.min_coil), (iv.argmax, iv.max_coil)):
+            steps = [(tuple(a.tail), tuple(a.head)) for a in map(g.arc, cover.arcs)]
+            assert set(steps) <= oracle_arcs
+            assert sorted(t for t, _ in steps) == sorted(h for _, h in steps) == sorted(cells)
+            assert sum(weight_oracle(n, t, h) for t, h in steps) == coil
 
     def test_n100_endpoints_certified(self, dg):
         # n = 100 is 4 mod 8: the t2 certificate forbids c = 50, so min_coil > 50.
@@ -113,8 +116,8 @@ class TestCoilInterval:
     def test_deterministic(self, dg):
         a = coil_interval(dg(12))
         b = coil_interval(dg(12))
-        assert a.argmin.succ == b.argmin.succ
-        assert a.argmax.succ == b.argmax.succ
+        assert a.argmin.arcs == b.argmin.arcs
+        assert a.argmax.arcs == b.argmax.arcs
 
     def test_no_cover_raises(self, dg):
         g = dg(3)
@@ -199,39 +202,47 @@ class TestLpFeasible:
 class TestCoilOfCover:
     def test_n3_unique_cover(self, dg):
         g = dg(3)
-        succ = {a.tail: a.head for a in g.arcs}
-        assert coil_of_cover(g, CycleCover(succ=succ)) == 3
+        assert coil_of_cover(g, CycleCover(arcs=tuple(range(len(g.w))))) == 3
 
     def test_rotated_cover_matches_recount_oracle(self, dg):
         g = dg(6)
         base = coil_interval(g).argmin
-        rot = CycleCover(
-            succ={
-                Cell(t.j, 5 - t.i): Cell(h.j, 5 - h.i) for t, h in base.succ.items()
-            }
+        steps = sorted(
+            (Cell(a.tail.j, 5 - a.tail.i), Cell(a.head.j, 5 - a.head.i))
+            for a in map(g.arc, base.arcs)
         )
-        recount = sum(weight_oracle(6, t, h) for t, h in rot.succ.items())
+        rot = CycleCover(arcs=tuple(g.step_arcs(steps)))
+        recount = sum(weight_oracle(6, t, h) for t, h in steps)
         assert coil_of_cover(g, rot) == recount
 
     def test_rejects_partial_cover(self, dg):
         g = dg(3)
-        succ = {a.tail: a.head for a in g.arcs}
-        succ.pop(Cell(0, 0))
-        with pytest.raises(ValueError):
-            coil_of_cover(g, CycleCover(succ=succ))
+        with pytest.raises(ValueError, match="7 arcs for 8 vertices"):
+            coil_of_cover(g, CycleCover(arcs=tuple(range(len(g.w) - 1))))
 
-    def test_rejects_non_permutation(self, dg):
+    @pytest.mark.parametrize("where", ["negative", "past the end"])
+    def test_rejects_unknown_arc_id(self, where, dg):
         g = dg(3)
-        succ = {a.tail: a.head for a in g.arcs}
-        succ[Cell(0, 0)] = succ[Cell(0, 1)]
-        with pytest.raises(ValueError):
-            coil_of_cover(g, CycleCover(succ=succ))
+        arcs = list(range(len(g.w)))
+        arcs[-1] = -1 if where == "negative" else len(g.w)
+        with pytest.raises(ValueError, match="does not leave"):
+            coil_of_cover(g, CycleCover(arcs=tuple(arcs)))
 
     def test_rejects_non_arc_step(self, dg):
-        g = dg(4)
-        succ = {v: v for v in g.vertices}
-        with pytest.raises(ValueError):
-            coil_of_cover(g, CycleCover(succ=succ))
+        g = dg(3)
+        arcs = list(range(len(g.w)))  # at n = 3, arc k is the one out-arc of vertex k
+        arcs[0], arcs[1] = arcs[1], arcs[0]
+        with pytest.raises(ValueError, match="does not leave"):
+            coil_of_cover(g, CycleCover(arcs=tuple(arcs)))
+
+    def test_rejects_non_permutation(self, dg):
+        g = dg(6)
+        arcs = list(coil_interval(g).argmin.arcs)
+        k = next(k for k, out in enumerate(g.out_adj) if len(out) > 1)
+        # Any other out-arc of k enters a head that another vertex's arc already takes.
+        arcs[k] = next(a for a in g.out_adj[k] if a != arcs[k])
+        with pytest.raises(ValueError, match="not a permutation"):
+            coil_of_cover(g, CycleCover(arcs=tuple(arcs)))
 
 
 class TestCheckReduction:
@@ -244,8 +255,8 @@ class TestCheckReduction:
     def test_two_cycle_cover_rejected(self, dg):
         g = dg(4)
         cover = enumerate_cycle_covers(g)[0]
-        assert len(cover.cycles()) > 1
-        cyc = cover.cycles()[0]
+        assert len(cover.cycles(g)) > 1
+        cyc = cover.cycles(g)[0]
 
         class FakeTour:
             cells = tuple(cyc)
@@ -352,34 +363,3 @@ class TestMatchingSolver:
         for i in range(n):
             assert all(arc_cost[a] - u[i] - v[head[a]] >= 0 for a in out_adj[i])
         assert sum(u) + sum(v) == total
-
-
-class TestCoverSerialization:
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_round_trip(self, n, dg):
-        g = dg(n)
-        cover = coil_interval(g).argmin
-        text = cover_to_json(n, cover)
-        n2, back = cover_from_json(text)
-        assert n2 == n and back == cover
-        assert cover_to_json(n2, back) == text
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            cover_from_json('{"n": 3}')
-
-    @pytest.mark.parametrize("bad", [0.9, False, "0"], ids=["float", "bool", "string"])
-    def test_rejects_non_integer(self, bad, dg):
-        # 0.9, False and "0" all read as 0 through int().
-        doc = json.loads(cover_to_json(3, coil_interval(dg(3)).argmin))
-        assert doc["succ"][0][0] == 0
-        doc["succ"][0][0] = bad
-        with pytest.raises(ValueError, match="integer"):
-            cover_from_json(json.dumps(doc))
-
-    def test_rejects_repeated_tail(self, dg):
-        # The first step for (0, 0) is off-board; keeping only the last would hide it.
-        doc = json.loads(cover_to_json(3, coil_interval(dg(3)).argmin))
-        doc["succ"].insert(0, [0, 0, 9, 9])
-        with pytest.raises(ValueError, match="twice"):
-            cover_from_json(json.dumps(doc))

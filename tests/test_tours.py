@@ -83,7 +83,7 @@ class TestWinding:
         geom = g.geometry
         for cover in enumerate_cycle_covers(g):
             totals = {
-                ray: sum(crosses_axis_ray(geom, t, h, ray) for t, h in cover.succ.items())
+                ray: sum(crosses_axis_ray(geom, a.tail, a.head, ray) for a in map(g.arc, cover.arcs))
                 for ray in ("north", "east", "south", "west")
             }
             assert len(set(totals.values())) == 1
@@ -92,8 +92,9 @@ class TestWinding:
         g = dg(6)
         geom = g.geometry
         cover = coil_interval(g).argmin
-        north = sum(crosses_axis_ray(geom, t, h, "north") for t, h in cover.succ.items())
-        east = sum(crosses_axis_ray(geom, t, h, "east") for t, h in cover.succ.items())
+        arcs = [g.arc(a) for a in cover.arcs]
+        north = sum(crosses_axis_ray(geom, a.tail, a.head, "north") for a in arcs)
+        east = sum(crosses_axis_ray(geom, a.tail, a.head, "east") for a in arcs)
         assert north == east
 
     def test_found_tour_all_rays_agree(self, dg):
@@ -303,7 +304,7 @@ class TestEnumerate:
         g = dg(4)
         covers = enumerate_cycle_covers(g)
         assert len(covers) == 1
-        assert len(covers[0].cycles()) > 1
+        assert len(covers[0].cycles(g)) > 1
         assert coil_of_cover(g, covers[0]) == 4
 
     # (n, covers, sha256 prefix of every cover's (tail, head) cells, in order).
@@ -315,8 +316,9 @@ class TestEnumerate:
         (7, 289, "a43101d4b5286152"),
     ])
     def test_covers_and_their_order_are_pinned(self, dg, n, count, digest):
-        covers = enumerate_cycle_covers(dg(n))
-        cells = [[[*t, *h] for t, h in c.succ.items()] for c in covers]
+        g = dg(n)
+        covers = enumerate_cycle_covers(g)
+        cells = [[[*a.tail, *a.head] for a in map(g.arc, c.arcs)] for c in covers]
         assert len(covers) == count
         assert hashlib.sha256(json.dumps(cells).encode()).hexdigest()[:16] == digest
 
