@@ -10,7 +10,6 @@ exactly, and searches for and verifies tours.
 """
 
 from .certificates import (
-    FactsReport,
     FarkasCertificate,
     VerificationReport,
     build_n3_certificate,
@@ -18,7 +17,6 @@ from .certificates import (
     build_t2,
     certificate_from_json,
     certificate_to_json,
-    check_facts_abc,
     parity_census,
     verify_certificate,
 )
@@ -32,7 +30,6 @@ from .geometry import (
     ccw_cross,
     crosses_axis_ray,
     is_ccw,
-    is_knight_displacement,
 )
 from .polytope import (
     CoilInterval,

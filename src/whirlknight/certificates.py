@@ -36,13 +36,11 @@ from .geometry import Cell, _json_int
 __all__ = [
     "FarkasCertificate",
     "VerificationReport",
-    "FactsReport",
     "verify_certificate",
     "build_t1",
     "build_t2",
     "build_n3_certificate",
     "parity_census",
-    "check_facts_abc",
     "certificate_to_json",
     "certificate_from_json",
 ]
@@ -88,7 +86,14 @@ def _require_residue(n: int, residue: int, minimum: int) -> int:
 
 
 def build_t1(n: int) -> FarkasCertificate:
-    """Certificate for coil count c = n/2 on boards with n = 6 (mod 8)."""
+    """Certificate for coil count c = n/2 on boards with n = 6 (mod 8).
+
+    With alpha = 1 on the in-strip N_in, beta = 1 on the out-strip N_out
+    and gamma = -1, an arc's LHS is [head in N_in] + [tail in N_out] - w
+    with w in {0, 1}, so LHS <= 0 on every arc is exactly the paper's facts: (a) every arc into N_in crosses the
+    plumb-line, (b) every arc out of N_out crosses it, and (c) no arc runs
+    from N_out to N_in.  ``verify_certificate`` is therefore their check.
+    """
     m = _require_residue(n, 6, 6)
     h = n // 2
     rows = [4 * k + d for k in range(m + 1) for d in (0, 1)]
@@ -176,50 +181,6 @@ def parity_census(n: int) -> tuple[int, int]:
     _require_residue(n, 4, 4)
     parities = [(v.i + v.j) % 2 for v in _triangle(n)]
     return (parities.count(0), parities.count(1))
-
-
-@dataclass(frozen=True)
-class FactsReport:
-    """Result of the exhaustive arc scan behind the T1 block certificate."""
-
-    fact_a: bool  # every arc into n_in crosses the plumb-line
-    fact_b: bool  # every arc out of n_out crosses the plumb-line
-    fact_c: bool  # no arc runs from n_out to n_in
-    counterexamples: tuple[tuple[str, Arc], ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return self.fact_a and self.fact_b and self.fact_c
-
-
-def check_facts_abc(g: WhirlDigraph) -> FactsReport:
-    """Exhaustively verify the three structural facts behind the T1 family.
-
-    (a) every arc whose head lies in n_in crosses the north plumb-line;
-    (b) every arc whose tail lies in n_out crosses it;
-    (c) no arc joins n_out to n_in.
-    n_in and n_out are the supports of t1's alpha and beta.  Requires
-    n = 6 (mod 8).
-    """
-    t1 = build_t1(g.n)
-    n_in, n_out = t1.alpha, t1.beta
-    bad: list[tuple[str, Arc]] = []
-    vs = g.vertices
-    for a, (t, h, w) in enumerate(zip(g.tail, g.head, g.w)):
-        into, out_of = vs[h] in n_in, vs[t] in n_out
-        if into and w != 1:
-            bad.append(("a", g.arc(a)))
-        if out_of and w != 1:
-            bad.append(("b", g.arc(a)))
-        if out_of and into:
-            bad.append(("c", g.arc(a)))
-    facts = {f: all(name != f for name, _ in bad) for f in ("a", "b", "c")}
-    return FactsReport(
-        fact_a=facts["a"],
-        fact_b=facts["b"],
-        fact_c=facts["c"],
-        counterexamples=tuple(bad),
-    )
 
 
 def _sorted_entries(support: dict[Cell, int]) -> list[list[int]]:

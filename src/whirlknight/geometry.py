@@ -19,7 +19,6 @@ __all__ = [
     "BoardGeometry",
     "KNIGHT_STEPS",
     "RAYS",
-    "is_knight_displacement",
     "ccw_cross",
     "is_ccw",
     "crosses_axis_ray",
@@ -61,18 +60,12 @@ def _json_int(x: object) -> int:
     return x
 
 
-def is_knight_displacement(u: Cell, v: Cell) -> bool:
-    di, dj = v[0] - u[0], v[1] - u[1]
-    return di * di + dj * dj == 5
-
-
 @dataclass(frozen=True)
 class BoardGeometry:
-    """An n x n board together with its pivot.
+    """An n x n board together with its pivot ((n-1)/2, (n-1)/2).
 
-    ``pivot2`` is the pivot in doubled coordinates, always (n-1, n-1).
-    For even n the pivot lies between cells; ``h = n/2`` is the number of
-    rows (or columns) on each side of it.  ``h`` is undefined for odd n.
+    For even n the pivot lies between cells; for odd n it is the centre
+    cell, which the digraph excludes.
     """
 
     n: int
@@ -80,16 +73,6 @@ class BoardGeometry:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 3:
             raise ValueError(f"board side must be an integer >= 3, got {self.n!r}")
-
-    @property
-    def pivot2(self) -> tuple[int, int]:
-        return (self.n - 1, self.n - 1)
-
-    @property
-    def h(self) -> int:
-        if self.n % 2:
-            raise ValueError(f"h = n/2 requires an even board, got n={self.n}")
-        return self.n // 2
 
     def on_board(self, c: Cell) -> bool:
         return 0 <= c[0] < self.n and 0 <= c[1] < self.n
@@ -117,7 +100,8 @@ def ccw_cross(geom: BoardGeometry, u: Cell, v: Cell) -> int:
 def _check_knight_pair(geom: BoardGeometry, u: Cell, v: Cell) -> None:
     if not (geom.on_board(u) and geom.on_board(v)):
         raise ValueError(f"{tuple(u)} -> {tuple(v)} is not on a {geom.n}x{geom.n} board")
-    if not is_knight_displacement(u, v):
+    di, dj = v[0] - u[0], v[1] - u[1]
+    if di * di + dj * dj != 5:
         raise ValueError(f"{tuple(u)} -> {tuple(v)} is not a knight displacement")
 
 

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from whirlknight import (
     Cell,
     FarkasCertificate,
+    WhirlDigraph,
     build_n3_certificate,
     build_t1,
     build_t2,
     certificate_from_json,
     certificate_to_json,
-    check_facts_abc,
     lp_feasible,
     parity_census,
     verify_certificate,
@@ -204,16 +204,44 @@ class TestN3Certificate:
         assert not report.valid and report.rhs == 0
 
 
-class TestFactsABC:
-    @pytest.mark.parametrize("n", [6, 14, 22])
-    def test_all_facts_hold(self, n, dg):
-        report = check_facts_abc(dg(n))
-        assert report.fact_a and report.fact_b and report.fact_c
-        assert report.all_hold and not report.counterexamples
+def _uncrossed(g, a):
+    """A copy of g whose arc a has crossing weight 0."""
+    return dataclasses.replace(g, w=g.w[:a] + (0,) + g.w[a + 1:])
 
-    def test_wrong_residue(self, dg):
-        with pytest.raises(ValueError):
-            check_facts_abc(dg(4))
+
+class TestT1FactsBroken:
+    """Each of the paper's facts (a)-(c) broken on one arc of the n = 14 digraph.
+
+    t1's LHS on an arc is [head in N_in] + [tail in N_out] - w, so the
+    verifier must report exactly the broken arc, with LHS 1.
+    """
+
+    def test_fact_a_arc_into_n_in_does_not_cross(self, dg):
+        g, n_in = dg(14), build_t1(14).alpha
+        a = next(a for a, h in enumerate(g.head) if g.vertices[h] in n_in)
+        broken = _uncrossed(g, a)
+        assert verify_certificate(broken, build_t1(14)).violations == ((broken.arc(a), 1),)
+
+    def test_fact_b_arc_out_of_n_out_does_not_cross(self, dg):
+        g, n_out = dg(14), build_t1(14).beta
+        a = next(a for a, t in enumerate(g.tail) if g.vertices[t] in n_out)
+        broken = _uncrossed(g, a)
+        assert verify_certificate(broken, build_t1(14)).violations == ((broken.arc(a), 1),)
+
+    def test_fact_c_arc_from_n_out_to_n_in(self, dg):
+        g, t1 = dg(14), build_t1(14)
+        t, h, a = g.index_of(min(t1.beta)), g.index_of(min(t1.alpha)), len(g.tail)
+        broken = WhirlDigraph(
+            n=14,
+            vertices=g.vertices,
+            tail=g.tail + (t,),
+            head=g.head + (h,),
+            w=g.w + (1,),
+            out_adj=tuple(row + (a,) if k == t else row for k, row in enumerate(g.out_adj)),
+            in_adj=tuple(row + (a,) if k == h else row for k, row in enumerate(g.in_adj)),
+            vertex_index=g.vertex_index,
+        )
+        assert verify_certificate(broken, t1).violations == ((broken.arc(a), 1),)
 
 
 class TestSoundness:

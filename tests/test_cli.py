@@ -1,10 +1,19 @@
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whirlknight import certificate_from_json, cli, digraph_from_json, tour_from_json
+from whirlknight import (
+    build_t1,
+    certificate_from_json,
+    certificate_to_json,
+    cli,
+    digraph_from_json,
+    tour_from_json,
+    verify_certificate,
+)
 from whirlknight.cli import main
 
 
@@ -128,6 +137,20 @@ class TestCert:
         code, stdout, _ = run(capsys, "cert", "verify", "--family", "file",
                               "--in", str(path), "--n", "14")
         assert code == 0 and "valid=true" in stdout
+
+    def test_verify_prints_first_ten_violations(self, tmp_path, capsys, dg):
+        cert = dataclasses.replace(build_t1(14), gamma=0)
+        path = tmp_path / "c14.json"
+        path.write_text(certificate_to_json(cert))
+        code, stdout, _ = run(capsys, "cert", "verify", "--family", "file", "--in", str(path))
+        lines = stdout.splitlines()
+        assert code == 1 and len(lines) == 11
+        assert lines[0] == "valid=false rhs=8 max_lhs=1 violations=26"
+        expected = [
+            f"violation arc={tuple(a.tail)}->{tuple(a.head)} w={a.w} lhs={lhs}"
+            for a, lhs in verify_certificate(dg(14), cert).violations[:10]
+        ]
+        assert lines[1:] == expected
 
 
 class TestLp:

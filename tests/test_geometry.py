@@ -11,7 +11,6 @@ from whirlknight import (
     ccw_cross,
     crosses_axis_ray,
     is_ccw,
-    is_knight_displacement,
 )
 
 from oracles import KNIGHT_DELTAS, ccw_oracle, ray_cross_oracle
@@ -42,26 +41,10 @@ class TestKnightSteps:
 
 
 class TestBoardGeometry:
-    def test_pivot2(self):
-        assert BoardGeometry(4).pivot2 == (3, 3)
-        assert BoardGeometry(7).pivot2 == (6, 6)
-
-    def test_h_even_only(self):
-        assert BoardGeometry(12).h == 6
-        with pytest.raises(ValueError):
-            BoardGeometry(5).h
-
     @pytest.mark.parametrize("bad", [2, 0, -1, 3.0, "6"])
     def test_rejects_bad_sizes(self, bad):
         with pytest.raises(ValueError):
             BoardGeometry(bad)
-
-    @pytest.mark.parametrize("n", [4, 6, 10])
-    def test_even_pivot_between_cells(self, n):
-        geom = BoardGeometry(n)
-        for i in range(n):
-            for j in range(n):
-                assert (2 * i, 2 * j) != geom.pivot2
 
 
 class TestIsCcw:
@@ -213,8 +196,3 @@ class TestAxisRays:
     def test_unknown_ray_rejected(self):
         with pytest.raises(ValueError):
             crosses_axis_ray(BoardGeometry(4), Cell(2, 2), Cell(0, 1), "up")
-
-
-def test_is_knight_displacement():
-    assert is_knight_displacement(Cell(0, 0), Cell(1, 2))
-    assert not is_knight_displacement(Cell(0, 0), Cell(2, 2))

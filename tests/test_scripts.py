@@ -40,6 +40,22 @@ def test_table_script(name, args, row):
     assert row in rows(run_script(name, *args))
 
 
+def test_verify_families_whole_table():
+    lines = run_script("verify_families.py", "--max-n", "30")
+    assert lines[0].split() == ["n", "family", "rhs", "max_lhs", "valid", "support",
+                                "lp(n/2)", "min_coil", "lp_support", "time"]
+    assert rows(lines) == [
+        ["4", "t2", "1", "0", "true", "5", "infeas", "4", "4"],
+        ["6", "t1", "1", "0", "true", "4", "infeas", "5", "9"],
+        ["12", "t2", "1", "0", "true", "25", "infeas", "8", "100"],
+        ["14", "t1", "1", "0", "true", "8", "infeas", "9", "135"],
+        ["20", "t2", "1", "0", "true", "61", "infeas", "12", "286"],
+        ["22", "t1", "1", "0", "true", "12", "infeas", "13", "345"],
+        ["28", "t2", "1", "0", "true", "113", "infeas", "16", "568"],
+        ["30", "t1", "1", "0", "true", "16", "infeas", "17", "651"],
+    ]
+
+
 def test_search_tours():
     lines = run_script("search_tours.py", "--n", "4", "--budget", "1000")
     assert lines[0] == "n=4: coil interval [4, 4]"
