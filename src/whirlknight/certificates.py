@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 
 from .digraph import Arc, WhirlDigraph
-from .geometry import Cell, _json_int
+from .geometry import BoardGeometry, Cell, _json_int
 
 __all__ = [
     "FarkasCertificate",
@@ -144,6 +144,18 @@ def build_n3_certificate() -> FarkasCertificate:
     )
 
 
+def _check_support(geom: BoardGeometry, cert: FarkasCertificate) -> None:
+    """verify_certificate's check that needs only the board: every support cell is a vertex.
+
+    It costs O(support), so callers run it before building a file's digraph.
+    """
+    centre = geom.centre_cell()
+    for name, support in (("alpha", cert.alpha), ("beta", cert.beta)):
+        for v in support:
+            if not geom.on_board(v) or v == centre:
+                raise ValueError(f"{name} support cell {tuple(v)} is not a vertex")
+
+
 def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> VerificationReport:
     """Check a certificate against every arc of g, exactly.
 
@@ -152,13 +164,11 @@ def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> Verification
     """
     if cert.n != g.n:
         raise ValueError(f"certificate is for n={cert.n}, digraph has n={g.n}")
+    _check_support(g.geometry, cert)
     alpha, beta = [0] * len(g.vertices), [0] * len(g.vertices)  # by vertex index
-    for name, support, col in (("alpha", cert.alpha, alpha), ("beta", cert.beta, beta)):
+    for support, col in ((cert.alpha, alpha), (cert.beta, beta)):
         for v, x in support.items():
-            k = g.vertex_index.get(v)
-            if k is None:
-                raise ValueError(f"{name} support cell {tuple(v)} is not a vertex")
-            col[k] = x
+            col[g.vertex_index[v]] = x
     gamma = cert.gamma
     lhs = [alpha[h] + beta[t] + gamma * w for t, h, w in zip(g.tail, g.head, g.w)]
     max_lhs = max(lhs, default=0)

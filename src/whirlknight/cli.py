@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .certificates import (
+    _check_support,
     build_n3_certificate,
     build_t1,
     build_t2,
@@ -80,6 +81,7 @@ def cmd_cert_verify(args: argparse.Namespace) -> int:
     if args.infile and args.family != "file":
         raise ValueError("--in is read only with --family file")
     cert = _family_certificate(args)
+    _check_support(BoardGeometry(cert.n), cert)  # before the digraph, so a bad file is cheap
     report = verify_certificate(build_digraph(cert.n), cert)
     print(f"valid={str(report.valid).lower()} rhs={report.rhs} "
           f"max_lhs={report.max_lhs} violations={len(report.violations)}")

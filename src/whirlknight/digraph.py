@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _json_int, ccw_cross, crosses_axis_ray
+from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _json_int
 
 __all__ = ["Arc", "WhirlDigraph", "build_digraph", "digraph_to_json", "digraph_from_json"]
 
@@ -86,40 +86,62 @@ class WhirlDigraph:
 def build_digraph(n: int) -> WhirlDigraph:
     """Build the whirling-knight digraph on the n x n board.
 
-    Enumerates on-board knight pairs, keeps the counter-clockwise ones and
-    validates only those, once, while reading their north-ray crossing
-    weights.  Deterministic: vertices row-major, arcs tail row-major then
-    knight-step order.
+    Deterministic: vertices row-major, arcs tail row-major then knight-step
+    order.  Each (tail u, step s) pair costs one read of a vertex-index
+    grid padded by two cells on every side (-1 off the board and at the
+    odd-board centre) and two integer tests.  In doubled coordinates
+    (ui, uj), with head v = u + s so that (vi, vj) = (ui + 2di, uj + 2dj):
+
+    * ``ccw_cross(u, v) = ui*vj - vi*uj = 2(ui*dj - di*uj)``, so the pair
+      is an arc iff ``ui*dj > di*uj``;
+    * ``crosses_axis_ray(u, v)`` tests the sign of
+      ``ccw_cross * (uj - vj) = -2dj * ccw_cross`` on a segment with
+      ``uj*vj < 0``; on an arc ccw_cross > 0, so w = 1 iff dj < 0 and the
+      segment straddles the pivot column, i.e. ``uj > 0 > vj``.  A tail on
+      the pivot column of an odd board (uj = 0) has w = 1 iff it lies
+      north of the pivot, ``ui < 0``.
+
+    Every generated pair is an on-board knight step by construction, so
+    the geometry predicates' own checks are not repeated here.
     """
-    geom = BoardGeometry(n)
-    centre = geom.centre_cell()
+    centre = BoardGeometry(n).centre_cell()
     vertices = tuple(
         Cell(i, j) for i in range(n) for j in range(n) if Cell(i, j) != centre
     )
     vindex = {c: k for k, c in enumerate(vertices)}
+    width = n + 4
+    grid = [-1] * (width * width)
+    for (i, j), k in vindex.items():
+        grid[(i + 2) * width + j + 2] = k
+    steps = [(di, dj, di * width + dj) for di, dj in KNIGHT_STEPS]
+    m = n - 1
     tail: list[int] = []
     head: list[int] = []
     w: list[int] = []
-    out_adj: list[list[int]] = [[] for _ in vertices]
+    out_adj: list[tuple[int, ...]] = []
     in_adj: list[list[int]] = [[] for _ in vertices]
-    for t, u in enumerate(vertices):
-        for s in KNIGHT_STEPS:
-            h = vindex.get(Cell(u.i + s.di, u.j + s.dj))
-            if h is not None and ccw_cross(geom, u, vertices[h]) > 0:
-                aid = len(w)
+    for t, (i, j) in enumerate(vertices):
+        ui, uj = 2 * i - m, 2 * j - m
+        base = (i + 2) * width + j + 2
+        out: list[int] = []
+        for di, dj, offset in steps:
+            h = grid[base + offset]
+            if h >= 0 and ui * dj > di * uj:
+                aid = len(w)  # one int object, shared by out_adj and in_adj
+                out.append(aid)
+                in_adj[h].append(aid)
                 tail.append(t)
                 head.append(h)
-                w.append(int(crosses_axis_ray(geom, u, vertices[h])))
-                out_adj[t].append(aid)
-                in_adj[h].append(aid)
+                w.append(int(ui < 0) if uj == 0 else int(uj > 0 > uj + 2 * dj))
+        out_adj.append(tuple(out))
     return WhirlDigraph(
         n=n,
         vertices=vertices,
         tail=tuple(tail),
         head=tuple(head),
         w=tuple(w),
-        out_adj=tuple(tuple(a) for a in out_adj),
-        in_adj=tuple(tuple(a) for a in in_adj),
+        out_adj=tuple(out_adj),
+        in_adj=tuple(map(tuple, in_adj)),
         vertex_index=vindex,
     )
 

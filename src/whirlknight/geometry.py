@@ -88,8 +88,9 @@ def ccw_cross(geom: BoardGeometry, u: Cell, v: Cell) -> int:
     """Doubled cross product (u - pivot) x (v - pivot).
 
     Positive means the step u -> v turns counter-clockwise about the pivot.
-    No board-membership check: callers such as the step-census sweep
-    evaluate the inequality for off-board tails on purpose.
+    No board-membership check: it is defined for any two points, on the
+    board or off it.  ``build_digraph``'s per-step CCW test is this
+    product, written out for v = u + knight step.
     """
     m = geom.n - 1
     ui, uj = 2 * u[0] - m, 2 * u[1] - m

@@ -49,6 +49,14 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_certificate(dg(4), bad)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("n,cell", [(4, Cell(0, 4)), (4, Cell(-1, 0)), (5, Cell(2, 2))])
+    def test_non_vertex_support_message(self, n, cell, field, dg):
+        support = {"alpha": {}, "beta": {}, field: {cell: 1}}
+        bad = FarkasCertificate(n=n, c=2, gamma=-1, **support)
+        with pytest.raises(ValueError, match=rf"^{field} support cell \({cell.i}, {cell.j}\) is not a vertex$"):
+            verify_certificate(dg(n), bad)
+
     def test_finds_all_violations(self, dg):
         g = dg(4)
         # gamma = +1 turns every crossing arc into a violation

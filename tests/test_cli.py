@@ -152,6 +152,26 @@ class TestCert:
         ]
         assert lines[1:] == expected
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("n,cell", [
+        pytest.param(300, [999, 999], id="off the board"),
+        pytest.param(300, [-1, 0], id="negative"),
+        pytest.param(301, [150, 150], id="odd centre"),
+    ])
+    def test_bad_support_rejected_before_building(self, n, cell, field, tmp_path, capsys,
+                                                  monkeypatch):
+        def refuse(size):
+            raise AssertionError(f"built the n={size} digraph")
+
+        monkeypatch.setattr(cli, "build_digraph", refuse)
+        doc = {"n": n, "c": n // 2, "gamma": -1, "alpha": [], "beta": []}
+        doc[field] = [[*cell, 1]]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, "cert", "verify", "--family", "file", "--in", str(path))
+        message = f"{field} support cell {tuple(cell)} is not a vertex"
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
 
 class TestLp:
     @pytest.mark.parametrize("n,c,expected", [(6, 3, 1), (3, 3, 0), (16, 8, 0)])

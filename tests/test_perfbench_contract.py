@@ -38,6 +38,9 @@ cases = [
     (workloads.Search(ref), workloads.Query("q3", "verify", (8, "intact", tour8))),
     (workloads.Search(ref), workloads.Query("q4", "search", (6, 5, 12345))),
     (workloads.Search(ref), workloads.Query("q5", "search", (8, 6, 12345))),
+    # The largest boards certify times: n = 100 (t2) and n = 102 (t1).
+    (workloads.Certify(ref), workloads.Query("q6", "certify", (100,))),
+    (workloads.Certify(ref), workloads.Query("q7", "certify", (102,))),
 ]
 outs = []
 for workload, query in cases:
