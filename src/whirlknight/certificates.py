@@ -52,7 +52,8 @@ class FarkasCertificate:
 
     alpha and beta are kept separate even where their supports overlap
     (the T2 family puts alpha = -1 and beta = +1 on the same block cells):
-    they multiply different LP rows and never merge.
+    they multiply different LP rows and never merge.  Construction rejects
+    a support cell that is not a vertex, in O(support), before any digraph.
     """
 
     n: int
@@ -60,6 +61,15 @@ class FarkasCertificate:
     alpha: dict[Cell, int]
     beta: dict[Cell, int]
     gamma: int
+
+    def __post_init__(self) -> None:
+        index = BoardGeometry(self.n).index
+        for name, support in (("alpha", self.alpha), ("beta", self.beta)):
+            for v in support:
+                try:
+                    index(v)
+                except ValueError:
+                    raise ValueError(f"{name} support cell {tuple(v)} is not a vertex") from None
 
     def sum_alpha(self) -> int:
         return sum(self.alpha.values())
@@ -144,18 +154,6 @@ def build_n3_certificate() -> FarkasCertificate:
     )
 
 
-def _check_support(geom: BoardGeometry, cert: FarkasCertificate) -> None:
-    """verify_certificate's check that needs only the board: every support cell is a vertex.
-
-    It costs O(support), so callers run it before building a file's digraph.
-    """
-    centre = geom.centre_cell()
-    for name, support in (("alpha", cert.alpha), ("beta", cert.beta)):
-        for v in support:
-            if not geom.on_board(v) or v == centre:
-                raise ValueError(f"{name} support cell {tuple(v)} is not a vertex")
-
-
 def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> VerificationReport:
     """Check a certificate against every arc of g, exactly.
 
@@ -164,11 +162,11 @@ def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> Verification
     """
     if cert.n != g.n:
         raise ValueError(f"certificate is for n={cert.n}, digraph has n={g.n}")
-    _check_support(g.geometry, cert)
     alpha, beta = [0] * len(g.vertices), [0] * len(g.vertices)  # by vertex index
+    index = g.geometry.index
     for support, col in ((cert.alpha, alpha), (cert.beta, beta)):
         for v, x in support.items():
-            col[g.vertex_index[v]] = x
+            col[index(v)] = x
     gamma = cert.gamma
     lhs = [alpha[h] + beta[t] + gamma * w for t, h, w in zip(g.tail, g.head, g.w)]
     max_lhs = max(lhs, default=0)
@@ -223,12 +221,11 @@ def _entries_from_json(name: str, rows) -> dict[Cell, int]:
 def certificate_from_json(text: str) -> FarkasCertificate:
     doc = json.loads(text)
     try:
-        return FarkasCertificate(
-            n=_json_int(doc["n"]),
-            c=_json_int(doc["c"]),
-            alpha=_entries_from_json("alpha", doc["alpha"]),
-            beta=_entries_from_json("beta", doc["beta"]),
-            gamma=_json_int(doc["gamma"]),
-        )
+        n, c = _json_int(doc["n"]), _json_int(doc["c"])
+        alpha = _entries_from_json("alpha", doc["alpha"])
+        beta = _entries_from_json("beta", doc["beta"])
+        gamma = _json_int(doc["gamma"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc
+    # Outside the try: a bad n or support cell keeps the certificate's own message.
+    return FarkasCertificate(n=n, c=c, alpha=alpha, beta=beta, gamma=gamma)

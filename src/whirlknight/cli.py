@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from .certificates import (
-    _check_support,
     build_n3_certificate,
     build_t1,
     build_t2,
@@ -40,10 +39,15 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _summary(line: str, out: str | None) -> None:
+    """Print a result line; with ``--out -`` it goes to stderr, so stdout holds only the JSON."""
+    print(line, file=sys.stderr if out == "-" else sys.stdout)
+
+
 def cmd_digraph(args: argparse.Namespace) -> int:
     g = build_digraph(args.n)
-    print(f"n={g.n} vertices={len(g.vertices)} arcs={len(g.w)} "
-          f"crossing_arcs={sum(g.w)}")
+    _summary(f"n={g.n} vertices={len(g.vertices)} arcs={len(g.w)} "
+             f"crossing_arcs={sum(g.w)}", args.out)
     if args.out:
         _write_or_print(digraph_to_json(g), args.out)
     return 0
@@ -81,7 +85,6 @@ def cmd_cert_verify(args: argparse.Namespace) -> int:
     if args.infile and args.family != "file":
         raise ValueError("--in is read only with --family file")
     cert = _family_certificate(args)
-    _check_support(BoardGeometry(cert.n), cert)  # before the digraph, so a bad file is cheap
     report = verify_certificate(build_digraph(cert.n), cert)
     print(f"valid={str(report.valid).lower()} rhs={report.rhs} "
           f"max_lhs={report.max_lhs} violations={len(report.violations)}")
@@ -128,9 +131,10 @@ def cmd_tour_search(args: argparse.Namespace) -> int:
         stats=stats,
     )
     if tour is None:
-        print(f"found=false nodes={stats.nodes} exhausted={str(stats.exhausted).lower()}")
+        _summary(f"found=false nodes={stats.nodes} exhausted={str(stats.exhausted).lower()}",
+                 args.out)
         return 1
-    print(f"found=true nodes={stats.nodes} coil={tour.coil}")
+    _summary(f"found=true nodes={stats.nodes} coil={tour.coil}", args.out)
     if args.out:
         _write_or_print(tour_to_json(g.n, tour), args.out)
     return 0

@@ -1,18 +1,19 @@
 """The whirling-knight digraph: CCW knight arcs with plumb-line weights.
 
 Vertices are all board cells, minus the centre cell on odd boards (the
-centre coincides with the pivot).  Arcs are enumerated tail row-major,
-then in knight-step order.  The digraph is its arc columns ``tail``,
-``head`` (vertex indices) and ``w``, indexed by arc id, which every
-solver reads; ``Arc`` records of cells are built only on request
-(``arc(a)``, ``arcs``).  A built digraph is immutable.
+centre coincides with the pivot), in ``BoardGeometry.index`` order:
+row-major, that centre skipped.  Arcs are enumerated tail row-major, then
+in knight-step order.  The digraph is its arc columns ``tail``, ``head``
+(vertex indices) and ``w``, indexed by arc id, which every solver reads;
+``Arc`` records of cells are built only on request (``arc(a)``,
+``arcs``).  A built digraph is immutable.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -37,7 +38,6 @@ class WhirlDigraph:
     w: tuple[int, ...]  # arc id -> north plumb-line crossing weight, 0 or 1
     out_adj: tuple[tuple[int, ...], ...]  # vertex index -> arc ids, ascending
     in_adj: tuple[tuple[int, ...], ...]
-    vertex_index: dict[Cell, int] = field(repr=False)
 
     @property
     def geometry(self) -> BoardGeometry:
@@ -55,26 +55,20 @@ class WhirlDigraph:
         """Arc a as a record of cells."""
         return Arc(self.vertices[self.tail[a]], self.vertices[self.head[a]], self.w[a], a)
 
-    def index_of(self, v: Cell) -> int:
-        try:
-            return self.vertex_index[Cell(*v)]
-        except KeyError:
-            raise ValueError(f"{tuple(v)} is not a vertex of the n={self.n} digraph") from None
-
     def out_arcs(self, v: Cell) -> list[Arc]:
         """Arcs with tail v, in arc-id order."""
-        return [self.arc(a) for a in self.out_adj[self.index_of(v)]]
+        return [self.arc(a) for a in self.out_adj[self.geometry.index(v)]]
 
     def in_arcs(self, v: Cell) -> list[Arc]:
         """Arcs with head v, in arc-id order."""
-        return [self.arc(a) for a in self.in_adj[self.index_of(v)]]
+        return [self.arc(a) for a in self.in_adj[self.geometry.index(v)]]
 
     def step_arcs(self, steps: Iterable[tuple[Cell, Cell]]) -> list[int]:
         """Arc ids of the steps (tail, head), in order; the first non-arc step raises."""
-        ids = []
+        ids, index = [], self.geometry.index
         for t, h in steps:
-            ih = self.index_of(h)
-            for a in self.out_adj[self.index_of(t)]:
+            ih = index(h)
+            for a in self.out_adj[index(t)]:
                 if self.head[a] == ih:
                     ids.append(a)
                     break
@@ -108,10 +102,9 @@ def build_digraph(n: int) -> WhirlDigraph:
     vertices = tuple(
         Cell(i, j) for i in range(n) for j in range(n) if Cell(i, j) != centre
     )
-    vindex = {c: k for k, c in enumerate(vertices)}
     width = n + 4
     grid = [-1] * (width * width)
-    for (i, j), k in vindex.items():
+    for k, (i, j) in enumerate(vertices):
         grid[(i + 2) * width + j + 2] = k
     steps = [(di, dj, di * width + dj) for di, dj in KNIGHT_STEPS]
     m = n - 1
@@ -142,7 +135,6 @@ def build_digraph(n: int) -> WhirlDigraph:
         w=tuple(w),
         out_adj=tuple(out_adj),
         in_adj=tuple(map(tuple, in_adj)),
-        vertex_index=vindex,
     )
 
 

@@ -77,6 +77,17 @@ class BoardGeometry:
     def on_board(self, c: Cell) -> bool:
         return 0 <= c[0] < self.n and 0 <= c[1] < self.n
 
+    def index(self, c: Cell) -> int:
+        """Cell c's vertex index: row-major i*n + j, less one past an odd board's centre.
+
+        This is the digraph's vertex order; a cell that is not a vertex raises.
+        """
+        n, (i, j) = self.n, c
+        k, centre = i * n + j, (n * n // 2 if n % 2 else n * n)  # odd: (m, m), n = 2m + 1
+        if 0 <= i < n and 0 <= j < n and k != centre:
+            return k - (k > centre)
+        raise ValueError(f"{tuple(c)} is not a vertex of the n={n} digraph")
+
     def centre_cell(self) -> Cell | None:
         """The centre cell of an odd board (excluded from the digraph), else None."""
         if self.n % 2:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .certificates import FarkasCertificate, verify_certificate
 from .digraph import WhirlDigraph
 from .geometry import Cell
-from .tours import Tour
+from .tours import Tour, _check_cells
 
 __all__ = [
     "NoCycleCoverError",
@@ -402,9 +402,7 @@ def check_reduction(g: WhirlDigraph, tour: Tour) -> bool:
     coil row and box bounds.  Raises on inputs that are not Hamiltonian
     cycles of g at all.
     """
-    cells = [Cell(*c) for c in tour.cells]
-    if len(cells) != len(g.vertices) or set(cells) != set(g.vertices):
-        raise ValueError("not a Hamiltonian cycle: vertex set mismatch")
+    cells = _check_cells(g.geometry, tour.cells)
     arcs = g.step_arcs(zip(cells, cells[1:] + cells[:1]))
     try:
         validate_assignment(g, FractionalAssignment(x=dict.fromkeys(arcs, Fraction(1))), tour.coil)

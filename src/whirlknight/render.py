@@ -102,8 +102,7 @@ def _render_ascii(spec: RenderSpec, centre: Cell | None) -> str:
             for c in _board_cells(n)
         }
     elif spec.arcs:
-        # Out-degree per cell, crossing arcs counted separately is overkill:
-        # a single digit per cell keeps the diagram legible.
+        # Each cell shows its out-degree, one digit, "." for none.
         width = 1
         outdeg = {c: 0 for c in _board_cells(n)}
         for tail, _, _ in spec.arcs:

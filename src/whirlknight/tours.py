@@ -79,12 +79,11 @@ def _check_cells(geom: BoardGeometry, cells) -> tuple[Cell, ...]:
 
     They cost O(len(cells)), so callers run them before building a file's digraph.
     """
-    n, centre = geom.n, geom.centre_cell()
+    n, index, centre = geom.n, geom.index, geom.centre_cell()
     cells = tuple(Cell(*c) for c in cells)
     seen: set[Cell] = set()
     for c in cells:
-        if not geom.on_board(c) or c == centre:
-            raise ValueError(f"{tuple(c)} is not a vertex of the n={n} digraph")
+        index(c)  # raises on a cell that is not a vertex
         if c in seen:
             raise ValueError(f"vertex {tuple(c)} is visited twice")
         seen.add(c)

@@ -45,17 +45,15 @@ class TestVerify:
             verify_certificate(dg(4), build_t1(6))
 
     def test_off_board_support(self, dg):
-        bad = FarkasCertificate(n=4, c=2, alpha={Cell(4, 0): 1}, beta={}, gamma=-1)
         with pytest.raises(ValueError):
-            verify_certificate(dg(4), bad)
+            verify_certificate(dg(4), FarkasCertificate(n=4, c=2, alpha={Cell(4, 0): 1}, beta={}, gamma=-1))
 
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     @pytest.mark.parametrize("n,cell", [(4, Cell(0, 4)), (4, Cell(-1, 0)), (5, Cell(2, 2))])
     def test_non_vertex_support_message(self, n, cell, field, dg):
         support = {"alpha": {}, "beta": {}, field: {cell: 1}}
-        bad = FarkasCertificate(n=n, c=2, gamma=-1, **support)
         with pytest.raises(ValueError, match=rf"^{field} support cell \({cell.i}, {cell.j}\) is not a vertex$"):
-            verify_certificate(dg(n), bad)
+            verify_certificate(dg(n), FarkasCertificate(n=n, c=2, gamma=-1, **support))
 
     def test_finds_all_violations(self, dg):
         g = dg(4)
@@ -238,7 +236,7 @@ class TestT1FactsBroken:
 
     def test_fact_c_arc_from_n_out_to_n_in(self, dg):
         g, t1 = dg(14), build_t1(14)
-        t, h, a = g.index_of(min(t1.beta)), g.index_of(min(t1.alpha)), len(g.tail)
+        t, h, a = g.geometry.index(min(t1.beta)), g.geometry.index(min(t1.alpha)), len(g.tail)
         broken = WhirlDigraph(
             n=14,
             vertices=g.vertices,
@@ -247,7 +245,6 @@ class TestT1FactsBroken:
             w=g.w + (1,),
             out_adj=tuple(row + (a,) if k == t else row for k, row in enumerate(g.out_adj)),
             in_adj=tuple(row + (a,) if k == h else row for k, row in enumerate(g.in_adj)),
-            vertex_index=g.vertex_index,
         )
         assert verify_certificate(broken, t1).violations == ((broken.arc(a), 1),)
 

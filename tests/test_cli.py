@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whirlknight import (
+    build_digraph,
     build_t1,
     certificate_from_json,
     certificate_to_json,
     cli,
     digraph_from_json,
+    digraph_to_json,
     tour_from_json,
     verify_certificate,
 )
@@ -352,6 +354,28 @@ class TestRender:
         code, stdout, _ = run(capsys, "render", "--in", str(path), "--n", "6")
         assert code == 0 and stdout
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("n,cell", [
+        pytest.param(300, [999, 999], id="off the board"),
+        pytest.param(300, [-1, 0], id="negative"),
+        pytest.param(301, [150, 150], id="odd centre"),
+        pytest.param(5, [2, 2], id="small odd centre"),
+    ])
+    def test_bad_support_rejected_as_cert_verify_rejects_it(self, n, cell, field, tmp_path,
+                                                           capsys, monkeypatch):
+        def refuse(size):
+            raise AssertionError(f"built the n={size} digraph")
+
+        monkeypatch.setattr(cli, "build_digraph", refuse)
+        doc = {"n": n, "c": n // 2, "gamma": -1, "alpha": [], "beta": []}
+        doc[field] = [[*cell, 1]]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        verified = run(capsys, "cert", "verify", "--family", "file", "--in", str(path))
+        message = f"{field} support cell {tuple(cell)} is not a vertex"
+        assert verified == (2, "", f"error: {message}\n")
+        assert run(capsys, "render", "--in", str(path)) == verified
+
     def test_byte_stable_across_runs(self, tmp_path, capsys):
         args = ("render", "--n", "6", "--format", "svg")
         _, first, _ = run(capsys, *args)
@@ -373,6 +397,28 @@ class TestRoundTrips:
         if code == 0:
             code, _, _ = run(capsys, "tour", "verify", "--in", str(path))
             assert code == 0
+
+    def test_digraph_out_dash_prints_only_the_json(self, tmp_path, capsys):
+        code, stdout, stderr = run(capsys, "digraph", "--n", "4", "--out", "-")
+        assert (code, stdout) == (0, digraph_to_json(build_digraph(4)))
+        assert stderr == run(capsys, "digraph", "--n", "4")[1]  # the summary line
+        path = tmp_path / "g.json"
+        path.write_text(stdout)
+        assert run(capsys, "render", "--in", str(path))[0] == 0
+
+    def test_tour_search_out_dash_prints_only_the_json(self, tmp_path, capsys):
+        code, stdout, stderr = run(capsys, "tour", "search", "--n", "6", "--out", "-")
+        assert code == 0 and stderr == run(capsys, "tour", "search", "--n", "6")[1]
+        path = tmp_path / "t.json"
+        path.write_text(stdout)
+        code, stdout, _ = run(capsys, "tour", "verify", "--in", str(path))
+        assert code == 0 and stdout.startswith("valid=true n=6 ")
+
+    def test_tour_search_out_dash_reports_not_found_on_stderr(self, capsys):
+        argv = ("tour", "search", "--n", "6", "--coil", "3")
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 1 and stdout.startswith("found=false ")
+        assert run(capsys, *argv, "--out", "-") == (1, "", stdout)
 
 
 # Keys of the three file formats, so generated documents reach past the first lookup.

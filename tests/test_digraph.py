@@ -28,7 +28,7 @@ class TestBuildDigraph:
     def test_n3_fixture(self, dg):
         g = dg(3)
         assert len(g.vertices) == 8
-        assert Cell(1, 1) not in g.vertex_index
+        assert Cell(1, 1) not in g.vertices
         # unique cycle cover: every vertex has exactly one in- and out-arc
         assert all(len(g.out_arcs(v)) == 1 for v in g.vertices)
         assert all(len(g.in_arcs(v)) == 1 for v in g.vertices)
@@ -55,7 +55,7 @@ class TestBuildDigraph:
     def test_arc_ids_dense_and_ordered(self, dg):
         g = dg(6)
         assert [a.id for a in g.arcs] == list(range(len(g.arcs)))
-        tails = [g.vertex_index[a.tail] for a in g.arcs]
+        tails = [g.geometry.index(a.tail) for a in g.arcs]
         assert tails == sorted(tails)
 
 
@@ -105,7 +105,7 @@ class TestAdjacency:
             (u, Cell(u.i + di, u.j + dj))
             for u in g.vertices
             for di, dj in KNIGHT_DELTAS
-            if Cell(u.i + di, u.j + dj) in g.vertex_index
+            if Cell(u.i + di, u.j + dj) in g.vertices
         ]
         assert len(pairs) == 2 * len(g.arcs)  # every knight pair is an arc one way
         for u, v in pairs:

@@ -8,12 +8,13 @@ from whirlknight import (
     KNIGHT_STEPS,
     BoardGeometry,
     Cell,
+    build_digraph,
     ccw_cross,
     crosses_axis_ray,
     is_ccw,
 )
 
-from oracles import KNIGHT_DELTAS, ccw_oracle, ray_cross_oracle
+from oracles import KNIGHT_DELTAS, board_cells, ccw_oracle, ray_cross_oracle
 
 
 def knight_pairs(n):
@@ -45,6 +46,28 @@ class TestBoardGeometry:
     def test_rejects_bad_sizes(self, bad):
         with pytest.raises(ValueError):
             BoardGeometry(bad)
+
+    @pytest.mark.parametrize("n", [*range(3, 41), 61, 101])
+    def test_index_numbers_the_vertices_row_major(self, n):
+        geom = BoardGeometry(n)
+        assert all(geom.index(c) == k for k, c in enumerate(board_cells(n)))
+
+    @pytest.mark.parametrize("n", [*range(3, 41), 61, 101])
+    def test_digraph_lists_vertices_in_index_order(self, n):
+        assert build_digraph(n).vertices == tuple(board_cells(n))
+
+    @pytest.mark.parametrize("n,cell", [
+        pytest.param(4, (0, 4), id="off the board"),
+        pytest.param(4, (4, 0), id="below the board"),
+        pytest.param(4, (-1, 0), id="negative row"),
+        pytest.param(4, (0, -1), id="negative column"),
+        pytest.param(5, (2, 2), id="odd centre"),
+        pytest.param(101, (50, 50), id="large odd centre"),
+    ])
+    def test_index_rejects_non_vertices(self, n, cell):
+        with pytest.raises(ValueError) as exc:
+            BoardGeometry(n).index(Cell(*cell))
+        assert str(exc.value) == f"{cell} is not a vertex of the n={n} digraph"
 
 
 class TestIsCcw:

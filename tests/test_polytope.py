@@ -130,7 +130,6 @@ class TestCoilInterval:
             w=g.w[:dropped],
             out_adj=tuple(tuple(a for a in row if a != dropped) for row in g.out_adj),
             in_adj=tuple(tuple(a for a in row if a != dropped) for row in g.in_adj),
-            vertex_index=g.vertex_index,
         )
         with pytest.raises(NoCycleCoverError):
             coil_interval(crippled)
