@@ -162,7 +162,8 @@ def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> Verification
     """
     if cert.n != g.n:
         raise ValueError(f"certificate is for n={cert.n}, digraph has n={g.n}")
-    alpha, beta = [0] * len(g.vertices), [0] * len(g.vertices)  # by vertex index
+    nv = g.n * g.n - g.n % 2
+    alpha, beta = [0] * nv, [0] * nv  # by vertex index
     index = g.geometry.index
     for support, col in ((cert.alpha, alpha), (cert.beta, beta)):
         for v, x in support.items():

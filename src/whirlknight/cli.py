@@ -46,7 +46,7 @@ def _summary(line: str, out: str | None) -> None:
 
 def cmd_digraph(args: argparse.Namespace) -> int:
     g = build_digraph(args.n)
-    _summary(f"n={g.n} vertices={len(g.vertices)} arcs={len(g.w)} "
+    _summary(f"n={g.n} vertices={g.n * g.n - g.n % 2} arcs={len(g.w)} "
              f"crossing_arcs={sum(g.w)}", args.out)
     if args.out:
         _write_or_print(digraph_to_json(g), args.out)

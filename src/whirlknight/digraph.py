@@ -3,10 +3,11 @@
 Vertices are all board cells, minus the centre cell on odd boards (the
 centre coincides with the pivot), in ``BoardGeometry.index`` order:
 row-major, that centre skipped.  Arcs are enumerated tail row-major, then
-in knight-step order.  The digraph is its arc columns ``tail``, ``head``
-(vertex indices) and ``w``, indexed by arc id, which every solver reads;
-``Arc`` records of cells are built only on request (``arc(a)``,
-``arcs``).  A built digraph is immutable.
+in knight-step order.  The digraph is ``(n, tail, head, w)``: the arc
+columns ``tail``, ``head`` (vertex indices) and ``w``, indexed by arc id,
+which every solver reads.  ``vertices``, ``out_adj``, ``in_adj`` and the
+``Arc`` records of cells (``arcs``) are derived from them on first use;
+``arc(a)`` builds one record alone.  A built digraph is immutable.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _json_int
@@ -31,17 +33,38 @@ class Arc(NamedTuple):
 
 @dataclass(frozen=True)
 class WhirlDigraph:
+    """The digraph as ``(n, tail, head, w)``, which equality and hashing compare.
+
+    ``vertices``, ``out_adj``, ``in_adj`` and ``arcs`` are derived on first
+    use and cached; ``dataclasses.replace`` derives them again.
+    """
+
     n: int
-    vertices: tuple[Cell, ...]
     tail: tuple[int, ...]  # arc id -> vertex index
     head: tuple[int, ...]
     w: tuple[int, ...]  # arc id -> north plumb-line crossing weight, 0 or 1
-    out_adj: tuple[tuple[int, ...], ...]  # vertex index -> arc ids, ascending
-    in_adj: tuple[tuple[int, ...], ...]
 
     @property
     def geometry(self) -> BoardGeometry:
         return BoardGeometry(self.n)
+
+    @cached_property
+    def vertices(self) -> tuple[Cell, ...]:
+        """Vertex index -> cell, in ``BoardGeometry.index`` order."""
+        centre = self.geometry.centre_cell()
+        return tuple(Cell(i, j) for i in range(self.n) for j in range(self.n) if Cell(i, j) != centre)
+
+    @cached_property
+    def out_adj(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex index -> ids of the arcs leaving it, ascending."""
+        return _group(self.n, self.tail, range(len(self.tail)))
+
+    @cached_property
+    def in_adj(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex index -> ids of the arcs entering it, ascending."""
+        # Ids taken from out_adj, so each arc id is one int object in both lists.
+        ids = sorted(chain.from_iterable(self.out_adj))
+        return _group(self.n, map(self.head.__getitem__, ids), ids)
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -53,7 +76,8 @@ class WhirlDigraph:
 
     def arc(self, a: int) -> Arc:
         """Arc a as a record of cells."""
-        return Arc(self.vertices[self.tail[a]], self.vertices[self.head[a]], self.w[a], a)
+        cell = self.geometry.cell
+        return Arc(cell(self.tail[a]), cell(self.head[a]), self.w[a], a)
 
     def out_arcs(self, v: Cell) -> list[Arc]:
         """Arcs with tail v, in arc-id order."""
@@ -99,43 +123,40 @@ def build_digraph(n: int) -> WhirlDigraph:
     the geometry predicates' own checks are not repeated here.
     """
     centre = BoardGeometry(n).centre_cell()
-    vertices = tuple(
-        Cell(i, j) for i in range(n) for j in range(n) if Cell(i, j) != centre
-    )
-    width = n + 4
+    width, m = n + 4, n - 1
     grid = [-1] * (width * width)
-    for k, (i, j) in enumerate(vertices):
-        grid[(i + 2) * width + j + 2] = k
+    k = 0
+    for i in range(n):
+        for j in range(n):
+            if (i, j) != centre:
+                grid[(i + 2) * width + j + 2] = k
+                k += 1
     steps = [(di, dj, di * width + dj) for di, dj in KNIGHT_STEPS]
-    m = n - 1
     tail: list[int] = []
     head: list[int] = []
     w: list[int] = []
-    out_adj: list[tuple[int, ...]] = []
-    in_adj: list[list[int]] = [[] for _ in vertices]
-    for t, (i, j) in enumerate(vertices):
-        ui, uj = 2 * i - m, 2 * j - m
-        base = (i + 2) * width + j + 2
-        out: list[int] = []
-        for di, dj, offset in steps:
-            h = grid[base + offset]
-            if h >= 0 and ui * dj > di * uj:
-                aid = len(w)  # one int object, shared by out_adj and in_adj
-                out.append(aid)
-                in_adj[h].append(aid)
-                tail.append(t)
-                head.append(h)
-                w.append(int(ui < 0) if uj == 0 else int(uj > 0 > uj + 2 * dj))
-        out_adj.append(tuple(out))
-    return WhirlDigraph(
-        n=n,
-        vertices=vertices,
-        tail=tuple(tail),
-        head=tuple(head),
-        w=tuple(w),
-        out_adj=tuple(out_adj),
-        in_adj=tuple(map(tuple, in_adj)),
-    )
+    for i in range(n):
+        ui = 2 * i - m
+        for j in range(n):
+            uj, base = 2 * j - m, (i + 2) * width + j + 2
+            t = grid[base]
+            if t < 0:  # the odd-board centre
+                continue
+            for di, dj, offset in steps:
+                h = grid[base + offset]
+                if h >= 0 and ui * dj > di * uj:
+                    tail.append(t)
+                    head.append(h)
+                    w.append(int(ui < 0) if uj == 0 else int(uj > 0 > uj + 2 * dj))
+    return WhirlDigraph(n=n, tail=tuple(tail), head=tuple(head), w=tuple(w))
+
+
+def _group(n: int, keys: Iterable[int], ids: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Vertex index -> the ids whose key is that vertex, in the order given."""
+    rows: list[list[int]] = [[] for _ in range(n * n - n % 2)]
+    for k, a in zip(keys, ids):
+        rows[k].append(a)
+    return tuple(map(tuple, rows))
 
 
 def digraph_to_json(g: WhirlDigraph) -> str:

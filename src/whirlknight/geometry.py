@@ -88,6 +88,13 @@ class BoardGeometry:
             return k - (k > centre)
         raise ValueError(f"{tuple(c)} is not a vertex of the n={n} digraph")
 
+    def cell(self, k: int) -> Cell:
+        """Vertex k's cell, the inverse of ``index``; anything but a vertex index raises."""
+        n = self.n
+        if type(k) is int and 0 <= k < n * n - n % 2:
+            return Cell(*divmod(k + (n % 2 and k >= n * n // 2), n))  # skip an odd board's centre
+        raise ValueError(f"{k!r} is not a vertex index of the n={n} digraph")
+
     def centre_cell(self) -> Cell | None:
         """The centre cell of an odd board (excluded from the digraph), else None."""
         if self.n % 2:

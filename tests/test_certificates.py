@@ -10,6 +10,7 @@ from whirlknight import (
     Cell,
     FarkasCertificate,
     WhirlDigraph,
+    build_digraph,
     build_n3_certificate,
     build_t1,
     build_t2,
@@ -64,6 +65,14 @@ class TestVerify:
         assert not report.valid
         ids = [a.id for a, _ in report.violations]
         assert ids == sorted(ids)
+
+    @pytest.mark.parametrize("n", [14, 20])
+    def test_reads_only_the_arc_columns(self, n):
+        g = build_digraph(n)
+        cert = build_t1(n) if n % 8 == 6 else build_t2(n)
+        assert verify_certificate(g, cert).valid
+        assert verify_certificate(g, dataclasses.replace(cert, gamma=0)).violations
+        assert not {"vertices", "out_adj", "in_adj", "arcs"} & vars(g).keys()
 
 
 class TestT1Family:
@@ -237,16 +246,11 @@ class TestT1FactsBroken:
     def test_fact_c_arc_from_n_out_to_n_in(self, dg):
         g, t1 = dg(14), build_t1(14)
         t, h, a = g.geometry.index(min(t1.beta)), g.geometry.index(min(t1.alpha)), len(g.tail)
-        broken = WhirlDigraph(
-            n=14,
-            vertices=g.vertices,
-            tail=g.tail + (t,),
-            head=g.head + (h,),
-            w=g.w + (1,),
-            out_adj=tuple(row + (a,) if k == t else row for k, row in enumerate(g.out_adj)),
-            in_adj=tuple(row + (a,) if k == h else row for k, row in enumerate(g.in_adj)),
-        )
+        broken = WhirlDigraph(n=14, tail=g.tail + (t,), head=g.head + (h,), w=g.w + (1,))
         assert verify_certificate(broken, t1).violations == ((broken.arc(a), 1),)
+        # The appended arc's tail comes early in tail order; derived adjacency still lists it last.
+        assert broken.out_adj[t] == g.out_adj[t] + (a,)
+        assert broken.in_adj[h] == g.in_adj[h] + (a,)
 
 
 class TestSoundness:

@@ -88,6 +88,16 @@ class TestAdjacency:
             assert all(g.arcs[a].tail == v for a in g.out_adj[k])
             assert all(g.arcs[a].head == v for a in g.in_adj[k])
 
+    def test_replace_derives_adjacency_again(self):
+        g = build_digraph(6)
+        assert g.out_adj and g.in_adj and g.vertices and g.arcs  # cached on g
+        flipped = dataclasses.replace(g, w=tuple(1 - x for x in g.w))
+        assert not {"vertices", "out_adj", "in_adj", "arcs"} & vars(flipped).keys()
+        assert flipped.out_adj == g.out_adj and flipped.out_adj is not g.out_adj
+        assert flipped != g and g == build_digraph(6) and hash(g) == hash(build_digraph(6))
+        reversed_ = dataclasses.replace(g, tail=g.head, head=g.tail)
+        assert reversed_.out_adj == g.in_adj and reversed_.in_adj == g.out_adj
+
     @pytest.mark.parametrize("n", range(3, 13))
     def test_columns_match_arcs(self, n, dg):
         g = dg(n)

@@ -69,6 +69,28 @@ class TestBoardGeometry:
             BoardGeometry(n).index(Cell(*cell))
         assert str(exc.value) == f"{cell} is not a vertex of the n={n} digraph"
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cell_inverts_index(self, n):
+        geom = BoardGeometry(n)
+        nv = n * n - n % 2
+        assert all(geom.index(geom.cell(k)) == k for k in range(nv))
+        assert all(geom.cell(geom.index(v)) == v for v in board_cells(n))
+        assert all(type(geom.cell(k)) is Cell for k in range(nv))
+
+    @pytest.mark.parametrize("n,k", [
+        pytest.param(4, -1, id="negative"),
+        pytest.param(4, 16, id="past the last cell"),
+        pytest.param(5, 24, id="odd: past the last vertex"),
+        pytest.param(12, 144, id="even: n squared"),
+        pytest.param(4, 1.0, id="float"),
+        pytest.param(4, True, id="bool"),
+        pytest.param(4, "3", id="string"),
+    ])
+    def test_cell_rejects_non_vertex_indices(self, n, k):
+        with pytest.raises(ValueError) as exc:
+            BoardGeometry(n).cell(k)
+        assert str(exc.value) == f"{k!r} is not a vertex index of the n={n} digraph"
+
 
 class TestIsCcw:
     def test_fig_style_ccw_example(self):
