@@ -37,7 +37,6 @@ from .polytope import (
     FractionalAssignment,
     LpDecision,
     NoCycleCoverError,
-    check_reduction,
     coil_interval,
     coil_of_cover,
     enumerate_cycle_covers,
@@ -48,6 +47,7 @@ from .polytope import (
 from .tours import (
     SearchStats,
     Tour,
+    check_reduction,
     search_tour,
     tour_from_json,
     tour_to_json,

@@ -162,7 +162,7 @@ def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> Verification
     """
     if cert.n != g.n:
         raise ValueError(f"certificate is for n={cert.n}, digraph has n={g.n}")
-    nv = g.n * g.n - g.n % 2
+    nv = g.geometry.vertex_count
     alpha, beta = [0] * nv, [0] * nv  # by vertex index
     index = g.geometry.index
     for support, col in ((cert.alpha, alpha), (cert.beta, beta)):

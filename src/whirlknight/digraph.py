@@ -1,9 +1,9 @@
 """The whirling-knight digraph: CCW knight arcs with plumb-line weights.
 
 Vertices are all board cells, minus the centre cell on odd boards (the
-centre coincides with the pivot), in ``BoardGeometry.index`` order:
-row-major, that centre skipped.  Arcs are enumerated tail row-major, then
-in knight-step order.  The digraph is ``(n, tail, head, w)``: the arc
+centre coincides with the pivot); ``BoardGeometry`` numbers them (row-major,
+that centre skipped) and counts them.  Arcs are enumerated tail row-major,
+then in knight-step order.  The digraph is ``(n, tail, head, w)``: the arc
 columns ``tail``, ``head`` (vertex indices) and ``w``, indexed by arc id,
 which every solver reads.  ``vertices``, ``out_adj``, ``in_adj`` and the
 ``Arc`` records of cells (``arcs``) are derived from them on first use;
@@ -35,8 +35,8 @@ class Arc(NamedTuple):
 class WhirlDigraph:
     """The digraph as ``(n, tail, head, w)``, which equality and hashing compare.
 
-    ``vertices``, ``out_adj``, ``in_adj`` and ``arcs`` are derived on first
-    use and cached; ``dataclasses.replace`` derives them again.
+    Derived on first use and cached (``dataclasses.replace`` derives them again): ``geometry``,
+    which numbers and counts the vertices, ``vertices``, ``out_adj``, ``in_adj`` and ``arcs``.
     """
 
     n: int
@@ -44,27 +44,26 @@ class WhirlDigraph:
     head: tuple[int, ...]
     w: tuple[int, ...]  # arc id -> north plumb-line crossing weight, 0 or 1
 
-    @property
+    @cached_property
     def geometry(self) -> BoardGeometry:
         return BoardGeometry(self.n)
 
     @cached_property
     def vertices(self) -> tuple[Cell, ...]:
         """Vertex index -> cell, in ``BoardGeometry.index`` order."""
-        centre = self.geometry.centre_cell()
-        return tuple(Cell(i, j) for i in range(self.n) for j in range(self.n) if Cell(i, j) != centre)
+        return tuple(map(self.geometry.cell, range(self.geometry.vertex_count)))
 
     @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
         """Vertex index -> ids of the arcs leaving it, ascending."""
-        return _group(self.n, self.tail, range(len(self.tail)))
+        return _group(self.geometry.vertex_count, self.tail, range(len(self.tail)))
 
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
         """Vertex index -> ids of the arcs entering it, ascending."""
         # Ids taken from out_adj, so each arc id is one int object in both lists.
         ids = sorted(chain.from_iterable(self.out_adj))
-        return _group(self.n, map(self.head.__getitem__, ids), ids)
+        return _group(self.geometry.vertex_count, map(self.head.__getitem__, ids), ids)
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -125,7 +124,7 @@ def build_digraph(n: int) -> WhirlDigraph:
     centre = BoardGeometry(n).centre_cell()
     width, m = n + 4, n - 1
     grid = [-1] * (width * width)
-    k = 0
+    k = 0  # BoardGeometry.index order, counted here: filling through cell costs ~9x more
     for i in range(n):
         for j in range(n):
             if (i, j) != centre:
@@ -151,9 +150,9 @@ def build_digraph(n: int) -> WhirlDigraph:
     return WhirlDigraph(n=n, tail=tuple(tail), head=tuple(head), w=tuple(w))
 
 
-def _group(n: int, keys: Iterable[int], ids: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+def _group(nv: int, keys: Iterable[int], ids: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Vertex index -> the ids whose key is that vertex, in the order given."""
-    rows: list[list[int]] = [[] for _ in range(n * n - n % 2)]
+    rows: list[list[int]] = [[] for _ in range(nv)]
     for k, a in zip(keys, ids):
         rows[k].append(a)
     return tuple(map(tuple, rows))
@@ -185,8 +184,8 @@ def digraph_from_json(text: str) -> WhirlDigraph:
                 for a in doc["arcs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed digraph JSON: {exc}") from exc
-    # Counted first, so a short vertex list never costs a build of size n².
-    g = build_digraph(n) if len(vertices) == n * n - n % 2 else None
+    # Counted first, so a short vertex list never costs a build of size n²; a bad n raises here.
+    g = build_digraph(n) if len(vertices) == BoardGeometry(n).vertex_count else None
     if g is None or vertices != list(g.vertices):
         raise ValueError("digraph JSON vertex list does not match the canonical digraph")
     if arcs != [(vertices[t], vertices[h], x) for t, h, x in zip(g.tail, g.head, g.w)]:

@@ -4,8 +4,9 @@ Cells are (row, col) pairs with row 0 at the top and column 0 at the left.
 The pivot is the board centre ((n-1)/2, (n-1)/2).  Orientation predicates
 work in doubled coordinates (2i - (n-1), 2j - (n-1)), which put the pivot
 at the origin and keep every comparison in plain integers, axis-ray
-crossings included.  There are no fractions and no floating point
-anywhere in this module.
+crossings included, with no fractions and no floating point anywhere.
+``BoardGeometry`` alone numbers the digraph's vertices (``index``, its
+inverse ``cell``) and counts them (``vertex_count``).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class BoardGeometry:
     """An n x n board together with its pivot ((n-1)/2, (n-1)/2).
 
     For even n the pivot lies between cells; for odd n it is the centre
-    cell, which the digraph excludes.
+    cell, which the digraph excludes.  It alone numbers and counts the vertices.
     """
 
     n: int
@@ -77,6 +78,10 @@ class BoardGeometry:
     def on_board(self, c: Cell) -> bool:
         return 0 <= c[0] < self.n and 0 <= c[1] < self.n
 
+    @property
+    def vertex_count(self) -> int:
+        return self.n * self.n - self.n % 2  # every cell, less an odd board's centre
+
     def index(self, c: Cell) -> int:
         """Cell c's vertex index: row-major i*n + j, less one past an odd board's centre.
 
@@ -84,14 +89,14 @@ class BoardGeometry:
         """
         n, (i, j) = self.n, c
         k, centre = i * n + j, (n * n // 2 if n % 2 else n * n)  # odd: (m, m), n = 2m + 1
-        if 0 <= i < n and 0 <= j < n and k != centre:
+        if type(i) is type(j) is int and 0 <= i < n and 0 <= j < n and k != centre:
             return k - (k > centre)
         raise ValueError(f"{tuple(c)} is not a vertex of the n={n} digraph")
 
     def cell(self, k: int) -> Cell:
         """Vertex k's cell, the inverse of ``index``; anything but a vertex index raises."""
         n = self.n
-        if type(k) is int and 0 <= k < n * n - n % 2:
+        if type(k) is int and 0 <= k < self.vertex_count:
             return Cell(*divmod(k + (n % 2 and k >= n * n // 2), n))  # skip an odd board's centre
         raise ValueError(f"{k!r} is not a vertex index of the n={n} digraph")
 

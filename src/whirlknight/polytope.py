@@ -32,7 +32,6 @@ from fractions import Fraction
 from .certificates import FarkasCertificate, verify_certificate
 from .digraph import WhirlDigraph
 from .geometry import Cell
-from .tours import Tour, _check_cells
 
 __all__ = [
     "NoCycleCoverError",
@@ -44,7 +43,6 @@ __all__ = [
     "lp_feasible",
     "coil_of_cover",
     "enumerate_cycle_covers",
-    "check_reduction",
     "validate_assignment",
     "lp_decision_to_json",
 ]
@@ -66,14 +64,14 @@ class CycleCover:
 
     def cycles(self, g: WhirlDigraph) -> list[list[Cell]]:
         """The cycles of the cover in g, each starting at its smallest cell."""
-        seen = bytearray(len(self.arcs))
+        seen, cell = bytearray(len(self.arcs)), g.geometry.cell
         out = []
         for start in range(len(self.arcs)):
             cyc = []
             v = start
             while not seen[v]:
                 seen[v] = 1
-                cyc.append(g.vertices[v])
+                cyc.append(cell(v))
                 v = g.head[self.arcs[v]]
             if cyc:
                 out.append(cyc)
@@ -232,14 +230,14 @@ def _extreme_cover(g: WhirlDigraph, gamma: int) -> tuple[CycleCover, int, Farkas
     """
     k = int(gamma > 0)
     row_arc, u, v = _min_cost_matching(g.out_adj, g.head, [k - gamma * x for x in g.w])
-    cells = g.vertices
+    cell = g.geometry.cell
     cover = CycleCover(arcs=tuple(row_arc))
     coil = coil_of_cover(g, cover)
     cert = FarkasCertificate(
         n=g.n,
         c=coil + gamma,
-        alpha={cells[i]: x for i, x in enumerate(v) if x},
-        beta={cells[i]: x - k for i, x in enumerate(u) if x != k},
+        alpha={cell(i): x for i, x in enumerate(v) if x},
+        beta={cell(i): x - k for i, x in enumerate(u) if x != k},
         gamma=gamma,
     )
     report = verify_certificate(g, cert)
@@ -271,12 +269,12 @@ def coil_interval(g: WhirlDigraph) -> CoilInterval:
 
 def coil_of_cover(g: WhirlDigraph, cover: CycleCover) -> int:
     """Total plumb-line crossing weight of a cover; validates it first."""
-    arcs = cover.arcs
-    if len(arcs) != len(g.vertices):
-        raise ValueError(f"cover has {len(arcs)} arcs for {len(g.vertices)} vertices")
+    arcs, geom = cover.arcs, g.geometry
+    if len(arcs) != geom.vertex_count:
+        raise ValueError(f"cover has {len(arcs)} arcs for {geom.vertex_count} vertices")
     for k, a in enumerate(arcs):
         if not (0 <= a < len(g.w) and g.tail[a] == k):
-            raise ValueError(f"cover arc {a} does not leave vertex {tuple(g.vertices[k])}")
+            raise ValueError(f"cover arc {a} does not leave vertex {tuple(geom.cell(k))}")
     if len({g.head[a] for a in arcs}) != len(arcs):
         raise ValueError("cover heads are not a permutation")
     return sum(g.w[a] for a in arcs)
@@ -296,7 +294,7 @@ def enumerate_cycle_covers(g: WhirlDigraph) -> list[CycleCover]:
     """
     if g.n > 7:
         raise ValueError(f"enumeration is intended for n <= 7, got n={g.n}")
-    nv = len(g.vertices)
+    nv = g.geometry.vertex_count
     out_opts = [[g.head[a] for a in arcs] for arcs in g.out_adj]
     in_opts = [[g.tail[a] for a in arcs] for arcs in g.in_adj]
     heads_left = [len(heads) for heads in out_opts]  # unused heads of each row
@@ -350,7 +348,8 @@ def validate_assignment(g: WhirlDigraph, fa: FractionalAssignment, c: int) -> No
     One pass over the entries sums every row, checking each entry's box
     bound and arc id before the id is used.
     """
-    into, out, coil = [0] * len(g.vertices), [0] * len(g.vertices), 0
+    nv = g.geometry.vertex_count
+    into, out, coil = [0] * nv, [0] * nv, 0
     for aid, val in fa.x.items():
         if not (0 <= val <= 1):
             raise ValueError(f"arc {aid} value {val} violates the box bounds")
@@ -359,9 +358,9 @@ def validate_assignment(g: WhirlDigraph, fa: FractionalAssignment, c: int) -> No
         into[g.head[aid]] += val
         out[g.tail[aid]] += val
         coil += g.w[aid] * val
-    for v, i, o in zip(g.vertices, into, out):
+    for k, (i, o) in enumerate(zip(into, out)):
         if i != 1 or o != 1:
-            raise ValueError(f"degree rows at {tuple(v)} sum to in={i}, out={o}")
+            raise ValueError(f"degree rows at {tuple(g.geometry.cell(k))} sum to in={i}, out={o}")
     if coil != c:
         raise ValueError(f"coil row sums to {coil}, expected {c}")
 
@@ -392,23 +391,6 @@ def lp_feasible(g: WhirlDigraph, c: int) -> LpDecision:
         witness=witness,
         certificate=certificate,
     )
-
-
-def check_reduction(g: WhirlDigraph, tour: Tour) -> bool:
-    """Check the tour-to-LP reduction row by row.
-
-    Converts the tour to its 0/1 arc indicator and checks it with
-    ``validate_assignment`` against the tour's coil count: degree rows,
-    coil row and box bounds.  Raises on inputs that are not Hamiltonian
-    cycles of g at all.
-    """
-    cells = _check_cells(g.geometry, tour.cells)
-    arcs = g.step_arcs(zip(cells, cells[1:] + cells[:1]))
-    try:
-        validate_assignment(g, FractionalAssignment(x=dict.fromkeys(arcs, Fraction(1))), tour.coil)
-    except ValueError:
-        return False
-    return True
 
 
 def lp_decision_to_json(d: LpDecision) -> str:

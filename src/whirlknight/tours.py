@@ -1,4 +1,4 @@
-"""Whirling-tour verification, winding counts, and budgeted search.
+"""Whirling-tour verification, the tour-to-LP reduction check, winding counts, and budgeted search.
 
 A whirling tour is a Hamiltonian directed cycle of the digraph; its coil
 count is the number of tour arcs crossing the north plumb-line, which
@@ -17,16 +17,19 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from typing import Callable
 
 from .digraph import WhirlDigraph
 from .geometry import RAYS, BoardGeometry, Cell, _json_int, crosses_axis_ray
+from .polytope import FractionalAssignment, validate_assignment
 
 __all__ = [
     "Tour",
     "SearchStats",
     "verify_tour",
+    "check_reduction",
     "winding_by_ray",
     "search_tour",
     "tour_to_json",
@@ -79,20 +82,36 @@ def _check_cells(geom: BoardGeometry, cells) -> tuple[Cell, ...]:
 
     They cost O(len(cells)), so callers run them before building a file's digraph.
     """
-    n, index, centre = geom.n, geom.index, geom.centre_cell()
     cells = tuple(Cell(*c) for c in cells)
     seen: set[Cell] = set()
     for c in cells:
-        index(c)  # raises on a cell that is not a vertex
+        geom.index(c)  # raises on a cell that is not a vertex
         if c in seen:
             raise ValueError(f"vertex {tuple(c)} is visited twice")
         seen.add(c)
-    nv = n * n - n % 2
+    nv = geom.vertex_count
     if len(cells) != nv:
-        unseen = ((i, j) for i in range(n) for j in range(n) if (i, j) not in seen and (i, j) != centre)
-        missing = list(islice(unseen, 3))
+        unseen = (c for c in map(geom.cell, range(nv)) if c not in seen)
+        missing = [tuple(c) for c in islice(unseen, 3)]
         raise ValueError(f"not Hamiltonian: {nv - len(cells)} vertices missing, e.g. {missing}")
     return cells
+
+
+def check_reduction(g: WhirlDigraph, tour: Tour) -> bool:
+    """Check the tour-to-LP reduction row by row.
+
+    Converts the tour to its 0/1 arc indicator and checks it with
+    ``validate_assignment`` against the tour's coil count: degree rows,
+    coil row and box bounds.  Raises on inputs that are not Hamiltonian
+    cycles of g at all.
+    """
+    cells = _check_cells(g.geometry, tour.cells)
+    arcs = g.step_arcs(zip(cells, cells[1:] + cells[:1]))
+    try:
+        validate_assignment(g, FractionalAssignment(x=dict.fromkeys(arcs, Fraction(1))), tour.coil)
+    except ValueError:
+        return False
+    return True
 
 
 def winding_by_ray(g: WhirlDigraph, tour: Tour, ray: str = "north") -> int:
@@ -170,7 +189,7 @@ def search_tour(
     even, except n = 3 which hosts the classic 3x3 fixture.
     """
     _check_search(g.n, budget)
-    nv = len(g.vertices)
+    nv = g.geometry.vertex_count
     out_opts = [[(g.head[a], g.w[a]) for a in arcs] for arcs in g.out_adj]  # arc-id order
     in_opts = [[(g.tail[a], g.w[a]) for a in arcs] for arcs in g.in_adj]
     has_cross_out = [any(w for _, w in opts) for opts in out_opts]
@@ -251,7 +270,7 @@ def search_tour(
             progress(stats.nodes, depth)
         current = path[-1]
         if depth == nv and any(h == start and coil_target in (None, coil + w) for h, w in out_opts[current]):
-            return verify_tour(g, [g.vertices[k] for k in path])
+            return verify_tour(g, list(map(g.geometry.cell, path)))
         frames.append((moves(current, coil)[::-1], coil))  # reversed: pop() takes the next move
         while len(frames) > 1 and not frames[-1][0]:  # backtrack to the deepest frame with an untried move
             frames.pop()

@@ -34,6 +34,31 @@ def test_module_all_names_exist(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
+LAYERS = ["geometry", "digraph", "certificates", "polytope", "tours", "render", "cli"]
+
+
+def _relative_imports(module: str) -> set[str]:
+    """Sibling modules that whirlknight/<module>.py imports."""
+    tree = ast.parse((Path(whirlknight.__file__).parent / f"{module}.py").read_text())
+    return {
+        node.module or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def test_layers_name_every_module():
+    modules = {p.stem for p in Path(whirlknight.__file__).parent.glob("*.py")}
+    assert modules == {"__init__", *LAYERS}
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_modules_import_only_earlier_layers(module):
+    # One order for the whole package, so no import cycle can form.
+    assert _relative_imports(module) <= set(LAYERS[: LAYERS.index(module)])
+
+
 def _float_uses(tree: ast.AST) -> list[str]:
     """Float literals, float(...) calls and true divisions, as 'line: what'."""
     hits = []

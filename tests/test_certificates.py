@@ -50,7 +50,7 @@ class TestVerify:
             verify_certificate(dg(4), FarkasCertificate(n=4, c=2, alpha={Cell(4, 0): 1}, beta={}, gamma=-1))
 
     @pytest.mark.parametrize("field", ["alpha", "beta"])
-    @pytest.mark.parametrize("n,cell", [(4, Cell(0, 4)), (4, Cell(-1, 0)), (5, Cell(2, 2))])
+    @pytest.mark.parametrize("n,cell", [(4, Cell(0, 4)), (4, Cell(-1, 0)), (5, Cell(2, 2)), (6, Cell(0.5, 1))])
     def test_non_vertex_support_message(self, n, cell, field, dg):
         support = {"alpha": {}, "beta": {}, field: {cell: 1}}
         with pytest.raises(ValueError, match=rf"^{field} support cell \({cell.i}, {cell.j}\) is not a vertex$"):

@@ -11,6 +11,7 @@ from whirlknight import (
     WhirlDigraph,
     build_digraph,
     build_t1,
+    check_reduction,
     coil_interval,
     digraph_from_json,
     digraph_to_json,
@@ -137,6 +138,12 @@ def _search_and_verify(g):
     return verify_tour(g, search_tour(g, budget=200_000).cells)
 
 
+def _check_reduction(g):
+    tour = search_tour(g, budget=200_000)
+    assert check_reduction(g, tour)
+    return tour
+
+
 PACKAGE_PATHS = {
     "build_digraph": lambda g: None,
     "coil_interval": coil_interval,
@@ -144,6 +151,7 @@ PACKAGE_PATHS = {
     "lp_infeasible": lambda g: lp_feasible(g, 3),
     "verify_certificate_violations": _violations,
     "search_and_verify_tour": _search_and_verify,
+    "check_reduction": _check_reduction,
     "json_round_trip": lambda g: digraph_from_json(digraph_to_json(g)),
     "render_digraph": lambda g: render(digraph_spec(g)),
 }
@@ -151,12 +159,16 @@ PACKAGE_PATHS = {
 
 @pytest.mark.parametrize("path", PACKAGE_PATHS)
 def test_package_paths_build_no_arc_records(path):
-    # The columns are the digraph; the Arc records exist only on request.
+    # The columns are the digraph; the Arc records exist only on request, and
+    # only serialisation and rendering read the vertex tuple.
     g = build_digraph(6)
     out = PACKAGE_PATHS[path](g)
     assert "arcs" not in vars(g)
+    if path not in ("json_round_trip", "render_digraph"):
+        assert "vertices" not in vars(g)
     if isinstance(out, WhirlDigraph):
         assert "arcs" not in vars(out)
+    assert g.geometry is g.geometry  # built once per digraph
 
 
 class TestCoilWeights:
@@ -247,6 +259,11 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             digraph_from_json('{"n": 4}')
+
+    def test_small_board_keeps_the_board_message(self):
+        # Whatever the vertex list holds, n < 3 is reported as a bad board side.
+        with pytest.raises(ValueError, match="board side must be an integer >= 3, got 2"):
+            digraph_from_json('{"n": 2, "vertices": [], "arcs": []}')
 
     def test_short_vertex_list_rejected_before_building(self, monkeypatch):
         # The vertex count alone contradicts n, so no 10**10-cell board may be built.

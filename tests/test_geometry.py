@@ -55,6 +55,7 @@ class TestBoardGeometry:
     @pytest.mark.parametrize("n", [*range(3, 41), 61, 101])
     def test_digraph_lists_vertices_in_index_order(self, n):
         assert build_digraph(n).vertices == tuple(board_cells(n))
+        assert BoardGeometry(n).vertex_count == len(board_cells(n))
 
     @pytest.mark.parametrize("n,cell", [
         pytest.param(4, (0, 4), id="off the board"),
@@ -63,6 +64,9 @@ class TestBoardGeometry:
         pytest.param(4, (0, -1), id="negative column"),
         pytest.param(5, (2, 2), id="odd centre"),
         pytest.param(101, (50, 50), id="large odd centre"),
+        pytest.param(6, (0.5, 1), id="float row"),
+        pytest.param(6, (True, 0), id="bool row"),
+        pytest.param(6, (1, 2.0), id="integral float column"),
     ])
     def test_index_rejects_non_vertices(self, n, cell):
         with pytest.raises(ValueError) as exc:
