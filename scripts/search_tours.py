@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Budgeted tour search experiments on small even boards.
+"""Budgeted tour search experiments on small boards.
 
 Runs the backtracking search with and without a coil target and reports
 what it finds within the node budget, with the elapsed time and the

@@ -53,7 +53,8 @@ class FarkasCertificate:
     alpha and beta are kept separate even where their supports overlap
     (the T2 family puts alpha = -1 and beta = +1 on the same block cells):
     they multiply different LP rows and never merge.  Construction rejects
-    a support cell that is not a vertex, in O(support), before any digraph.
+    a support cell that is not a vertex, and any c, gamma or entry whose
+    type is not exactly ``int``, in O(support), before any digraph.
     """
 
     n: int
@@ -64,12 +65,17 @@ class FarkasCertificate:
 
     def __post_init__(self) -> None:
         index = BoardGeometry(self.n).index
+        for name, x in (("c", self.c), ("gamma", self.gamma)):
+            if type(x) is not int:
+                raise ValueError(f"{name} must be an integer, got {x!r}")
         for name, support in (("alpha", self.alpha), ("beta", self.beta)):
-            for v in support:
+            for v, x in support.items():
                 try:
                     index(v)
                 except ValueError:
                     raise ValueError(f"{name} support cell {tuple(v)} is not a vertex") from None
+                if type(x) is not int:
+                    raise ValueError(f"{name} entry at {tuple(v)} must be an integer, got {x!r}")
 
     def sum_alpha(self) -> int:
         return sum(self.alpha.values())

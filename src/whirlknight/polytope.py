@@ -345,12 +345,17 @@ def _convex_witness(g: WhirlDigraph, iv: CoilInterval, c: int) -> FractionalAssi
 def validate_assignment(g: WhirlDigraph, fa: FractionalAssignment, c: int) -> None:
     """Check every LP row of an assignment exactly; raise on any residual.
 
-    One pass over the entries sums every row, checking each entry's box
-    bound and arc id before the id is used.
+    One pass over the entries sums every row, checking each entry's type
+    (an ``int`` arc id, an ``int`` or ``Fraction`` value), box bound and
+    arc id before the id is used, so no float enters a row sum.
     """
     nv = g.geometry.vertex_count
     into, out, coil = [0] * nv, [0] * nv, 0
     for aid, val in fa.x.items():
+        if type(aid) is not int:
+            raise ValueError(f"arc id {aid!r} is not an integer")
+        if type(val) not in (int, Fraction):
+            raise ValueError(f"arc {aid} value {val!r} is not an int or Fraction")
         if not (0 <= val <= 1):
             raise ValueError(f"arc {aid} value {val} violates the box bounds")
         if not (0 <= aid < len(g.w)):
@@ -373,7 +378,11 @@ def lp_feasible(g: WhirlDigraph, c: int) -> LpDecision:
     row holds exactly; it is validated before being returned.  An
     infeasible c gets the interval's ``below`` or ``above`` certificate
     moved to c, whose RHS is then the distance from c to the interval.
+    c must be an ``int`` (not a bool); anything else is rejected before
+    any solve.
     """
+    if type(c) is not int:
+        raise ValueError(f"coil count must be an integer, got {c!r}")
     iv = coil_interval(g)
     feasible = iv.min_coil <= c <= iv.max_coil
     witness = certificate = None

@@ -2,7 +2,8 @@
 
 A RenderSpec is a board size, an output format and the data drawn on the
 board: a certificate's alpha/beta entries, arcs as (tail, head, w) and a
-path of cells.  The board frame (the excluded centre on odd n, the grid,
+path of cells.  Each view marks only the cells it names; every other cell
+is drawn blank.  The board frame (the excluded centre on odd n, the grid,
 the north plumb-line and the pivot) is not data: render always draws it.
 Rendering is a pure function of the spec: byte-identical output for
 identical input.  SVG places the centre of cell (i, j) at
@@ -12,6 +13,7 @@ downward, so diagrams read like the board itself.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -35,7 +37,7 @@ class RenderSpec:
     """What to draw on an n×n board; render adds the board frame.
 
     ``cert`` is a certificate's (alpha, beta) entries, or None when no
-    certificate is drawn; an empty certificate still draws ``..`` cells.
+    certificate is drawn; cells a view does not mark are drawn blank.
     ``arcs`` are (tail, head, w) with w = 1 on a plumb-line crossing;
     ``path`` holds cells in visiting order.
     """
@@ -90,52 +92,35 @@ def _render_ascii(spec: RenderSpec, centre: Cell | None) -> str:
     n = spec.n
     if spec.path:
         width = max(2, len(str(len(spec.path) - 1)))
-        tokens = {c: "." * width for c in _board_cells(n)}
-        for k, c in enumerate(spec.path):
-            tokens[c] = str(k).rjust(width)
+        tokens = {c: str(k).rjust(width) for k, c in enumerate(spec.path)}
     elif spec.cert is not None:
         # alpha's sign in the first slot, beta's in the second
         width = 2
         alpha, beta = spec.cert
-        tokens = {
-            c: _sign(alpha.get(c, 0), "a", "A") + _sign(beta.get(c, 0), "b", "B")
-            for c in _board_cells(n)
-        }
-    elif spec.arcs:
-        # Each cell shows its out-degree, one digit, "." for none.
-        width = 1
-        outdeg = {c: 0 for c in _board_cells(n)}
-        for tail, _, _ in spec.arcs:
-            outdeg[tail] += 1
-        tokens = {c: str(d) if d else "." for c, d in outdeg.items()}
+        tokens = {c: _sign(alpha.get(c, 0), "a", "A") + _sign(beta.get(c, 0), "b", "B")
+                  for c in chain(alpha, beta)}
     else:
+        # Each tail shows its out-degree, one digit.
         width = 1
-        tokens = {c: "." for c in _board_cells(n)}
+        tokens = {c: str(d) for c, d in Counter(t for t, _, _ in spec.arcs).items()}
 
     if centre is not None:
         tokens[centre] = "#" * width
 
     # The plumb-line runs north from the pivot between the middle columns;
     # on odd boards it splits around the excluded centre column.
+    blank = "." * width
     half = n // 2
     lines = []
     for i in range(n):
-        seps = [" "] * (n - 1)
-        if i < half:
-            seps[half - 1] = "|"
-            if n % 2:
-                seps[half] = "|"
-        row = tokens[Cell(i, 0)]
+        row = tokens.get(Cell(i, 0), blank)
         for j in range(1, n):
-            row += seps[j - 1] + tokens[Cell(i, j)]
+            sep = "|" if i < half <= j <= half + n % 2 else " "
+            row += sep + tokens.get(Cell(i, j), blank)
         lines.append(row)
         if n % 2 == 0 and i == half - 1:
             lines.append(" " * (half * width + half - 1) + "+")
     return "\n".join(lines) + "\n"
-
-
-def _board_cells(n: int) -> list[Cell]:
-    return [Cell(i, j) for i in range(n) for j in range(n)]
 
 
 # ------------------------------------------------------------------ svg
@@ -155,10 +140,6 @@ def _xy(c: Cell) -> tuple[int, int]:
 def _centre(c: Cell) -> tuple[int, int]:
     x, y = _xy(c)
     return (x + _SCALE // 2, y + _SCALE // 2)
-
-
-def _signed_cells(entries: dict[Cell, int], positive: bool) -> list[Cell]:
-    return sorted(c for c, x in entries.items() if x and (x > 0) == positive)
 
 
 def _fill_rect(c: Cell, fill: str) -> str:
@@ -186,16 +167,15 @@ def _render_svg(spec: RenderSpec, centre: Cell | None) -> str:
         out.append(_fill_rect(centre, _EXCLUDED))
 
     alpha, beta = spec.cert or ({}, {})
-    for positive in (False, True):
-        out += [_fill_rect(c, _FILL[positive]) for c in _signed_cells(alpha, positive)]
-    for positive in (False, True):
-        for c in _signed_cells(beta, positive):
-            x, y = _xy(c)
-            out.append(
-                f'<rect x="{x + 4}" y="{y + 4}" width="{_SCALE - 8}" '
-                f'height="{_SCALE - 8}" fill="none" '
-                f'stroke="{_INSET[positive]}" stroke-width="4"/>'
-            )
+    for positive, c in sorted((x > 0, c) for c, x in alpha.items() if x):
+        out.append(_fill_rect(c, _FILL[positive]))
+    for positive, c in sorted((x > 0, c) for c, x in beta.items() if x):
+        x, y = _xy(c)
+        out.append(
+            f'<rect x="{x + 4}" y="{y + 4}" width="{_SCALE - 8}" '
+            f'height="{_SCALE - 8}" fill="none" '
+            f'stroke="{_INSET[positive]}" stroke-width="4"/>'
+        )
 
     # grid above fills, below arcs
     for k in range(n + 1):

@@ -137,8 +137,6 @@ def _check_search(n: int, budget: int) -> None:
     Callers run them before building the digraph, so a rejection is cheap.
     """
     BoardGeometry(n)  # a bad n keeps the board's own message
-    if n % 2 and n != 3:
-        raise ValueError("search supports even boards (and the n=3 fixture)")
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
@@ -185,8 +183,7 @@ def search_tour(
     Every pruning rule only discards branches with no valid completion,
     so returning None with budget to spare means the (start-anchored)
     space was exhausted; returning None at budget means "not found".
-    A returned tour is re-verified before being handed back.  n must be
-    even, except n = 3 which hosts the classic 3x3 fixture.
+    A returned tour is re-verified before being handed back.
     """
     _check_search(g.n, budget)
     nv = g.geometry.vertex_count

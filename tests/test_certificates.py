@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,24 @@ class TestVerify:
         support = {"alpha": {}, "beta": {}, field: {cell: 1}}
         with pytest.raises(ValueError, match=rf"^{field} support cell \({cell.i}, {cell.j}\) is not a vertex$"):
             verify_certificate(dg(n), FarkasCertificate(n=n, c=2, gamma=-1, **support))
+
+    def test_float_entry_below_float_resolution_rejected(self):
+        # In floats RHS would round to 1.0; exactly it is 1 - 10**-17 < 1.
+        t1 = build_t1(6)
+        with pytest.raises(ValueError, match=r"^beta entry at \(5, 5\) must be an integer, got -1e-17$"):
+            dataclasses.replace(t1, beta={**t1.beta, Cell(5, 5): -1e-17})
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("x", [1.0, True, Fraction(1)])
+    def test_non_int_entry_rejected(self, x, field):
+        support = {"alpha": {}, "beta": {}, field: {Cell(0, 0): x}}
+        with pytest.raises(ValueError, match=rf"^{field} entry at \(0, 0\) must be an integer, got "):
+            FarkasCertificate(n=6, c=3, gamma=-1, **support)
+
+    @pytest.mark.parametrize("field,x", [("c", 3.0), ("c", 3.5), ("gamma", True), ("gamma", -1.0)])
+    def test_non_int_c_or_gamma_rejected(self, field, x):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {x!r}$"):
+            dataclasses.replace(build_t1(6), **{field: x})
 
     def test_finds_all_violations(self, dg):
         g = dg(4)

@@ -81,6 +81,13 @@ class TestCert:
     def test_build_file_family_rejected(self, capsys):
         assert usage_error(capsys, "cert", "build", "--family", "file") == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (("verify", "--family", "file"), "--in is required for family file"),
+        (("build", "--family", "t1"), "--n is required for family t1"),
+    ])
+    def test_missing_input_flag_is_an_error(self, argv, message, capsys):
+        assert run(capsys, "cert", *argv) == (2, "", f"error: {message}\n")
+
     def test_verify_rejects_out(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert usage_error(capsys, "cert", "verify", "--family", "t1", "--n", "14",
@@ -260,6 +267,12 @@ class TestTour:
         got, _, stderr = run(capsys, "tour", "search", *argv)
         assert got == code and stderr == ""
 
+    def test_progress_lines_go_to_stderr(self, capsys, monkeypatch):
+        monkeypatch.setattr("whirlknight.tours._PROGRESS_EVERY", 100)
+        got = run(capsys, "tour", "search", "--n", "8", "--coil", "6", "--budget", "250")
+        assert got == (1, "found=false nodes=250 exhausted=false\n",
+                       "nodes=100 depth=31\nnodes=200 depth=37\n")
+
     SHORT_FILES = [
         (3000, [], "not Hamiltonian: 9000000 vertices missing, e.g. [(0, 0), (0, 1), (0, 2)]"),
         (3000, [[0, 0], [0, 0]], "vertex (0, 0) is visited twice"),
@@ -282,7 +295,7 @@ class TestTour:
         assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("n,budget,message", [
-        (3001, 10, "search supports even boards (and the n=3 fixture)"),
+        (3001, 0, "budget must be >= 1"),
         (3000, 0, "budget must be >= 1"),
         (1, 10, "board side must be an integer >= 3, got 1"),
     ])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import whirlknight.polytope as polytope
 from whirlknight import (
     Cell,
     CycleCover,
@@ -174,6 +175,15 @@ class TestLpFeasible:
         values = set(decision.witness.x.values())
         assert values <= {Fraction(3, 4), Fraction(1, 4), Fraction(1)}
 
+    @pytest.mark.parametrize("c", [3.5, 10.5, True])
+    def test_non_int_c_rejected_before_solving(self, c, dg, monkeypatch):
+        def refuse(g):
+            raise AssertionError("solved the LP")
+
+        monkeypatch.setattr(polytope, "coil_interval", refuse)
+        with pytest.raises(ValueError, match=rf"^coil count must be an integer, got {c!r}$"):
+            lp_feasible(dg(14), c)
+
     def test_infeasible_has_no_witness(self, dg):
         assert lp_feasible(dg(6), 3).witness is None
 
@@ -306,6 +316,32 @@ class TestAssignmentValidation:
         aid = -1 if where == "negative" else len(g.w)
         with pytest.raises(ValueError, match=f"unknown arc id {aid}$"):
             validate_assignment(g, FractionalAssignment(x={aid: Fraction(1)}), 3)
+
+    def test_float_values_rejected(self, dg):
+        # A 1e-17 extra arc vanishes from float row sums but not from exact ones.
+        g = dg(6)
+        iv = coil_interval(g)
+        extra = next(a for a in range(len(g.w)) if a not in iv.argmin.arcs)
+        x = {**dict.fromkeys(iv.argmin.arcs, 1.0), extra: 1e-17}
+        exact = FractionalAssignment(x={a: Fraction(v) for a, v in x.items()})
+        with pytest.raises(ValueError, match="^degree rows at "):
+            validate_assignment(g, exact, iv.min_coil)
+        with pytest.raises(ValueError, match=r"value 1\.0 is not an int or Fraction$"):
+            validate_assignment(g, FractionalAssignment(x=x), iv.min_coil)
+
+    @pytest.mark.parametrize("x,message", [
+        ({True: Fraction(1)}, r"^arc id True is not an integer$"),
+        ({0.0: Fraction(1)}, r"^arc id 0\.0 is not an integer$"),
+        ({0: True}, r"^arc 0 value True is not an int or Fraction$"),
+        ({0: 0.5}, r"^arc 0 value 0\.5 is not an int or Fraction$"),
+    ])
+    def test_non_exact_entries_rejected(self, x, message, dg):
+        with pytest.raises(ValueError, match=message):
+            validate_assignment(dg(3), FractionalAssignment(x=x), 3)
+
+    def test_integer_values_accepted(self, dg):
+        g = dg(3)
+        validate_assignment(g, FractionalAssignment(x={a: 1 for a in range(len(g.w))}), 3)
 
     def test_coil_row_violation(self, dg):
         g = dg(3)

@@ -169,9 +169,21 @@ class TestSearch:
         g = dg(6)
         assert search_tour(g, budget=50_000) == search_tour(g, budget=50_000)
 
-    def test_odd_boards_other_than_3_rejected(self, dg):
-        with pytest.raises(ValueError):
-            search_tour(dg(5), budget=10)
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_odd_boards_agree_with_cover_enumeration(self, n, dg):
+        """A tour is found exactly at the coils of the one-cycle covers; elsewhere the space is exhausted."""
+        g = dg(n)
+        tour_coils = {coil_of_cover(g, cv) for cv in enumerate_cycle_covers(g) if len(cv.cycles(g)) == 1}
+        iv = coil_interval(g)
+        for target in [None, *range(iv.min_coil - 1, iv.max_coil + 2)]:
+            stats = SearchStats()
+            tour = search_tour(g, coil_target=target, budget=100_000, stats=stats)
+            expect = bool(tour_coils) if target is None else target in tour_coils
+            assert (tour is not None) == expect, target
+            if tour is None:
+                assert stats.exhausted, target
+            else:
+                assert tour.coil in tour_coils and target in (None, tour.coil)
 
     def test_bad_budget(self, dg):
         with pytest.raises(ValueError):
