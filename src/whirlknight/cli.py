@@ -115,7 +115,7 @@ def cmd_tour_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_tour_search(args: argparse.Namespace) -> int:
-    _check_search(args.n, args.budget)  # before the digraph, so a rejection is cheap
+    _check_search(args.n, args.budget, args.coil)  # before the digraph, so a rejection is cheap
     g = build_digraph(args.n)
     stats = SearchStats()
 
@@ -229,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -13,10 +13,9 @@ which every solver reads.  ``vertices``, ``out_adj``, ``in_adj`` and the
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _json_int
@@ -56,14 +55,12 @@ class WhirlDigraph:
     @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
         """Vertex index -> ids of the arcs leaving it, ascending."""
-        return _group(self.geometry.vertex_count, self.tail, range(len(self.tail)))
+        return _group(self.geometry.vertex_count, self.tail)
 
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
         """Vertex index -> ids of the arcs entering it, ascending."""
-        # Ids taken from out_adj, so each arc id is one int object in both lists.
-        ids = sorted(chain.from_iterable(self.out_adj))
-        return _group(self.geometry.vertex_count, map(self.head.__getitem__, ids), ids)
+        return _group(self.geometry.vertex_count, self.head)
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -150,10 +147,10 @@ def build_digraph(n: int) -> WhirlDigraph:
     return WhirlDigraph(n=n, tail=tuple(tail), head=tuple(head), w=tuple(w))
 
 
-def _group(nv: int, keys: Iterable[int], ids: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Vertex index -> the ids whose key is that vertex, in the order given."""
+def _group(nv: int, column: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Vertex index -> the arc ids whose entry in column (tail or head) is that vertex, ascending."""
     rows: list[list[int]] = [[] for _ in range(nv)]
-    for k, a in zip(keys, ids):
+    for a, k in enumerate(column):
         rows[k].append(a)
     return tuple(map(tuple, rows))
 

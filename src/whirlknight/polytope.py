@@ -90,9 +90,9 @@ class CoilInterval:
 
 @dataclass(frozen=True)
 class FractionalAssignment:
-    """Arc-id -> value map with exact rational entries; omitted ids are 0."""
+    """Arc-id -> value map with exact entries, each an ``int`` or a ``Fraction``; omitted ids are 0."""
 
-    x: dict[int, Fraction]
+    x: dict[int, int | Fraction]
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,6 @@ def _min_cost_matching(
         dist = [-1] * nv
         buckets: list[list[int]] = [[]]
         scanned = [(i, 0) for i in free]  # rows, in scan order
-        settled = []  # matched columns popped before the first free one
         best = -1  # least tentative distance of a free column so far
         top = d = 0
         while True:
@@ -174,14 +173,12 @@ def _min_cost_matching(
             i = col_row[h]
             if i < 0:
                 break
-            settled.append((h, d))
-            scanned.append((i, d))
+            scanned.append((i, d))  # i's matched column h was popped at distance d
         for i, di in scanned:
             if di < d:
                 u[i] += d - di
-        for h, dh in settled:
-            if dh < d:
-                v[h] -= d - dh
+                if row_arc[i] >= 0:  # free rows have no column
+                    v[head[row_arc[i]]] -= d - di
 
         # Augment along a maximal set of vertex-disjoint tight paths.
         seen = bytearray(nv)
@@ -329,11 +326,11 @@ def enumerate_cycle_covers(g: WhirlDigraph) -> list[CycleCover]:
     return covers
 
 
-def _convex_witness(g: WhirlDigraph, iv: CoilInterval, c: int) -> FractionalAssignment:
+def _convex_witness(iv: CoilInterval, c: int) -> FractionalAssignment:
     lam = Fraction(1) if iv.max_coil == iv.min_coil else Fraction(
         iv.max_coil - c, iv.max_coil - iv.min_coil
     )
-    x: dict[int, Fraction] = {}
+    x: dict[int, int | Fraction] = {}
     for cover, coef in ((iv.argmin, lam), (iv.argmax, 1 - lam)):
         if coef == 0:
             continue
@@ -347,8 +344,11 @@ def validate_assignment(g: WhirlDigraph, fa: FractionalAssignment, c: int) -> No
 
     One pass over the entries sums every row, checking each entry's type
     (an ``int`` arc id, an ``int`` or ``Fraction`` value), box bound and
-    arc id before the id is used, so no float enters a row sum.
+    arc id before the id is used, so no float enters a row sum.  c must
+    be an ``int`` (not a bool), as for ``lp_feasible``.
     """
+    if type(c) is not int:
+        raise ValueError(f"coil count must be an integer, got {c!r}")
     nv = g.geometry.vertex_count
     into, out, coil = [0] * nv, [0] * nv, 0
     for aid, val in fa.x.items():
@@ -387,7 +387,7 @@ def lp_feasible(g: WhirlDigraph, c: int) -> LpDecision:
     feasible = iv.min_coil <= c <= iv.max_coil
     witness = certificate = None
     if feasible:
-        witness = _convex_witness(g, iv, c)
+        witness = _convex_witness(iv, c)
         validate_assignment(g, witness, c)
     else:
         certificate = replace(iv.below if c < iv.min_coil else iv.above, c=c)

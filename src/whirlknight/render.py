@@ -73,8 +73,7 @@ def render(spec: RenderSpec) -> str:
     geom = BoardGeometry(spec.n)
     alpha, beta = spec.cert or ({}, {})
     for c in chain(alpha, beta, (c for t, h, _ in spec.arcs for c in (t, h)), spec.path):
-        if not geom.on_board(c):
-            raise ValueError(f"spec references off-board cell {tuple(c)}")
+        geom.index(c)  # raises on a cell that is not a vertex
     if spec.format == "ascii":
         return _render_ascii(spec, geom.centre_cell())
     if spec.format == "svg":

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import Callable
 
@@ -108,7 +107,7 @@ def check_reduction(g: WhirlDigraph, tour: Tour) -> bool:
     cells = _check_cells(g.geometry, tour.cells)
     arcs = g.step_arcs(zip(cells, cells[1:] + cells[:1]))
     try:
-        validate_assignment(g, FractionalAssignment(x=dict.fromkeys(arcs, Fraction(1))), tour.coil)
+        validate_assignment(g, FractionalAssignment(x=dict.fromkeys(arcs, 1)), tour.coil)
     except ValueError:
         return False
     return True
@@ -131,14 +130,20 @@ def winding_by_ray(g: WhirlDigraph, tour: Tour, ray: str = "north") -> int:
     )
 
 
-def _check_search(n: int, budget: int) -> None:
-    """search_tour's argument checks, which need only n and the budget.
+def _check_search(n: int, budget: int, coil_target: int | None) -> None:
+    """search_tour's argument checks, which need only n, the budget and the coil target.
 
     Callers run them before building the digraph, so a rejection is cheap.
+    The budget and a coil target must be exactly ``int`` (not a bool), so
+    no float decides what a search proves.
     """
     BoardGeometry(n)  # a bad n keeps the board's own message
+    if type(budget) is not int:
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if coil_target is not None and type(coil_target) is not int:
+        raise ValueError(f"coil count must be an integer, got {coil_target!r}")
 
 
 def search_tour(
@@ -185,8 +190,10 @@ def search_tour(
     space was exhausted; returning None at budget means "not found".
     A returned tour is re-verified before being handed back.
     """
-    _check_search(g.n, budget)
+    _check_search(g.n, budget, coil_target)
     nv = g.geometry.vertex_count
+    # Without a target the coil window [0, nv] never prunes: a coil is at most its arc count.
+    lo, hi = (0, nv) if coil_target is None else (coil_target, coil_target)
     out_opts = [[(g.head[a], g.w[a]) for a in arcs] for arcs in g.out_adj]  # arc-id order
     in_opts = [[(g.tail[a], g.w[a]) for a in arcs] for arcs in g.in_adj]
     has_cross_out = [any(w for _, w in opts) for opts in out_opts]
@@ -246,11 +253,11 @@ def search_tour(
         """The (head, w) moves from the path head in search order; [] if dead or full."""
         if len(path) == nv or no_out or len(no_in) > 1:
             return []
-        if coil_target is not None and coil + has_cross_out[current] + crossing < coil_target:
+        if coil + has_cross_out[current] + crossing < lo:
             return []
         # A vertex left with no unvisited tail can only be entered from current, now.
         candidates = [(head, w) for head, w in out_opts[current] if not visited[head]
-                      and (not no_in or head in no_in) and (coil_target is None or coil + w <= coil_target)]
+                      and (not no_in or head in no_in) and coil + w <= hi]
         if rng is not None:
             rng.shuffle(candidates)
         candidates.sort(key=lambda m: out_free[m[0]])  # stable: ties keep arc-id or shuffled order
@@ -266,7 +273,7 @@ def search_tour(
         if progress is not None and stats.nodes % _PROGRESS_EVERY == 0:
             progress(stats.nodes, depth)
         current = path[-1]
-        if depth == nv and any(h == start and coil_target in (None, coil + w) for h, w in out_opts[current]):
+        if depth == nv and any(h == start and lo <= coil + w <= hi for h, w in out_opts[current]):
             return verify_tour(g, list(map(g.geometry.cell, path)))
         frames.append((moves(current, coil)[::-1], coil))  # reversed: pop() takes the next move
         while len(frames) > 1 and not frames[-1][0]:  # backtrack to the deepest frame with an untried move

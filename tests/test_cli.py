@@ -307,6 +307,16 @@ class TestTour:
         got = run(capsys, "tour", "search", "--n", str(n), "--budget", str(budget))
         assert got == (2, "", f"error: {message}\n")
 
+    def test_non_int_coil_rejected_before_building(self, monkeypatch):
+        def refuse(size):
+            raise AssertionError(f"built the n={size} digraph")
+
+        monkeypatch.setattr(cli, "build_digraph", refuse)
+        args = cli._build_parser().parse_args(["tour", "search", "--n", "6"])
+        args.coil = 5.5  # argparse gives an int; a caller of cmd_tour_search may not
+        with pytest.raises(ValueError, match=r"^coil count must be an integer, got 5\.5$"):
+            cli.cmd_tour_search(args)
+
 
 class TestRender:
     def test_empty_board(self, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -275,6 +277,8 @@ class TestCheckReduction:
             coil = tour.coil + 1
 
         assert not check_reduction(g, Mislabeled())
+        assert not check_reduction(g, dataclasses.replace(tour, coil=float(tour.coil)))
+        assert not check_reduction(g, dataclasses.replace(tour, coil=Fraction(tour.coil)))
 
 
 class TestIntervalConsistency:
@@ -338,6 +342,17 @@ class TestAssignmentValidation:
     def test_non_exact_entries_rejected(self, x, message, dg):
         with pytest.raises(ValueError, match=message):
             validate_assignment(dg(3), FractionalAssignment(x=x), 3)
+
+    @pytest.mark.parametrize("kind", [float, Fraction, bool])
+    def test_non_int_coil_rejected(self, kind, dg):
+        # The n = 6 argmin indicator meets every row at c = min_coil = 5 (and at 1 for bool).
+        g = dg(6)
+        iv = coil_interval(g)
+        indicator = FractionalAssignment(x=dict.fromkeys(iv.argmin.arcs, 1))
+        validate_assignment(g, indicator, iv.min_coil)
+        c = kind(iv.min_coil)
+        with pytest.raises(ValueError, match=f"^coil count must be an integer, got {re.escape(repr(c))}$"):
+            validate_assignment(g, indicator, c)
 
     def test_integer_values_accepted(self, dg):
         g = dg(3)

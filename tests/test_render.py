@@ -102,6 +102,16 @@ class TestValidationAndErrors:
         with pytest.raises(ValueError):
             render(spec)
 
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    @pytest.mark.parametrize("spec", [
+        RenderSpec(4, path=(Cell(0.5, 1),)),
+        RenderSpec(5, cert=({Cell(2, 2): 1}, {})),
+        RenderSpec(5, arcs=((Cell(0, 1), Cell(2, 2), 0),)),
+    ], ids=["fractional-path-cell", "alpha-at-odd-centre", "arc-into-odd-centre"])
+    def test_non_vertex_cells_rejected(self, spec, fmt):
+        with pytest.raises(ValueError, match="is not a vertex"):
+            render(replace(spec, format=fmt))
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render(RenderSpec(n=4, format="png"))

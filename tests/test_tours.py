@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import whirlknight.tours as tours
 from whirlknight import (
     SearchStats,
+    WhirlDigraph,
     check_reduction,
     coil_interval,
     coil_of_cover,
@@ -186,8 +187,22 @@ class TestSearch:
                 assert tour.coil in tour_coils and target in (None, tour.coil)
 
     def test_bad_budget(self, dg):
-        with pytest.raises(ValueError):
-            search_tour(dg(3), budget=0)
+        for budget, message in [
+            (0, "budget must be >= 1"),
+            (2.5, "budget must be an integer, got 2.5"),
+            (True, "budget must be an integer, got True"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                search_tour(dg(3), budget=budget)
+
+    @pytest.mark.parametrize("target", [5.5, 5.0, True])
+    def test_non_int_coil_target_rejected(self, dg, target):
+        # Unchecked, 5.5 exhausts the n = 6 space (a "no tour" proof drawn from a
+        # float), 5.0 finds a tour and True searches for coil 1.
+        stats = SearchStats()
+        with pytest.raises(ValueError, match=f"^coil count must be an integer, got {target}$"):
+            search_tour(dg(6), coil_target=target, stats=stats)
+        assert stats.nodes == 0
 
     def test_reused_stats_describe_the_last_search(self, dg):
         stats = SearchStats()
@@ -219,6 +234,17 @@ class TestSearch:
         tour = search_tour(dg(6), budget=30_000, stats=stats)
         assert (stats.nodes, stats.exhausted) == (135, False)
         assert hashlib.sha256(tour_to_json(6, tour).encode()).hexdigest()[:16] == "c20236dee5245bbd"
+
+    def test_closing_arc_must_meet_the_target_exactly(self):
+        # One Hamiltonian cycle 0 -> 1 -> ... -> 7 -> 0 of coil 0, plus a crossing
+        # chord 6 -> 0: the coil bound stays 1 up to the last vertex, so only the
+        # closing-arc test tells target 1 from the cycle's coil 0.
+        tail, head = (*range(8), 6), (*range(1, 8), 0, 0)
+        g = WhirlDigraph(3, tail, head, (0,) * 8 + (1,))
+        assert search_tour(g, coil_target=0).coil == 0
+        stats = SearchStats()
+        assert search_tour(g, coil_target=1, stats=stats) is None
+        assert stats.exhausted
 
     @pytest.mark.parametrize("budget,exhausted", [(516, False), (517, True)])
     def test_exhausted_needs_budget_to_spare(self, dg, budget, exhausted):
