@@ -18,13 +18,17 @@ LP duality each solve's potentials are a Farkas certificate in the
 paper's form, checked by ``verify_certificate`` like the closed-form
 families.  Infeasible decisions carry one; feasible ones carry an exact
 rational witness, the convex combination of the two extreme covers that
-meets the coil row.  Small boards (n <= 7) can also have every cycle
-cover enumerated, as a brute-force check of the interval.
+meets the coil row.  ``validate_assignment`` checks a witness in plain
+``int`` arithmetic: it scales every value to the lcm of their
+denominators, so each row sum is one integer compared with that lcm.
+Small boards (n <= 7) can also have every cycle cover enumerated, as a
+brute-force check of the interval.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -265,11 +269,18 @@ def coil_interval(g: WhirlDigraph) -> CoilInterval:
 
 
 def coil_of_cover(g: WhirlDigraph, cover: CycleCover) -> int:
-    """Total plumb-line crossing weight of a cover; validates it first."""
+    """Total plumb-line crossing weight of a cover; validates it first.
+
+    Every arc id must be of type ``int`` (not a bool), leave its own
+    vertex, and the heads must be a permutation; anything else raises
+    ``ValueError``.
+    """
     arcs, geom = cover.arcs, g.geometry
     if len(arcs) != geom.vertex_count:
         raise ValueError(f"cover has {len(arcs)} arcs for {geom.vertex_count} vertices")
     for k, a in enumerate(arcs):
+        if type(a) is not int:
+            raise ValueError(f"arc id {a!r} is not an integer")
         if not (0 <= a < len(g.w) and g.tail[a] == k):
             raise ValueError(f"cover arc {a} does not leave vertex {tuple(geom.cell(k))}")
     if len({g.head[a] for a in arcs}) != len(arcs):
@@ -327,47 +338,68 @@ def enumerate_cycle_covers(g: WhirlDigraph) -> list[CycleCover]:
 
 
 def _convex_witness(iv: CoilInterval, c: int) -> FractionalAssignment:
+    """lam*argmin + (1-lam)*argmax, with lam set so the coil row equals c.
+
+    Built by cover membership, with no arithmetic per arc: argmin's arcs
+    take lam, then each argmax arc takes 1 if argmin holds it too and
+    1 - lam if not.  A cover whose coefficient is 0 adds no keys.  Every
+    value is a ``Fraction``.
+    """
     lam = Fraction(1) if iv.max_coil == iv.min_coil else Fraction(
         iv.max_coil - c, iv.max_coil - iv.min_coil
     )
-    x: dict[int, int | Fraction] = {}
-    for cover, coef in ((iv.argmin, lam), (iv.argmax, 1 - lam)):
-        if coef == 0:
-            continue
-        for aid in cover.arcs:
-            x[aid] = x.get(aid, Fraction(0)) + coef
+    one, rest = Fraction(1), 1 - lam
+    x: dict[int, int | Fraction] = dict.fromkeys(iv.argmin.arcs, lam) if lam else {}
+    if rest:
+        for aid in iv.argmax.arcs:
+            x[aid] = one if aid in x else rest
     return FractionalAssignment(x=x)
 
 
 def validate_assignment(g: WhirlDigraph, fa: FractionalAssignment, c: int) -> None:
     """Check every LP row of an assignment exactly; raise on any residual.
 
-    One pass over the entries sums every row, checking each entry's type
-    (an ``int`` arc id, an ``int`` or ``Fraction`` value), box bound and
-    arc id before the id is used, so no float enters a row sum.  c must
-    be an ``int`` (not a bool), as for ``lp_feasible``.
+    One pass over the entries checks each entry's type (an ``int`` arc id,
+    an ``int`` or ``Fraction`` value), box bound and arc id, in that order,
+    before the id is used, so the first bad entry is the one reported and
+    no float enters a row sum.  The rows are then summed in plain ``int``
+    over the common denominator d, the lcm of the values' denominators:
+    each value counts as numerator * (d // denominator), each degree row
+    must sum to d and the coil row to c * d.  c must be an ``int`` (not a
+    bool), as for ``lp_feasible``.
     """
     if type(c) is not int:
         raise ValueError(f"coil count must be an integer, got {c!r}")
-    nv = g.geometry.vertex_count
-    into, out, coil = [0] * nv, [0] * nv, 0
+    head, tail, w = g.head, g.tail, g.w
+    entries, dens = [], set()
     for aid, val in fa.x.items():
         if type(aid) is not int:
             raise ValueError(f"arc id {aid!r} is not an integer")
         if type(val) not in (int, Fraction):
             raise ValueError(f"arc {aid} value {val!r} is not an int or Fraction")
-        if not (0 <= val <= 1):
+        num, den = val.numerator, val.denominator  # den > 0; an int has den 1
+        if not (0 <= num <= den):
             raise ValueError(f"arc {aid} value {val} violates the box bounds")
-        if not (0 <= aid < len(g.w)):
+        if not (0 <= aid < len(w)):
             raise ValueError(f"unknown arc id {aid}")
-        into[g.head[aid]] += val
-        out[g.tail[aid]] += val
-        coil += g.w[aid] * val
+        entries.append((aid, num, den))
+        dens.add(den)
+    d = math.lcm(*dens)
+    nv = g.geometry.vertex_count
+    into, out, coil = [0] * nv, [0] * nv, 0
+    for aid, num, den in entries:
+        scaled = num * (d // den)
+        into[head[aid]] += scaled
+        out[tail[aid]] += scaled
+        coil += w[aid] * scaled
     for k, (i, o) in enumerate(zip(into, out)):
-        if i != 1 or o != 1:
-            raise ValueError(f"degree rows at {tuple(g.geometry.cell(k))} sum to in={i}, out={o}")
-    if coil != c:
-        raise ValueError(f"coil row sums to {coil}, expected {c}")
+        if i != d or o != d:
+            raise ValueError(
+                f"degree rows at {tuple(g.geometry.cell(k))} sum to "
+                f"in={Fraction(i, d)}, out={Fraction(o, d)}"
+            )
+    if coil != c * d:
+        raise ValueError(f"coil row sums to {Fraction(coil, d)}, expected {c}")
 
 
 def lp_feasible(g: WhirlDigraph, c: int) -> LpDecision:

@@ -80,3 +80,24 @@ def interval_oracle(n):
     assert int(w[rows, cols].max()) < big
     hi = int(w[rows, cols].sum())
     return lo, hi
+
+
+def lp_rows_oracle(n, weighted_steps, c):
+    """Does an assignment meet every row of the cycle-cover LP at coil c?
+
+    weighted_steps holds one ((tail cell, head cell, w), value) pair per arc
+    with a value; arcs left out are 0.  Each value must lie in [0, 1], every
+    cell of the board must have in- and out-sum 1, and the w-weighted sum
+    must equal c, all summed in plain Fractions.
+    """
+    into = {v: Fraction(0) for v in board_cells(n)}
+    out = dict(into)
+    coil = Fraction(0)
+    for (tail, head, w), value in weighted_steps:
+        value = Fraction(value)
+        if not 0 <= value <= 1:
+            return False
+        into[head] += value
+        out[tail] += value
+        coil += w * value
+    return all(s == 1 for s in into.values()) and all(s == 1 for s in out.values()) and coil == c

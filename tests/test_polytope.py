@@ -28,7 +28,7 @@ from whirlknight import (
 )
 from whirlknight.cli import main
 
-from oracles import arcs_oracle, board_cells, interval_oracle, weight_oracle
+from oracles import arcs_oracle, board_cells, interval_oracle, lp_rows_oracle, weight_oracle
 
 # Interval endpoints frozen from the independent scipy matching oracle
 # before the solver was written.
@@ -177,6 +177,20 @@ class TestLpFeasible:
         values = set(decision.witness.x.values())
         assert values <= {Fraction(3, 4), Fraction(1, 4), Fraction(1)}
 
+    @pytest.mark.parametrize("c", [8, 9, 12])
+    def test_witness_keys_and_value_types_are_pinned(self, c, dg):
+        # Keys: argmin's arcs, then argmax's arcs not already in it, each cover
+        # only if its coefficient is nonzero.  Every value is a Fraction.
+        g = dg(12)
+        iv = coil_interval(g)
+        lam = Fraction(12 - c, 4)
+        covers = [cov for cov, coef in ((iv.argmin, lam), (iv.argmax, 1 - lam)) if coef]
+        x = lp_feasible(g, c).witness.x
+        assert list(x) == list(dict.fromkeys(a for cov in covers for a in cov.arcs))
+        assert all(type(v) is Fraction for v in x.values())
+        for a, v in x.items():
+            assert v == lam * (a in iv.argmin.arcs) + (1 - lam) * (a in iv.argmax.arcs)
+
     @pytest.mark.parametrize("c", [3.5, 10.5, True])
     def test_non_int_c_rejected_before_solving(self, c, dg, monkeypatch):
         def refuse(g):
@@ -236,6 +250,15 @@ class TestCoilOfCover:
         arcs = list(range(len(g.w)))  # at n = 3, arc k is the one out-arc of vertex k
         arcs[0], arcs[1] = arcs[1], arcs[0]
         with pytest.raises(ValueError, match="does not leave"):
+            coil_of_cover(g, CycleCover(arcs=tuple(arcs)))
+
+    @pytest.mark.parametrize("bad", [True, 0.0])
+    def test_rejects_non_int_arc_id(self, bad, dg):
+        # At n = 3 arc 1 leaves vertex 1 and arc 0 leaves vertex 0, so only the type is wrong.
+        g = dg(3)
+        arcs = list(coil_interval(g).argmin.arcs)
+        arcs[int(bad)] = bad
+        with pytest.raises(ValueError, match=f"^arc id {bad!r} is not an integer$"):
             coil_of_cover(g, CycleCover(arcs=tuple(arcs)))
 
     def test_rejects_non_permutation(self, dg):
@@ -353,6 +376,69 @@ class TestAssignmentValidation:
         c = kind(iv.min_coil)
         with pytest.raises(ValueError, match=f"^coil count must be an integer, got {re.escape(repr(c))}$"):
             validate_assignment(g, indicator, c)
+
+    @pytest.mark.parametrize("x,message", [
+        ({0: Fraction(3, 2), 1: 0.5}, r"^arc 0 value 3/2 violates the box bounds$"),
+        ({8: Fraction(1), 0: Fraction(3, 2)}, r"^unknown arc id 8$"),
+        ({0: Fraction(1), 1: Fraction(-1, 3), 2: "1"}, r"^arc 1 value -1/3 violates the box bounds$"),
+    ])
+    def test_first_bad_entry_is_reported(self, x, message, dg):
+        with pytest.raises(ValueError, match=message):
+            validate_assignment(dg(3), FractionalAssignment(x=x), 3)
+
+    def test_degree_row_message_with_mixed_denominators(self, dg):
+        # The n = 6 argmin indicator (int values) plus arc 2 (vertex 1 -> 14) at 1/2.
+        g = dg(6)
+        assert (g.tail[2], g.head[2]) == (1, 14)
+        x = {**dict.fromkeys(coil_interval(g).argmin.arcs, 1), 2: Fraction(1, 2)}
+        with pytest.raises(ValueError, match=r"^degree rows at \(0, 1\) sum to in=1, out=3/2$"):
+            validate_assignment(g, FractionalAssignment(x=x), 5)
+
+    def test_coil_row_message_with_mixed_denominators(self, dg):
+        # 1/3 argmin + 2/3 argmax at n = 12 meets every degree row; its coil is 8/3 + 24/3.
+        g = dg(12)
+        iv = coil_interval(g)
+        x = dict.fromkeys(iv.argmin.arcs, Fraction(1, 3))
+        for a in iv.argmax.arcs:
+            x[a] = 1 if a in x else Fraction(2, 3)
+        with pytest.raises(ValueError, match=r"^coil row sums to 32/3, expected 11$"):
+            validate_assignment(g, FractionalAssignment(x=x), 11)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        picks=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 6)), min_size=2, max_size=3),
+        edit=st.sampled_from(["none", "shift", "drop", "add", "coil"]),
+        where=st.integers(0, 10**6),
+        delta=st.sampled_from([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 6), Fraction(-1, 6), Fraction(-1), 1]),
+    )
+    def test_agrees_with_row_sum_oracle(self, dg, picks, edit, where, delta):
+        # A convex combination of n = 6 covers (all of coil 5) with mixed
+        # denominators, then at most one entry changed, dropped or added, or c moved.
+        g = dg(6)
+        covers = enumerate_cycle_covers(g)
+        total = sum(m for _, m in picks)
+        x = {}
+        for k, m in picks:
+            for a in covers[k].arcs:
+                x[a] = x.get(a, 0) + Fraction(m, total)
+        keys = list(x)
+        c = 5
+        if edit == "shift":
+            x[keys[where % len(keys)]] += delta
+        elif edit == "drop":
+            del x[keys[where % len(keys)]]
+        elif edit == "add":
+            spare = [a for a in range(len(g.w)) if a not in x]
+            x[spare[where % len(spare)]] = delta
+        elif edit == "coil":
+            c += 1 if delta > 0 else -1
+        steps = [((tuple(g.arc(a).tail), tuple(g.arc(a).head), g.w[a]), v) for a, v in x.items()]
+        try:
+            validate_assignment(g, FractionalAssignment(x=x), c)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == lp_rows_oracle(6, steps, c)
 
     def test_integer_values_accepted(self, dg):
         g = dg(3)
