@@ -11,16 +11,16 @@ leaving it, and the tuple of those arc ids is the cover
 (``CycleCover.arcs``).
 
 The solver below is a sparse primal-dual matching on the digraph's
-adjacency lists with Python-int potentials.  They start at zero, which is
-dual feasible because every arc cost it is given is 0 or 1; every
-comparison is exact, and there is no floating point in this module.  By
-LP duality each solve's potentials are a Farkas certificate in the
-paper's form, checked by ``verify_certificate`` like the closed-form
-families.  Infeasible decisions carry one; feasible ones carry an exact
-rational witness, the convex combination of the two extreme covers that
-meets the coil row.  ``validate_assignment`` checks a witness in plain
-``int`` arithmetic: it scales every value to the lcm of their
-denominators, so each row sum is one integer compared with that lcm.
+adjacency lists with Python-int potentials; every comparison is exact,
+and there is no floating point in this module.  By LP duality each
+solve's potentials are a Farkas certificate in the paper's form, proved
+by one pass over the arcs' reduced costs (the check ``verify_certificate``
+makes) and built as cells only on first access.  Infeasible decisions
+carry one; feasible ones carry an exact rational witness, the convex
+combination of the two extreme covers that meets the coil row.
+``validate_assignment`` checks a witness in plain ``int`` arithmetic: it
+scales every value to the lcm of their denominators, so each row sum is
+one integer compared with that lcm.
 Small boards (n <= 7) can also have every cycle cover enumerated, as a
 brute-force check of the interval.
 """
@@ -30,12 +30,13 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .certificates import FarkasCertificate, verify_certificate
+from .certificates import FarkasCertificate
 from .digraph import WhirlDigraph
-from .geometry import Cell
+from .geometry import BoardGeometry, Cell
 
 __all__ = [
     "NoCycleCoverError",
@@ -84,12 +85,36 @@ class CycleCover:
 
 @dataclass(frozen=True)
 class CoilInterval:
+    """The coil interval, its extreme covers and each solve's potentials (u, v).
+
+    ``below`` (excludes c = min_coil - 1) and ``above`` (c = max_coil + 1),
+    both with RHS 1, are built from the potentials on first access.
+    """
+
     min_coil: int
     max_coil: int
     argmin: CycleCover
     argmax: CycleCover
-    below: FarkasCertificate  # excludes c = min_coil - 1, with RHS 1
-    above: FarkasCertificate  # excludes c = max_coil + 1, with RHS 1
+    geometry: BoardGeometry
+    min_uv: tuple[list[int], list[int]]  # the least-coil solve's (u, v)
+    max_uv: tuple[list[int], list[int]]  # the most-coil solve's (u, v)
+
+    @cached_property
+    def below(self) -> FarkasCertificate:
+        return self._certificate(self.min_coil - 1)
+
+    @cached_property
+    def above(self) -> FarkasCertificate:
+        return self._certificate(self.max_coil + 1)
+
+    def _certificate(self, c: int) -> FarkasCertificate:
+        """The certificate at c outside the interval; its RHS is c's distance to the interval."""
+        gamma = -1 if c < self.min_coil else 1
+        u, v = self.min_uv if gamma < 0 else self.max_uv
+        k, cell = int(gamma > 0), self.geometry.cell
+        alpha = {cell(i): x for i, x in enumerate(v) if x}
+        beta = {cell(i): x - k for i, x in enumerate(u) if x != k}
+        return FarkasCertificate(n=self.geometry.n, c=c, alpha=alpha, beta=beta, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -115,31 +140,69 @@ def _min_cost_matching(
 ) -> tuple[list[int], list[int], list[int]]:
     """Exact minimum-cost perfect matching of rows to columns on a sparse graph.
 
-    Row i may take column head[a] at integer cost cost[a] for each arc id
-    a in out_adj[i]; every cost must be >= 0.  Primal-dual successive
-    shortest paths with integer potentials u (rows) and v (columns), both
-    starting at zero, which is dual feasible because no cost is negative
-    (Ahuja, Magnanti & Orlin, Network Flows, 1993).  Each phase runs one Dial
+    Row i may take column head[a] at integer cost cost[a] >= 0 for each arc
+    id a in out_adj[i], which lists every arc.  Primal-dual successive
+    shortest paths with integer potentials u (rows) and v (columns) (Ahuja,
+    Magnanti & Orlin, Network Flows, 1993).  Each phase runs one Dial
     bucket-queue Dijkstra over the reduced costs cost[a] - u[i] - v[head[a]]
     from all free rows at once, raises the potentials so that every
     shortest augmenting path becomes tight (reduced cost 0), then augments
     along a maximal set of vertex-disjoint tight paths found by iterative
-    DFS.  Reduced costs stay >= 0 and matched arcs stay tight throughout,
-    so the final potentials prove the matching optimal.  Dial's queue
-    keeps one bucket per distance up to the largest one reached, which
-    suits small integer costs such as the 0/1 coil weights.  Iteration
-    order is fixed, so the result is deterministic.
+    DFS.  The first phase is closed form: from zero potentials its Dijkstra
+    stops at the least arc cost d and raises every u by d.  Reduced costs
+    stay >= 0 and matched arcs stay tight throughout, so the final
+    potentials prove the matching optimal.  Dial's queue keeps one bucket
+    per distance up to the largest one reached, which suits small integer
+    costs such as the 0/1 coil weights.  Iteration order is fixed, so the
+    result is deterministic.
 
     Returns the matched arc id of each row, u and v.  Raises
     NoCycleCoverError when no free row has an augmenting path, which is
     also how a vertex without out- or in-arcs shows.
     """
     nv = len(out_adj)
-    u, v = [0] * nv, [0] * nv
+    u, v = [min(cost, default=0)] * nv, [0] * nv
     row_arc = [-1] * nv  # matched arc of each row
     col_row = [-1] * nv  # matched row of each column
     free = list(range(nv))
-    while free:
+    while True:
+        # Augment along a maximal set of vertex-disjoint tight paths.
+        seen = bytearray(nv)
+        ptr = [0] * nv
+        for r in free:
+            rows = [r]
+            path: list[int] = []
+            while rows:
+                i = rows[-1]
+                adj = out_adj[i]
+                deg = len(adj)
+                k = ptr[i]
+                ui = u[i]
+                while k < deg:
+                    a = adj[k]
+                    k += 1
+                    h = head[a]
+                    if not seen[h] and cost[a] - ui == v[h]:
+                        seen[h] = 1
+                        break
+                else:
+                    ptr[i] = k
+                    rows.pop()
+                    if path:
+                        path.pop()
+                    continue
+                ptr[i] = k
+                path.append(a)
+                nxt = col_row[h]
+                if nxt < 0:
+                    for i, a in zip(rows, path):
+                        row_arc[i] = a
+                        col_row[head[a]] = i
+                    break
+                rows.append(nxt)
+        free = [i for i in free if row_arc[i] < 0]
+        if not free:
+            return row_arc, u, v
         # Dial's Dijkstra: buckets[d] holds columns at tentative distance d;
         # a matched column passes its distance to its row at reduced cost 0.
         dist = [-1] * nv
@@ -184,70 +247,28 @@ def _min_cost_matching(
                 if row_arc[i] >= 0:  # free rows have no column
                     v[head[row_arc[i]]] -= d - di
 
-        # Augment along a maximal set of vertex-disjoint tight paths.
-        seen = bytearray(nv)
-        ptr = [0] * nv
-        for r in free:
-            rows = [r]
-            path: list[int] = []
-            while rows:
-                i = rows[-1]
-                adj = out_adj[i]
-                k = ptr[i]
-                ui = u[i]
-                while k < len(adj):
-                    a = adj[k]
-                    k += 1
-                    h = head[a]
-                    if not seen[h] and cost[a] - ui == v[h]:
-                        seen[h] = 1
-                        break
-                else:
-                    ptr[i] = k
-                    rows.pop()
-                    if path:
-                        path.pop()
-                    continue
-                ptr[i] = k
-                path.append(a)
-                nxt = col_row[h]
-                if nxt < 0:
-                    for i, a in zip(rows, path):
-                        row_arc[i] = a
-                        col_row[head[a]] = i
-                    break
-                rows.append(nxt)
-        free = [i for i in free if row_arc[i] < 0]
-    return row_arc, u, v
 
-
-def _extreme_cover(g: WhirlDigraph, gamma: int) -> tuple[CycleCover, int, FarkasCertificate]:
-    """The least-coil (gamma = -1) or most-coil (gamma = +1) cover, its coil and certificate.
+def _extreme_cover(g: WhirlDigraph, gamma: int) -> tuple[CycleCover, int, tuple[list, list]]:
+    """The least-coil (gamma = -1) or most-coil (gamma = +1) cover, its coil and potentials.
 
     The matching's arc cost is k - gamma * w with k = 1 if gamma > 0 else 0.
-    A reduced cost k - gamma * w - u[tail] - v[head] >= 0 is LHS <= 0 for
-    alpha = v, beta = u - k, and a zero duality gap is RHS = 1 at
-    c = coil + gamma: the certificate that must verify proves the cover extreme.
+    For alpha = v, beta = u - k an arc's LHS is minus its reduced cost
+    k - gamma * w - u[tail] - v[head], and a zero duality gap is RHS = 1 at
+    c = coil + gamma.  One pass over the arc columns makes ``verify_certificate``'s
+    check of both, so the cover is proved extreme without building a certificate.
     """
     k = int(gamma > 0)
     row_arc, u, v = _min_cost_matching(g.out_adj, g.head, [k - gamma * x for x in g.w])
-    cell = g.geometry.cell
     cover = CycleCover(arcs=tuple(row_arc))
     coil = coil_of_cover(g, cover)
-    cert = FarkasCertificate(
-        n=g.n,
-        c=coil + gamma,
-        alpha={cell(i): x for i, x in enumerate(v) if x},
-        beta={cell(i): x - k for i, x in enumerate(u) if x != k},
-        gamma=gamma,
-    )
-    report = verify_certificate(g, cert)
-    if not report.valid or report.rhs != 1:
+    max_lhs = max(gamma * x + v[h] + u[t] for t, h, x in zip(g.tail, g.head, g.w)) - k
+    rhs = sum(u) + sum(v) - k * len(u) + (coil + gamma) * gamma
+    if max_lhs > 0 or rhs != 1:
         raise AssertionError(
-            f"potentials give no certificate at c={cert.c}: valid={report.valid} "
-            f"rhs={report.rhs} max_lhs={report.max_lhs}"
+            f"potentials give no certificate at c={coil + gamma}: "
+            f"valid={max_lhs <= 0 and rhs >= 1} rhs={rhs} max_lhs={max_lhs}"
         )
-    return cover, coil, cert
+    return cover, coil, (u, v)
 
 
 def coil_interval(g: WhirlDigraph) -> CoilInterval:
@@ -255,17 +276,15 @@ def coil_interval(g: WhirlDigraph) -> CoilInterval:
 
     One matching solve for each end.  The endpoints are recounted from
     the witness covers' arc weights, which doubles as the runtime check
-    of the integrality premise, and each solve's potentials are returned
-    as a verified Farkas certificate: ``below`` excludes c = min_coil - 1
-    and ``above`` excludes c = max_coil + 1, both with RHS exactly 1.
+    of the integrality premise.  One reduced-cost pass proves each solve's
+    potentials a Farkas certificate: ``below`` excludes c = min_coil - 1 and
+    ``above`` c = max_coil + 1, both with RHS 1, each built on first access.
     """
-    lo_cover, lo, below = _extreme_cover(g, -1)
-    hi_cover, hi, above = _extreme_cover(g, 1)
+    lo_cover, lo, lo_uv = _extreme_cover(g, -1)
+    hi_cover, hi, hi_uv = _extreme_cover(g, 1)
     if lo > hi:
         raise AssertionError(f"matching solves disagree: min {lo} > max {hi}")
-    return CoilInterval(
-        min_coil=lo, max_coil=hi, argmin=lo_cover, argmax=hi_cover, below=below, above=above
-    )
+    return CoilInterval(lo, hi, lo_cover, hi_cover, g.geometry, lo_uv, hi_uv)
 
 
 def coil_of_cover(g: WhirlDigraph, cover: CycleCover) -> int:
@@ -408,8 +427,8 @@ def lp_feasible(g: WhirlDigraph, c: int) -> LpDecision:
     Feasible iff min_coil <= c <= max_coil.  The witness is the convex
     combination lam*argmin + (1-lam)*argmax with lam chosen so the coil
     row holds exactly; it is validated before being returned.  An
-    infeasible c gets the interval's ``below`` or ``above`` certificate
-    moved to c, whose RHS is then the distance from c to the interval.
+    infeasible c gets the potentials of the solve on its side as one
+    certificate at c, whose RHS is the distance from c to the interval.
     c must be an ``int`` (not a bool); anything else is rejected before
     any solve.
     """
@@ -422,7 +441,7 @@ def lp_feasible(g: WhirlDigraph, c: int) -> LpDecision:
         witness = _convex_witness(iv, c)
         validate_assignment(g, witness, c)
     else:
-        certificate = replace(iv.below if c < iv.min_coil else iv.above, c=c)
+        certificate = iv._certificate(c)
     return LpDecision(
         n=g.n,
         c=c,

@@ -201,6 +201,21 @@ class TestLp:
         assert code == 2 and stdout == ""
         assert stderr == "error: AssertionError: matching solves disagree: min 6 > max 5\n"
 
+    def test_failed_proof_is_an_error_not_a_negative(self, capsys, monkeypatch):
+        import whirlknight.polytope as polytope
+
+        solve = polytope._min_cost_matching
+
+        def perturbed(*args):
+            row_arc, u, v = solve(*args)
+            v[0] += 1  # some arc into vertex 0 gets LHS 1
+            return row_arc, u, v
+
+        monkeypatch.setattr(polytope, "_min_cost_matching", perturbed)
+        code, stdout, stderr = run(capsys, "lp", "--n", "6", "--c", "3")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: AssertionError: potentials give no certificate")
+
 
 class TestTour:
     def test_search_n3_and_verify(self, tmp_path, capsys):

@@ -116,6 +116,52 @@ class TestCoilInterval:
         with pytest.raises(AssertionError, match="no certificate"):
             coil_interval(dg(6))
 
+    def test_positive_lhs_alone_fails_the_proof(self, dg, monkeypatch):
+        solve = polytope._min_cost_matching
+
+        def perturbed(*args):
+            row_arc, u, v = solve(*args)
+            v[0] += 1  # the cover arc into vertex 0 gets LHS 1 ...
+            u[0] -= 1  # ... and RHS stays 1
+            return row_arc, u, v
+
+        monkeypatch.setattr(polytope, "_min_cost_matching", perturbed)
+        message = "potentials give no certificate at c=4: valid=False rhs=1 max_lhs=1"
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            coil_interval(dg(6))
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_lazy_certificates_pass_the_verifier(self, n, dg):
+        g = dg(n)
+        iv = coil_interval(g)
+        assert iv.below is iv.below and iv.above is iv.above  # built once
+        for cert, c in ((iv.below, iv.min_coil - 1), (iv.above, iv.max_coil + 1)):
+            report = verify_certificate(g, cert)
+            assert cert.c == c
+            assert report.valid and report.rhs == 1 and report.max_lhs == 0
+
+    def test_lp_builds_only_the_certificate_it_returns(self, dg, monkeypatch):
+        built, verified = [], []
+        post_init = polytope.FarkasCertificate.__post_init__
+        verify = verify_certificate
+
+        def counting_post_init(cert):
+            built.append(cert.c)
+            post_init(cert)
+
+        def counting_verify(*args):
+            verified.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(polytope.FarkasCertificate, "__post_init__", counting_post_init)
+        monkeypatch.setattr("whirlknight.certificates.verify_certificate", counting_verify)
+        monkeypatch.setattr(polytope, "verify_certificate", counting_verify, raising=False)
+        g = dg(12)
+        assert lp_feasible(g, 9).feasible
+        assert (built, verified) == ([], [])
+        assert not lp_feasible(g, 5).feasible
+        assert (built, verified) == ([5], [])
+
     def test_deterministic(self, dg):
         a = coil_interval(dg(12))
         b = coil_interval(dg(12))
@@ -455,9 +501,9 @@ class TestAssignmentValidation:
 class TestMatchingSolver:
     """Fuzz the in-package sparse matching against scipy on general instances."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_agrees_with_scipy(self, trial_seed):
+    @staticmethod
+    def check_against_scipy(trial_seed, offset):
+        """A random instance with costs offset + 0..6 on a random arc mask."""
         import numpy as np
         from scipy.optimize import linear_sum_assignment
 
@@ -465,7 +511,7 @@ class TestMatchingSolver:
 
         rng = np.random.default_rng(trial_seed)
         n = int(rng.integers(1, 25))
-        cost = rng.integers(0, 7, size=(n, n)).astype(np.int64)
+        cost = offset + rng.integers(0, 7, size=(n, n)).astype(np.int64)
         mask = rng.random((n, n)) < rng.uniform(0.15, 1.0)
         big = 1 << 30
         sci = np.where(mask, cost, big)
@@ -491,3 +537,23 @@ class TestMatchingSolver:
         for i in range(n):
             assert all(arc_cost[a] - u[i] - v[head[a]] >= 0 for a in out_adj[i])
         assert sum(u) + sum(v) == total
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_agrees_with_scipy(self, trial_seed):
+        self.check_against_scipy(trial_seed, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
+    def test_agrees_with_scipy_when_every_cost_is_positive(self, trial_seed, offset):
+        # The first phase then raises every row potential by the least cost.
+        self.check_against_scipy(trial_seed, offset)
+
+    @pytest.mark.parametrize(
+        "out_adj,head",
+        [([[], [], []], []), ([[0, 1, 2], [3, 4, 5], []], [0, 1, 2, 0, 1, 2])],
+        ids=["no-arcs", "one-arcless-row"],
+    )
+    def test_unmatchable_row_raises(self, out_adj, head):
+        with pytest.raises(NoCycleCoverError, match="no cycle cover exists"):
+            polytope._min_cost_matching(out_adj, head, [1] * len(head))
