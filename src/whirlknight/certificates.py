@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 
 from .digraph import Arc, WhirlDigraph
-from .geometry import BoardGeometry, Cell, _json_int
+from .geometry import BoardGeometry, Cell, _cell_text, _json_int
 
 __all__ = [
     "FarkasCertificate",
@@ -73,7 +73,7 @@ class FarkasCertificate:
                 try:
                     index(v)
                 except ValueError:
-                    raise ValueError(f"{name} support cell {tuple(v)} is not a vertex") from None
+                    raise ValueError(f"{name} support cell {_cell_text(v)} is not a vertex") from None
                 if type(x) is not int:
                     raise ValueError(f"{name} entry at {tuple(v)} must be an integer, got {x!r}")
 
@@ -161,11 +161,7 @@ def build_n3_certificate() -> FarkasCertificate:
 
 
 def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> VerificationReport:
-    """Check a certificate against every arc of g, exactly.
-
-    Scans all arcs (never samples) and collects every violating arc, not
-    just the first.  Valid means max LHS <= 0 and RHS >= 1.
-    """
+    """Check a certificate against every arc of g, exactly, as int columns by vertex index."""
     if cert.n != g.n:
         raise ValueError(f"certificate is for n={cert.n}, digraph has n={g.n}")
     nv = g.geometry.vertex_count
@@ -174,17 +170,23 @@ def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> Verification
     for support, col in ((cert.alpha, alpha), (cert.beta, beta)):
         for v, x in support.items():
             col[index(v)] = x
-    gamma = cert.gamma
+    return _check_columns(g, alpha, beta, cert.gamma, cert.c)
+
+
+def _check_columns(
+    g: WhirlDigraph, alpha: list[int], beta: list[int], gamma: int, c: int
+) -> VerificationReport:
+    """The Farkas check of alpha and beta, int columns by vertex index.
+
+    The one place an arc's LHS is evaluated.  Scans all arcs (never
+    samples) and collects every violating arc, not just the first.  Valid
+    means max LHS <= 0 and RHS >= 1.
+    """
     lhs = [alpha[h] + beta[t] + gamma * w for t, h, w in zip(g.tail, g.head, g.w)]
     max_lhs = max(lhs, default=0)
     violations = tuple((g.arc(a), x) for a, x in enumerate(lhs) if x > 0) if max_lhs > 0 else ()
-    rhs = cert.sum_alpha() + cert.sum_beta() + cert.c * cert.gamma
-    return VerificationReport(
-        rhs=rhs,
-        max_lhs=max_lhs,
-        violations=violations,
-        valid=not violations and rhs >= 1,
-    )
+    rhs = sum(alpha) + sum(beta) + c * gamma
+    return VerificationReport(rhs, max_lhs, violations, valid=not violations and rhs >= 1)
 
 
 def parity_census(n: int) -> tuple[int, int]:

@@ -61,6 +61,14 @@ def _json_int(x: object) -> int:
     return x
 
 
+def _cell_text(c: object) -> str:
+    """A cell as error messages show it: as a tuple if c is iterable, else as its repr."""
+    try:
+        return str(tuple(c))
+    except TypeError:
+        return repr(c)
+
+
 @dataclass(frozen=True)
 class BoardGeometry:
     """An n x n board together with its pivot ((n-1)/2, (n-1)/2).
@@ -85,13 +93,19 @@ class BoardGeometry:
     def index(self, c: Cell) -> int:
         """Cell c's vertex index: row-major i*n + j, less one past an odd board's centre.
 
-        This is the digraph's vertex order; a cell that is not a vertex raises.
+        This is the digraph's vertex order; anything but a vertex, a non-pair
+        included, raises ``ValueError``.
         """
-        n, (i, j) = self.n, c
-        k, centre = i * n + j, (n * n // 2 if n % 2 else n * n)  # odd: (m, m), n = 2m + 1
-        if type(i) is type(j) is int and 0 <= i < n and 0 <= j < n and k != centre:
-            return k - (k > centre)
-        raise ValueError(f"{tuple(c)} is not a vertex of the n={n} digraph")
+        n = self.n
+        try:
+            i, j = c
+        except (TypeError, ValueError):
+            i = j = None  # not a pair
+        if type(i) is type(j) is int and 0 <= i < n and 0 <= j < n:
+            k, centre = i * n + j, (n * n // 2 if n % 2 else n * n)  # odd: (m, m), n = 2m + 1
+            if k != centre:
+                return k - (k > centre)
+        raise ValueError(f"{_cell_text(c)} is not a vertex of the n={n} digraph")
 
     def cell(self, k: int) -> Cell:
         """Vertex k's cell, the inverse of ``index``; anything but a vertex index raises."""

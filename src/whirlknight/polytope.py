@@ -13,9 +13,9 @@ leaving it, and the tuple of those arc ids is the cover
 The solver below is a sparse primal-dual matching on the digraph's
 adjacency lists with Python-int potentials; every comparison is exact,
 and there is no floating point in this module.  By LP duality each
-solve's potentials are a Farkas certificate in the paper's form, proved
-by one pass over the arcs' reduced costs (the check ``verify_certificate``
-makes) and built as cells only on first access.  Infeasible decisions
+solve's potentials are a Farkas certificate in the paper's form.  The
+certificate checker itself proves it, run on the potentials' columns,
+and it is built as cells only on first access.  Infeasible decisions
 carry one; feasible ones carry an exact rational witness, the convex
 combination of the two extreme covers that meets the coil row.
 ``validate_assignment`` checks a witness in plain ``int`` arithmetic: it
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .certificates import FarkasCertificate
+from .certificates import FarkasCertificate, _check_columns
 from .digraph import WhirlDigraph
 from .geometry import BoardGeometry, Cell
 
@@ -85,10 +85,12 @@ class CycleCover:
 
 @dataclass(frozen=True)
 class CoilInterval:
-    """The coil interval, its extreme covers and each solve's potentials (u, v).
+    """The coil interval, its extreme covers and each end's certificate columns.
 
+    ``columns[gamma]`` is the (alpha, beta) by vertex index of the solve with
+    that gamma: the least-coil solve's potentials at -1, the most-coil's at 1.
     ``below`` (excludes c = min_coil - 1) and ``above`` (c = max_coil + 1),
-    both with RHS 1, are built from the potentials on first access.
+    both with RHS 1, are built from them on first access.
     """
 
     min_coil: int
@@ -96,8 +98,7 @@ class CoilInterval:
     argmin: CycleCover
     argmax: CycleCover
     geometry: BoardGeometry
-    min_uv: tuple[list[int], list[int]]  # the least-coil solve's (u, v)
-    max_uv: tuple[list[int], list[int]]  # the most-coil solve's (u, v)
+    columns: dict[int, tuple[list[int], list[int]]]
 
     @cached_property
     def below(self) -> FarkasCertificate:
@@ -110,10 +111,8 @@ class CoilInterval:
     def _certificate(self, c: int) -> FarkasCertificate:
         """The certificate at c outside the interval; its RHS is c's distance to the interval."""
         gamma = -1 if c < self.min_coil else 1
-        u, v = self.min_uv if gamma < 0 else self.max_uv
-        k, cell = int(gamma > 0), self.geometry.cell
-        alpha = {cell(i): x for i, x in enumerate(v) if x}
-        beta = {cell(i): x - k for i, x in enumerate(u) if x != k}
+        cell = self.geometry.cell
+        alpha, beta = ({cell(i): x for i, x in enumerate(col) if x} for col in self.columns[gamma])
         return FarkasCertificate(n=self.geometry.n, c=c, alpha=alpha, beta=beta, gamma=gamma)
 
 
@@ -140,7 +139,7 @@ def _min_cost_matching(
 ) -> tuple[list[int], list[int], list[int]]:
     """Exact minimum-cost perfect matching of rows to columns on a sparse graph.
 
-    Row i may take column head[a] at integer cost cost[a] >= 0 for each arc
+    Row i may take column head[a] at any integer cost cost[a] for each arc
     id a in out_adj[i], which lists every arc.  Primal-dual successive
     shortest paths with integer potentials u (rows) and v (columns) (Ahuja,
     Magnanti & Orlin, Network Flows, 1993).  Each phase runs one Dial
@@ -148,10 +147,10 @@ def _min_cost_matching(
     from all free rows at once, raises the potentials so that every
     shortest augmenting path becomes tight (reduced cost 0), then augments
     along a maximal set of vertex-disjoint tight paths found by iterative
-    DFS.  The first phase is closed form: from zero potentials its Dijkstra
-    stops at the least arc cost d and raises every u by d.  Reduced costs
-    stay >= 0 and matched arcs stay tight throughout, so the final
-    potentials prove the matching optimal.  Dial's queue keeps one bucket
+    DFS.  The first phase is closed form: every u starts at the least arc
+    cost and every v at 0, so every reduced cost starts >= 0 whatever the
+    costs' signs.  Reduced costs stay >= 0 and matched arcs stay tight
+    throughout, so the final potentials prove the matching optimal.  Dial's queue keeps one bucket
     per distance up to the largest one reached, which suits small integer
     costs such as the 0/1 coil weights.  Iteration order is fixed, so the
     result is deterministic.
@@ -249,26 +248,24 @@ def _min_cost_matching(
 
 
 def _extreme_cover(g: WhirlDigraph, gamma: int) -> tuple[CycleCover, int, tuple[list, list]]:
-    """The least-coil (gamma = -1) or most-coil (gamma = +1) cover, its coil and potentials.
+    """The least-coil (gamma = -1) or most-coil (gamma = +1) cover, its coil and columns.
 
-    The matching's arc cost is k - gamma * w with k = 1 if gamma > 0 else 0.
-    For alpha = v, beta = u - k an arc's LHS is minus its reduced cost
-    k - gamma * w - u[tail] - v[head], and a zero duality gap is RHS = 1 at
-    c = coil + gamma.  One pass over the arc columns makes ``verify_certificate``'s
-    check of both, so the cover is proved extreme without building a certificate.
+    The matching's arc cost is -gamma * w.  Its potentials are the
+    certificate's columns, alpha = v and beta = u: an arc's LHS is then
+    minus its reduced cost, and a zero duality gap is RHS = 1 at
+    c = coil + gamma.  The certificate checker proves both on the columns,
+    so the cover is proved extreme without building a certificate.
     """
-    k = int(gamma > 0)
-    row_arc, u, v = _min_cost_matching(g.out_adj, g.head, [k - gamma * x for x in g.w])
+    row_arc, u, v = _min_cost_matching(g.out_adj, g.head, [-gamma * x for x in g.w])
     cover = CycleCover(arcs=tuple(row_arc))
     coil = coil_of_cover(g, cover)
-    max_lhs = max(gamma * x + v[h] + u[t] for t, h, x in zip(g.tail, g.head, g.w)) - k
-    rhs = sum(u) + sum(v) - k * len(u) + (coil + gamma) * gamma
-    if max_lhs > 0 or rhs != 1:
+    report = _check_columns(g, v, u, gamma, coil + gamma)
+    if report.max_lhs > 0 or report.rhs != 1:
         raise AssertionError(
             f"potentials give no certificate at c={coil + gamma}: "
-            f"valid={max_lhs <= 0 and rhs >= 1} rhs={rhs} max_lhs={max_lhs}"
+            f"valid={report.valid} rhs={report.rhs} max_lhs={report.max_lhs}"
         )
-    return cover, coil, (u, v)
+    return cover, coil, (v, u)
 
 
 def coil_interval(g: WhirlDigraph) -> CoilInterval:
@@ -276,15 +273,16 @@ def coil_interval(g: WhirlDigraph) -> CoilInterval:
 
     One matching solve for each end.  The endpoints are recounted from
     the witness covers' arc weights, which doubles as the runtime check
-    of the integrality premise.  One reduced-cost pass proves each solve's
-    potentials a Farkas certificate: ``below`` excludes c = min_coil - 1 and
-    ``above`` c = max_coil + 1, both with RHS 1, each built on first access.
+    of the integrality premise.  The certificate checker itself, run on each
+    solve's potentials as columns, proves them a Farkas certificate:
+    ``below`` excludes c = min_coil - 1 and ``above`` c = max_coil + 1, both
+    with RHS 1, each built on first access.
     """
-    lo_cover, lo, lo_uv = _extreme_cover(g, -1)
-    hi_cover, hi, hi_uv = _extreme_cover(g, 1)
+    lo_cover, lo, lo_cols = _extreme_cover(g, -1)
+    hi_cover, hi, hi_cols = _extreme_cover(g, 1)
     if lo > hi:
         raise AssertionError(f"matching solves disagree: min {lo} > max {hi}")
-    return CoilInterval(lo, hi, lo_cover, hi_cover, g.geometry, lo_uv, hi_uv)
+    return CoilInterval(lo, hi, lo_cover, hi_cover, g.geometry, {-1: lo_cols, 1: hi_cols})
 
 
 def coil_of_cover(g: WhirlDigraph, cover: CycleCover) -> int:

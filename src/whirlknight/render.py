@@ -133,7 +133,7 @@ _INSET = ("#f2c894", "#d97706")  # beta < 0, beta > 0
 
 
 def _xy(c: Cell) -> tuple[int, int]:
-    return (_MARGIN + c.j * _SCALE, _MARGIN + c.i * _SCALE)
+    return (_MARGIN + c[1] * _SCALE, _MARGIN + c[0] * _SCALE)  # by position: plain tuples too
 
 
 def _centre(c: Cell) -> tuple[int, int]:

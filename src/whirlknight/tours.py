@@ -81,14 +81,14 @@ def _check_cells(geom: BoardGeometry, cells) -> tuple[Cell, ...]:
 
     They cost O(len(cells)), so callers run them before building a file's digraph.
     """
-    cells = tuple(Cell(*c) for c in cells)
-    seen: set[Cell] = set()
+    seen: dict[Cell, None] = {}  # the cells in visiting order
     for c in cells:
-        geom.index(c)  # raises on a cell that is not a vertex
+        geom.index(c)  # raises on anything that is not a vertex, a non-pair included
+        c = Cell(*c)
         if c in seen:
             raise ValueError(f"vertex {tuple(c)} is visited twice")
-        seen.add(c)
-    nv = geom.vertex_count
+        seen[c] = None
+    cells, nv = tuple(seen), geom.vertex_count
     if len(cells) != nv:
         unseen = (c for c in map(geom.cell, range(nv)) if c not in seen)
         missing = [tuple(c) for c in islice(unseen, 3)]

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -51,10 +52,12 @@ class TestVerify:
             verify_certificate(dg(4), FarkasCertificate(n=4, c=2, alpha={Cell(4, 0): 1}, beta={}, gamma=-1))
 
     @pytest.mark.parametrize("field", ["alpha", "beta"])
-    @pytest.mark.parametrize("n,cell", [(4, Cell(0, 4)), (4, Cell(-1, 0)), (5, Cell(2, 2)), (6, Cell(0.5, 1))])
+    @pytest.mark.parametrize("n,cell", [(4, Cell(0, 4)), (4, Cell(-1, 0)), (5, Cell(2, 2)), (6, Cell(0.5, 1)),
+                                        (6, 5), (6, (0,)), (6, (0, 0, 1))])
     def test_non_vertex_support_message(self, n, cell, field, dg):
         support = {"alpha": {}, "beta": {}, field: {cell: 1}}
-        with pytest.raises(ValueError, match=rf"^{field} support cell \({cell.i}, {cell.j}\) is not a vertex$"):
+        shown = str(tuple(cell) if isinstance(cell, Cell) else cell)
+        with pytest.raises(ValueError, match=rf"^{field} support cell {re.escape(shown)} is not a vertex$"):
             verify_certificate(dg(n), FarkasCertificate(n=n, c=2, gamma=-1, **support))
 
     def test_float_entry_below_float_resolution_rejected(self):

@@ -67,10 +67,15 @@ class TestBoardGeometry:
         pytest.param(6, (0.5, 1), id="float row"),
         pytest.param(6, (True, 0), id="bool row"),
         pytest.param(6, (1, 2.0), id="integral float column"),
+        pytest.param(6, ("a", 1), id="string row"),
+        pytest.param(6, 5, id="not a pair: an int"),
+        pytest.param(6, (0,), id="not a pair: one coordinate"),
+        pytest.param(6, (0, 0, 1), id="not a pair: three coordinates"),
     ])
     def test_index_rejects_non_vertices(self, n, cell):
+        pair = isinstance(cell, tuple) and len(cell) == 2
         with pytest.raises(ValueError) as exc:
-            BoardGeometry(n).index(Cell(*cell))
+            BoardGeometry(n).index(Cell(*cell) if pair else cell)
         assert str(exc.value) == f"{cell} is not a vertex of the n={n} digraph"
 
     @pytest.mark.parametrize("n", range(3, 13))

@@ -549,6 +549,12 @@ class TestMatchingSolver:
         # The first phase then raises every row potential by the least cost.
         self.check_against_scipy(trial_seed, offset)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=-5, max_value=-1))
+    def test_agrees_with_scipy_on_signed_costs(self, trial_seed, offset):
+        # Costs down to -5, as the most-coil solve's -w: every row potential starts below 0.
+        self.check_against_scipy(trial_seed, offset)
+
     @pytest.mark.parametrize(
         "out_adj,head",
         [([[], [], []], []), ([[0, 1, 2], [3, 4, 5], []], [0, 1, 2, 0, 1, 2])],

@@ -107,10 +107,24 @@ class TestValidationAndErrors:
         RenderSpec(4, path=(Cell(0.5, 1),)),
         RenderSpec(5, cert=({Cell(2, 2): 1}, {})),
         RenderSpec(5, arcs=((Cell(0, 1), Cell(2, 2), 0),)),
-    ], ids=["fractional-path-cell", "alpha-at-odd-centre", "arc-into-odd-centre"])
+        RenderSpec(4, path=(5,)),
+        RenderSpec(4, cert=({(0, 0, 1): 1}, {})),
+    ], ids=["fractional-path-cell", "alpha-at-odd-centre", "arc-into-odd-centre",
+            "int-path-cell", "three-coordinate-alpha-cell"])
     def test_non_vertex_cells_rejected(self, spec, fmt):
         with pytest.raises(ValueError, match="is not a vertex"):
             render(replace(spec, format=fmt))
+
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    def test_plain_tuple_cells_draw_as_cells(self, fmt, dg):
+        cert = build_t2(12)
+        plain = replace(cert, alpha={tuple(c): x for c, x in cert.alpha.items()},
+                        beta={tuple(c): x for c, x in cert.beta.items()})
+        assert render(certificate_spec(plain, fmt)) == render(certificate_spec(cert, fmt))
+        spec = tour_spec(dg(6), search_tour(dg(6), budget=200_000), fmt)
+        plain = replace(spec, arcs=tuple((tuple(t), tuple(h), w) for t, h, w in spec.arcs),
+                        path=tuple(map(tuple, spec.path)))
+        assert render(plain) == render(spec)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 import warnings
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import whirlknight.tours as tours
 from whirlknight import (
     SearchStats,
+    Tour,
     WhirlDigraph,
     check_reduction,
     coil_interval,
@@ -56,8 +58,12 @@ class TestVerifyTour:
             verify_tour(dg(3), N3_CYCLE[:7] + [N3_CYCLE[0]])
 
     def test_non_vertex_rejected(self, dg):
-        with pytest.raises(ValueError, match="not a vertex"):
-            verify_tour(dg(3), N3_CYCLE[:7] + [(1, 1)])
+        for bad in [(1, 1), 5, (0,), (0, 0, 1)]:  # the odd centre, then non-pairs
+            message = f"^{re.escape(str(bad))} is not a vertex of the n=3 digraph$"
+            with pytest.raises(ValueError, match=message):
+                verify_tour(dg(3), N3_CYCLE[:7] + [bad])
+            with pytest.raises(ValueError, match=message):
+                check_reduction(dg(3), Tour(cells=(*N3_CYCLE[:7], bad), coil=3))
 
 
 class TestWinding:
