@@ -150,10 +150,10 @@ def _min_cost_matching(
     DFS.  The first phase is closed form: every u starts at the least arc
     cost and every v at 0, so every reduced cost starts >= 0 whatever the
     costs' signs.  Reduced costs stay >= 0 and matched arcs stay tight
-    throughout, so the final potentials prove the matching optimal.  Dial's queue keeps one bucket
-    per distance up to the largest one reached, which suits small integer
-    costs such as the 0/1 coil weights.  Iteration order is fixed, so the
-    result is deterministic.
+    throughout, so the final potentials prove the matching optimal.  Dial's
+    queue keeps one bucket per distance up to the largest one reached,
+    which suits small integer costs such as the 0/1 coil weights.
+    Iteration order is fixed, so the result is deterministic.
 
     Returns the matched arc id of each row, u and v.  Raises
     NoCycleCoverError when no free row has an augmenting path, which is
