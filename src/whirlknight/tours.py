@@ -5,8 +5,9 @@ count is the number of tour arcs crossing the north plumb-line, which
 (all arcs being CCW) equals the winding number of the cycle about the
 pivot.  Search is depth-first backtracking with forced-arc propagation,
 dead-vertex pruning, coil pruning and Warnsdorff-style successor
-ordering, all read from per-vertex counts of the arcs still open; pushing
-or popping a path vertex updates only its neighbours' counts, so a node
+ordering, all read from per-vertex counts of the arcs still open.  It is
+one loop: each step visits a path vertex or backtracks one, and a single
+signed update moves only that vertex's neighbours' counts, so a node
 costs O(deg), not a pass over the board.  Search is explicitly budgeted,
 and a not-found result never means nonexistence.  Nonexistence claims
 belong to the certificate and LP modules.
@@ -156,18 +157,18 @@ def search_tour(
 ) -> Tour | None:
     """Budgeted depth-first search for a whirling tour, optionally at a coil count.
 
-    The cycle is grown from the first vertex, (0, 0), which every tour
-    visits, so fixing it loses nothing.  Three counters per vertex u are
-    kept for the path as it stands:
+    The search reads only the vertex count and the arc columns.  Parallel
+    arcs count once: a step (t, h) is the first arc of the pair in arc-id
+    order, as ``verify_tour`` counts it.  The cycle is grown from the first
+    vertex, (0, 0), which every tour visits, so fixing it loses nothing.
+    Three counters per vertex u are kept for the path as it stands:
 
     * ``in_free[u]``: in-arcs from unvisited tails;
     * ``out_free[u]``: out-arcs to unvisited heads or back to the start;
     * ``cross_free[u]``: the crossing arcs among those out-arcs.
 
-    Pushing or popping a vertex v changes only the counters of v's
-    neighbours, so each update costs O(deg v).  Aggregates over the
-    unvisited vertices turn the counters into the pruning rules at each
-    node, with no pass over the other vertices:
+    Three counts over the unvisited vertices turn them into the pruning
+    rules at each node, with no pass over the other vertices:
 
     * stranded vertices: an unvisited vertex with ``out_free`` 0 kills the
       branch, and so does one with ``in_free`` 0 unless the path head has
@@ -181,9 +182,15 @@ def search_tour(
       crossings (one per future tail with a crossing out-arc still open)
       must keep the target reachable.
 
-    The search is one loop over an explicit stack: a frame per depth holds
-    its untried moves and the coil on arrival, so no recursion limit caps
-    the depth.  ``progress(nodes, depth)`` is called every 100 000 nodes.
+    The search is one loop over an explicit stack (a frame per depth: its
+    untried moves and the coil on arrival), so no recursion limit caps the
+    depth.  Each step visits the next untried move (d = -1) or backtracks
+    one vertex (d = +1), and both run one update: v leaves or rejoins the
+    counts at its counters as they stand, then each arc at v moves the
+    other end's counter by d, and an unvisited neighbour's count changes
+    when that counter read k = [d < 0] before it moved.  So a backtrack
+    exactly undoes its visit on any column digraph, self-loops included.
+    ``progress(nodes, depth)`` is called every 100 000 nodes.
 
     Every pruning rule only discards branches with no valid completion,
     so returning None with budget to spare means the (start-anchored)
@@ -194,8 +201,14 @@ def search_tour(
     nv = g.geometry.vertex_count
     # Without a target the coil window [0, nv] never prunes: a coil is at most its arc count.
     lo, hi = (0, nv) if coil_target is None else (coil_target, coil_target)
-    out_opts = [[(g.head[a], g.w[a]) for a in arcs] for arcs in g.out_adj]  # arc-id order
-    in_opts = [[(g.tail[a], g.w[a]) for a in arcs] for arcs in g.in_adj]
+    first: dict[tuple[int, int], int] = {}  # (tail, head) -> w of the pair's first arc
+    for t, h, w in zip(g.tail, g.head, g.w):
+        first.setdefault((t, h), w)
+    out_opts: list[list[tuple[int, int]]] = [[] for _ in range(nv)]  # (head, w), arc-id order
+    in_opts: list[list[tuple[int, int]]] = [[] for _ in range(nv)]  # (tail, w)
+    for (t, h), w in first.items():
+        out_opts[t].append((h, w))
+        in_opts[h].append((t, w))
     has_cross_out = [any(w for _, w in opts) for opts in out_opts]
     rng = random.Random(seed) if seed else None
     if stats is None:
@@ -208,86 +221,62 @@ def search_tour(
     in_free = [sum(t != start for t, _ in opts) for opts in in_opts]
     out_free = [len(opts) for opts in out_opts]
     cross_free = [sum(w for _, w in opts) for opts in out_opts]  # w is 0 or 1
-    # Aggregates over the unvisited vertices.
-    no_in = {u for u in range(nv) if not visited[u] and not in_free[u]}
+    # Counts over the unvisited vertices.
+    no_in = sum(1 for u in range(nv) if not visited[u] and not in_free[u])
     no_out = sum(1 for u in range(nv) if not visited[u] and not out_free[u])
     crossing = sum(1 for u in range(nv) if not visited[u] and cross_free[u])
-
-    def visit(v: int) -> None:
-        nonlocal no_out, crossing
-        visited[v] = 1
-        no_in.discard(v)
-        no_out -= not out_free[v]
-        crossing -= cross_free[v] > 0
-        for h, _ in out_opts[v]:
-            in_free[h] -= 1
-            if not in_free[h] and not visited[h]:
-                no_in.add(h)
-        for t, w in in_opts[v]:
-            out_free[t] -= 1
-            cross_free[t] -= w
-            if not visited[t]:
-                no_out += not out_free[t]
-                crossing -= w and not cross_free[t]
-
-    def unvisit(v: int) -> None:
-        """Exactly undo visit(v)."""
-        nonlocal no_out, crossing
-        for h, _ in out_opts[v]:
-            if not in_free[h]:
-                no_in.discard(h)
-            in_free[h] += 1
-        for t, w in in_opts[v]:
-            if not visited[t]:
-                no_out -= not out_free[t]
-                crossing += w and not cross_free[t]
-            out_free[t] += 1
-            cross_free[t] += w
-        visited[v] = 0
-        if not in_free[v]:
-            no_in.add(v)
-        no_out += not out_free[v]
-        crossing += cross_free[v] > 0
-
-    def moves(current: int, coil: int) -> list[tuple[int, int]]:
-        """The (head, w) moves from the path head in search order; [] if dead or full."""
-        if len(path) == nv or no_out or len(no_in) > 1:
-            return []
-        if coil + has_cross_out[current] + crossing < lo:
-            return []
-        # A vertex left with no unvisited tail can only be entered from current, now.
-        candidates = [(head, w) for head, w in out_opts[current] if not visited[head]
-                      and (not no_in or head in no_in) and coil + w <= hi]
-        if rng is not None:
-            rng.shuffle(candidates)
-        candidates.sort(key=lambda m: out_free[m[0]])  # stable: ties keep arc-id or shuffled order
-        return candidates
-
     frames: list[tuple[list[tuple[int, int]], int]] = []  # untried moves, coil on arrival
-    coil = 0
-    while stats.nodes < budget:
-        stats.nodes += 1
-        depth = len(path)
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        if progress is not None and stats.nodes % _PROGRESS_EVERY == 0:
-            progress(stats.nodes, depth)
-        current = path[-1]
-        if depth == nv and any(h == start and lo <= coil + w <= hi for h, w in out_opts[current]):
-            return verify_tour(g, list(map(g.geometry.cell, path)))
-        frames.append((moves(current, coil)[::-1], coil))  # reversed: pop() takes the next move
-        while len(frames) > 1 and not frames[-1][0]:  # backtrack to the deepest frame with an untried move
-            frames.pop()
-            unvisit(path.pop())
+    coil, d = 0, -1
+    while True:
+        if d < 0:  # a new node: count it, try the closing arc, list its moves
+            if stats.nodes >= budget:
+                return None
+            stats.nodes += 1
+            depth = len(path)
+            if depth > stats.max_depth:
+                stats.max_depth = depth
+            if progress is not None and stats.nodes % _PROGRESS_EVERY == 0:
+                progress(stats.nodes, depth)
+            current = path[-1]
+            if depth == nv and any(h == start and lo <= coil + w <= hi for h, w in out_opts[current]):
+                return verify_tour(g, list(map(g.geometry.cell, path)))
+            moves = []
+            if not (no_out or no_in > 1 or coil + has_cross_out[current] + crossing < lo):
+                # A vertex left with no unvisited tail can only be entered from current, now.
+                moves = [(h, w) for h, w in out_opts[current] if not visited[h]
+                         and (not no_in or not in_free[h]) and coil + w <= hi]
+                if rng is not None:
+                    rng.shuffle(moves)
+                moves.sort(key=lambda m: out_free[m[0]])  # stable: ties keep arc-id or shuffled order
+            frames.append((moves[::-1], coil))  # reversed: pop() takes the next move
         untried, arrival = frames[-1]
-        if not untried:
+        if untried:  # visit the next untried head
+            v, w = untried.pop()
+            path.append(v)
+            coil, d = arrival + w, -1
+        elif len(frames) > 1:  # backtrack one vertex
+            frames.pop()
+            v, d = path.pop(), 1
+        else:
             stats.exhausted = stats.nodes < budget
             return None
-        head, w = untried.pop()
-        visit(head)
-        path.append(head)
-        coil = arrival + w
-    return None
+        k = d < 0  # a counter at k before it moves by d passes zero
+        no_in += d * (not in_free[v])
+        no_out += d * (not out_free[v])
+        crossing += d * (cross_free[v] > 0)
+        visited[v] = k
+        for h, _ in out_opts[v]:
+            if in_free[h] == k and not visited[h]:
+                no_in -= d
+            in_free[h] += d
+        for t, w in in_opts[v]:
+            if not visited[t]:
+                if out_free[t] == k:
+                    no_out -= d
+                if w and cross_free[t] == k:
+                    crossing += d
+            out_free[t] += d
+            cross_free[t] += d * w
 
 
 def tour_to_json(n: int, tour: Tour) -> str:

@@ -101,3 +101,28 @@ def lp_rows_oracle(n, weighted_steps, c):
         out[tail] += value
         coil += w * value
     return all(s == 1 for s in into.values()) and all(s == 1 for s in out.values()) and coil == c
+
+
+def tour_coils_oracle(nv, arcs):
+    """Coils of every Hamiltonian cycle through vertex 0 of a digraph on vertices 0..nv-1.
+
+    arcs lists (tail, head, w) in arc-id order.  Each step counts the w of
+    the first arc listed for its (tail, head) pair.  Paths from vertex 0 are
+    grown one unvisited head at a time, and each full one is closed back to 0.
+    """
+    first = {}
+    for t, h, w in arcs:
+        first.setdefault((t, h), w)
+    coils = set()
+
+    def grow(path, coil):
+        if len(path) == nv:
+            if (path[-1], 0) in first:
+                coils.add(coil + first[path[-1], 0])
+            return
+        for (t, h), w in first.items():
+            if t == path[-1] and h not in path:
+                grow(path + [h], coil + w)
+
+    grow([0], 0)
+    return coils

@@ -216,6 +216,17 @@ class TestLp:
         assert code == 2 and stdout == ""
         assert stderr.startswith("error: AssertionError: potentials give no certificate")
 
+    def test_crossed_ends_are_an_error_not_a_negative(self, capsys, monkeypatch, dg):
+        import whirlknight.polytope as polytope
+
+        solve = polytope._extreme_cover
+        monkeypatch.setattr(polytope, "_extreme_cover", lambda g, gamma: solve(g, -gamma))
+        message = "matching solves disagree: min 8 > max 6"
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            polytope.coil_interval(dg(8))
+        code, stdout, stderr = run(capsys, "lp", "--n", "8", "--c", "7")
+        assert (code, stdout, stderr) == (2, "", f"error: AssertionError: {message}\n")
+
 
 class TestTour:
     def test_search_n3_and_verify(self, tmp_path, capsys):

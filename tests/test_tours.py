@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import whirlknight.tours as tours
+from oracles import tour_coils_oracle
 from whirlknight import (
     SearchStats,
     Tour,
@@ -251,6 +252,41 @@ class TestSearch:
         stats = SearchStats()
         assert search_tour(g, coil_target=1, stats=stats) is None
         assert stats.exhausted
+
+    def test_parallel_arcs_count_the_first_arc(self):
+        # The cycle 0 -> 1 -> ... -> 7 -> 0 has coil 0, plus a crossing arc 3 -> 4
+        # parallel to its step 3 -> 4.  verify_tour counts a step with its pair's
+        # first arc, so no tour has coil 1.
+        g = WhirlDigraph(3, (*range(8), 3), (*range(1, 8), 0, 4), (0,) * 8 + (1,))
+        stats = SearchStats()
+        assert search_tour(g, coil_target=1, stats=stats) is None
+        assert stats.exhausted
+        assert search_tour(g, coil_target=0).coil == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_tour_oracle(self, data):
+        """On random 8-vertex column digraphs, a tour is found exactly at the oracle's coils."""
+        arc = st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 1))
+        planted = data.draw(st.booleans())  # random arcs alone rarely hold a Hamiltonian cycle
+        arcs = data.draw(st.lists(arc, min_size=0 if planted else 8, max_size=22 if planted else 30))
+        if planted:
+            order = [0, *data.draw(st.permutations(range(1, 8)))]
+            weights = data.draw(st.lists(st.integers(0, 1), min_size=8, max_size=8))
+            cycle = [(order[i], order[(i + 1) % 8], weights[i]) for i in range(8)]
+            arcs = data.draw(st.permutations(arcs + cycle))
+        g = WhirlDigraph(3, *map(tuple, zip(*arcs)))
+        coils = tour_coils_oracle(8, arcs)
+        for target in [None, *range(9)]:
+            for seed in (0, 1):
+                # 10**5 is more than the 13 700 paths from one vertex of 8: budget to spare.
+                stats = SearchStats()
+                tour = search_tour(g, coil_target=target, budget=10**5, seed=seed, stats=stats)
+                assert (tour is not None) == (bool(coils) if target is None else target in coils)
+                if tour is None:
+                    assert stats.exhausted
+                else:
+                    assert tour.coil in coils and target in (None, tour.coil)
 
     @pytest.mark.parametrize("budget,exhausted", [(516, False), (517, True)])
     def test_exhausted_needs_budget_to_spare(self, dg, budget, exhausted):
