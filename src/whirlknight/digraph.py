@@ -3,11 +3,15 @@
 Vertices are all board cells, minus the centre cell on odd boards (the
 centre coincides with the pivot); ``BoardGeometry`` numbers them (row-major,
 that centre skipped) and counts them.  Arcs are enumerated tail row-major,
-then in knight-step order.  The digraph is ``(n, tail, head, w)``: the arc
-columns ``tail``, ``head`` (vertex indices) and ``w``, indexed by arc id,
-which every solver reads.  ``vertices``, ``out_adj``, ``in_adj`` and the
-``Arc`` records of cells (``arcs``) are derived from them on first use;
-``arc(a)`` builds one record alone.  A built digraph is immutable.
+then in knight-step order.  For a fixed tail row and knight step (di, dj)
+the CCW test ``ui*dj > di*uj`` (doubled coordinates) is linear in the
+column j with the nonzero coefficient -2di, so the arcs form one interval
+of columns, and ``build_digraph`` marks each interval with one slice and
+copies the marked candidates in C.  The digraph is ``(n, tail, head, w)``:
+the arc columns ``tail``, ``head`` (vertex indices) and ``w``, indexed by
+arc id, which every solver reads.  ``vertices``, ``out_adj``, ``in_adj``
+and the ``Arc`` records of cells (``arcs``) are derived from them on first
+use; ``arc(a)`` builds one record alone.  A built digraph is immutable.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _json_int
@@ -100,50 +105,79 @@ class WhirlDigraph:
 def build_digraph(n: int) -> WhirlDigraph:
     """Build the whirling-knight digraph on the n x n board.
 
-    Deterministic: vertices row-major, arcs tail row-major then knight-step
-    order.  Each (tail u, step s) pair costs one read of a vertex-index
-    grid padded by two cells on every side (-1 off the board and at the
-    odd-board centre) and two integer tests.  In doubled coordinates
-    (ui, uj), with head v = u + s so that (vi, vj) = (ui + 2di, uj + 2dj):
+    Deterministic: vertices row-major, arcs tail row-major, then
+    knight-step order.  In doubled coordinates (ui, uj) = (2i - m,
+    2j - m), m = n - 1, with head v = u + s for the step s = (di, dj), so
+    that (vi, vj) = (ui + 2di, uj + 2dj):
 
     * ``ccw_cross(u, v) = ui*vj - vi*uj = 2(ui*dj - di*uj)``, so the pair
-      is an arc iff ``ui*dj > di*uj``;
+      is an arc iff ``ui*dj > di*uj``, i.e. ``2*di*j < r`` with
+      ``r = ui*dj + di*m``.  No knight step has di = 0, so for a fixed
+      tail row i and step the arcs are one interval of columns: ``j <
+      ceil(r / 2di)`` for di > 0 and ``j >= floor(r / 2di) + 1`` for
+      di < 0, cut to the columns whose head is on the board, ``0 <= j +
+      dj < n``, and empty unless the head row is, ``0 <= i + di < n``.
+      The odd board's centre needs no case of its own: as tail or head
+      its cross product is 0, so no interval holds it.
     * ``crosses_axis_ray(u, v)`` tests the sign of
       ``ccw_cross * (uj - vj) = -2dj * ccw_cross`` on a segment with
       ``uj*vj < 0``; on an arc ccw_cross > 0, so w = 1 iff dj < 0 and the
-      segment straddles the pivot column, i.e. ``uj > 0 > vj``.  A tail on
-      the pivot column of an odd board (uj = 0) has w = 1 iff it lies
-      north of the pivot, ``ui < 0``.
+      segment straddles the pivot column, i.e. ``uj > 0 > vj``, which
+      depends on j and the step alone.  A tail on the pivot column of an
+      odd board (uj = 0) has w = 1 iff it lies north of the pivot,
+      ``ui < 0``.
 
-    Every generated pair is an on-board knight step by construction, so
-    the geometry predicates' own checks are not repeated here.
+    Scratch lists of 8n slots hold one row's candidates, slot 8j + p for
+    column j and step p: the tails, the heads read from the vertex-index
+    rows (padded by two cells on each side, -1 there and at the odd-board
+    centre) and the weights, whose two lists (north and south of the
+    pivot) are filled once.  One strided slice per (row, step) marks the
+    interval in a fresh byte mask, and ``itertools.compress`` appends the
+    marked slots to the columns, so the per-arc work runs in C, not in bytecode.  Every
+    marked pair is an on-board knight step by construction, so the
+    geometry predicates' own checks are not repeated here.
     """
     centre = BoardGeometry(n).centre_cell()
-    width, m = n + 4, n - 1
-    grid = [-1] * (width * width)
+    m, slots = n - 1, 8 * n
+    rows: list[list[int]] = []  # vertex indices of each row, padded with -1
     k = 0  # BoardGeometry.index order, counted here: filling through cell costs ~9x more
     for i in range(n):
-        for j in range(n):
-            if (i, j) != centre:
-                grid[(i + 2) * width + j + 2] = k
-                k += 1
-    steps = [(di, dj, di * width + dj) for di, dj in KNIGHT_STEPS]
+        cells = list(range(k, k + n))
+        if centre is not None and i == centre.i:  # no vertex at the centre: later cells move down one
+            cells[centre.j:] = [-1, *range(k + centre.j, k + n - 1)]
+        k = cells[-1] + 1
+        rows.append([-1, -1, *cells, -1, -1])
+    # Per step p: the columns whose head is on the board, and its w in each column.
+    steps = []
+    w_south = [0] * slots
+    for p, (di, dj) in enumerate(KNIGHT_STEPS):
+        steps.append((p, di, dj, max(0, -dj), min(n, n - dj)))
+        w_south[p::8] = [int(2 * j - m > 0 > 2 * j - m + 2 * dj) for j in range(n)]
+    w_north = w_south
+    if centre is not None:  # a tail on the pivot column crosses iff it lies north of the pivot
+        w_north = w_south.copy()
+        w_north[8 * centre.j:8 * centre.j + 8] = [1] * 8
+    tails, heads = [0] * slots, [0] * slots
     tail: list[int] = []
     head: list[int] = []
     w: list[int] = []
     for i in range(n):
-        ui = 2 * i - m
-        for j in range(n):
-            uj, base = 2 * j - m, (i + 2) * width + j + 2
-            t = grid[base]
-            if t < 0:  # the odd-board centre
+        ui, cells, mask = 2 * i - m, rows[i][2:n + 2], bytearray(slots)
+        for p, di, dj, lo, hi in steps:
+            if not 0 <= i + di < n:
                 continue
-            for di, dj, offset in steps:
-                h = grid[base + offset]
-                if h >= 0 and ui * dj > di * uj:
-                    tail.append(t)
-                    head.append(h)
-                    w.append(int(ui < 0) if uj == 0 else int(uj > 0 > uj + 2 * dj))
+            r = ui * dj + di * m  # arc iff 2*di*j < r
+            if di > 0:
+                hi = min(hi, -(-r // (2 * di)))
+            else:
+                lo = max(lo, r // (2 * di) + 1)
+            if lo < hi:
+                mask[8 * lo + p:8 * hi + p:8] = b"\x01" * (hi - lo)
+                tails[p::8] = cells
+                heads[p::8] = rows[i + di][2 + dj:n + 2 + dj]
+        tail += compress(tails, mask)
+        head += compress(heads, mask)
+        w += compress(w_north if ui < 0 else w_south, mask)
     return WhirlDigraph(n=n, tail=tuple(tail), head=tuple(head), w=tuple(w))
 
 

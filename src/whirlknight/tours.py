@@ -195,10 +195,19 @@ def search_tour(
     Every pruning rule only discards branches with no valid completion,
     so returning None with budget to spare means the (start-anchored)
     space was exhausted; returning None at budget means "not found".
-    A returned tour is re-verified before being handed back.
+    A returned tour is re-verified before being handed back.  Arc columns of
+    unequal length, an arc end outside ``range(vertex_count)`` or a weight
+    other than 0 or 1 raise ``ValueError`` before any node is expanded.
     """
     _check_search(g.n, budget, coil_target)
-    nv = g.geometry.vertex_count
+    nv, arcs = g.geometry.vertex_count, len(g.tail)
+    # The counters index by the arc ends, and the coil prune assumes 0/1 weights.
+    if len(g.head) != arcs or len(g.w) != arcs:
+        raise ValueError(f"arc columns differ in length: tail {arcs}, head {len(g.head)}, w {len(g.w)}")
+    if arcs and not (0 <= min(g.tail) and 0 <= min(g.head) and max(g.tail) < nv and max(g.head) < nv):
+        raise ValueError(f"an arc end is not a vertex index in range({nv})")
+    if not set(g.w) <= {0, 1}:
+        raise ValueError("an arc weight is not 0 or 1")
     # Without a target the coil window [0, nv] never prunes: a coil is at most its arc count.
     lo, hi = (0, nv) if coil_target is None else (coil_target, coil_target)
     first: dict[tuple[int, int], int] = {}  # (tail, head) -> w of the pair's first arc

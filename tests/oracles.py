@@ -62,6 +62,24 @@ def arcs_oracle(n):
     return out
 
 
+def step_arcs_oracle(n):
+    """Every arc as (tail, head, w) in build order, one candidate per (cell, knight step).
+
+    Tails go row-major, each tail's steps in KNIGHT_DELTAS order; a step is
+    kept when its head is a cell and the pair is CCW.  Vertex indices are
+    positions in board_cells(n).
+    """
+    cells = board_cells(n)
+    index = {c: k for k, c in enumerate(cells)}
+    out = []
+    for u in cells:
+        for di, dj in KNIGHT_DELTAS:
+            v = (u[0] + di, u[1] + dj)
+            if v in index and ccw_oracle(n, u, v):
+                out.append((index[u], index[v], weight_oracle(n, u, v)))
+    return out
+
+
 def interval_oracle(n):
     """Extreme coil counts via scipy's assignment solver (the independent route)."""
     import numpy as np

@@ -22,7 +22,7 @@ from whirlknight import (
 )
 from whirlknight.render import digraph_spec, render
 
-from oracles import KNIGHT_DELTAS, arcs_oracle, board_cells, weight_oracle
+from oracles import KNIGHT_DELTAS, arcs_oracle, board_cells, step_arcs_oracle, weight_oracle
 
 
 class TestBuildDigraph:
@@ -47,6 +47,12 @@ class TestBuildDigraph:
         got = {(a.tail, a.head, a.w) for a in dg(n).arcs}
         expected = {(Cell(*u), Cell(*v), weight_oracle(n, u, v)) for u, v in arcs_oracle(n)}
         assert got == expected
+
+    @pytest.mark.parametrize("n", range(3, 71))
+    def test_columns_match_step_oracle(self, n):
+        # Both parities and every residue mod 8, in exact arc-id order.
+        g = build_digraph(n)
+        assert list(zip(g.tail, g.head, g.w)) == step_arcs_oracle(n)
 
     @pytest.mark.parametrize("bad", [2, 1, 0, -4])
     def test_rejects_small_boards(self, bad):

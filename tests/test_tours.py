@@ -263,6 +263,24 @@ class TestSearch:
         assert stats.exhausted
         assert search_tour(g, coil_target=0).coil == 0
 
+    @pytest.mark.parametrize(
+        "tail, head, w, message",
+        [
+            # One Hamiltonian cycle whose verify_tour coil is 2: the 0/1 coil prune would call it exhausted.
+            (tuple(range(8)), (*range(1, 8), 0), (0,) * 7 + (2,), "weight is not 0 or 1"),
+            ((0,), (9,), (5,), "not a vertex index in range\\(8\\)"),  # would raise IndexError
+            ((-1,), (0,), (0,), "not a vertex index"),
+            ((0, 1), (1,), (0, 0), "differ in length: tail 2, head 1, w 2"),
+            ((0,), (1,), (0, 1), "differ in length: tail 1, head 1, w 2"),
+        ],
+        ids=["w=2", "head=9", "tail=-1", "short head", "long w"],
+    )
+    def test_bad_columns_rejected_before_any_node(self, tail, head, w, message):
+        stats = SearchStats(nodes=5)
+        with pytest.raises(ValueError, match=message):
+            search_tour(WhirlDigraph(3, tail, head, w), coil_target=2, stats=stats)
+        assert stats.nodes == 5  # untouched: no node was expanded
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_agrees_with_the_tour_oracle(self, data):
