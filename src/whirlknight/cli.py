@@ -115,7 +115,7 @@ def cmd_tour_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_tour_search(args: argparse.Namespace) -> int:
-    _check_search(args.n, args.budget, args.coil)  # before the digraph, so a rejection is cheap
+    _check_search(args.n, args.budget, args.coil, args.seed)  # before the digraph, so a rejection is cheap
     g = build_digraph(args.n)
     stats = SearchStats()
 

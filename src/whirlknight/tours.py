@@ -49,8 +49,8 @@ class Tour:
 
 @dataclass
 class SearchStats:
-    """Filled in by search_tour: expansions used, whether the space closed, and
-    the longest path reached (``max_depth``, in vertices).
+    """Filled in by search_tour as it returns: expansions used, whether the
+    space closed, and the longest path reached (``max_depth``, in vertices).
 
     Each call resets every field, so a reused object describes the last search.
 
@@ -131,12 +131,12 @@ def winding_by_ray(g: WhirlDigraph, tour: Tour, ray: str = "north") -> int:
     )
 
 
-def _check_search(n: int, budget: int, coil_target: int | None) -> None:
-    """search_tour's argument checks, which need only n, the budget and the coil target.
+def _check_search(n: int, budget: int, coil_target: int | None, seed: int) -> None:
+    """search_tour's argument checks, which need only n, the budget, the coil target and the seed.
 
     Callers run them before building the digraph, so a rejection is cheap.
-    The budget and a coil target must be exactly ``int`` (not a bool), so
-    no float decides what a search proves.
+    The budget, a coil target and the seed must be exactly ``int`` (not a
+    bool), so no float decides what a search proves or the order it tries.
     """
     BoardGeometry(n)  # a bad n keeps the board's own message
     if type(budget) is not int:
@@ -145,6 +145,8 @@ def _check_search(n: int, budget: int, coil_target: int | None) -> None:
         raise ValueError("budget must be >= 1")
     if coil_target is not None and type(coil_target) is not int:
         raise ValueError(f"coil count must be an integer, got {coil_target!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 def search_tour(
@@ -176,7 +178,8 @@ def search_tour(
     * forced arcs: that one vertex must be visited next, and two vertices
       with ``in_free`` 0 kill the branch;
     * ordering: fewest ``out_free`` first, ties in arc-id order; a nonzero
-      seed shuffles equal-priority candidates reproducibly;
+      seed shuffles equal-priority candidates reproducibly (a node with
+      fewer than two moves skips both, as its shuffle would draw nothing);
     * coil pruning (with a target): the running crossing count must never
       exceed the target, and an admissible upper bound on the remaining
       crossings (one per future tail with a crossing out-arc still open)
@@ -190,7 +193,8 @@ def search_tour(
     other end's counter by d, and an unvisited neighbour's count changes
     when that counter read k = [d < 0] before it moved.  So a backtrack
     exactly undoes its visit on any column digraph, self-loops included.
-    ``progress(nodes, depth)`` is called every 100 000 nodes.
+    The node count and depth are locals: ``progress(nodes, depth)`` gets
+    them every 100 000 nodes, and ``stats`` is written on return.
 
     Every pruning rule only discards branches with no valid completion,
     so returning None with budget to spare means the (start-anchored)
@@ -199,7 +203,7 @@ def search_tour(
     unequal length, an arc end outside ``range(vertex_count)`` or a weight
     other than 0 or 1 raise ``ValueError`` before any node is expanded.
     """
-    _check_search(g.n, budget, coil_target)
+    _check_search(g.n, budget, coil_target, seed)
     nv, arcs = g.geometry.vertex_count, len(g.tail)
     # The counters index by the arc ends, and the coil prune assumes 0/1 weights.
     if len(g.head) != arcs or len(g.w) != arcs:
@@ -214,11 +218,12 @@ def search_tour(
     for t, h, w in zip(g.tail, g.head, g.w):
         first.setdefault((t, h), w)
     out_opts: list[list[tuple[int, int]]] = [[] for _ in range(nv)]  # (head, w), arc-id order
-    in_opts: list[list[tuple[int, int]]] = [[] for _ in range(nv)]  # (tail, w)
+    in_tails: list[list[int]] = [[] for _ in range(nv)]
     for (t, h), w in first.items():
         out_opts[t].append((h, w))
-        in_opts[h].append((t, w))
+        in_tails[h].append(t)
     has_cross_out = [any(w for _, w in opts) for opts in out_opts]
+    in_cross = [[t for t in tails if first[t, h]] for h, tails in enumerate(in_tails)]  # crossing in-arcs
     rng = random.Random(seed) if seed else None
     if stats is None:
         stats = SearchStats()
@@ -227,7 +232,7 @@ def search_tour(
     visited = bytearray(nv)
     visited[start] = 1
     path = [start]
-    in_free = [sum(t != start for t, _ in opts) for opts in in_opts]
+    in_free = [sum(t != start for t in tails) for tails in in_tails]
     out_free = [len(opts) for opts in out_opts]
     cross_free = [sum(w for _, w in opts) for opts in out_opts]  # w is 0 or 1
     # Counts over the unvisited vertices.
@@ -235,29 +240,32 @@ def search_tour(
     no_out = sum(1 for u in range(nv) if not visited[u] and not out_free[u])
     crossing = sum(1 for u in range(nv) if not visited[u] and cross_free[u])
     frames: list[tuple[list[tuple[int, int]], int]] = []  # untried moves, coil on arrival
-    coil, d = 0, -1
+    coil, d, nodes, max_depth, tour = 0, -1, 0, 0, None
     while True:
         if d < 0:  # a new node: count it, try the closing arc, list its moves
-            if stats.nodes >= budget:
-                return None
-            stats.nodes += 1
+            if nodes >= budget:
+                break
+            nodes += 1
             depth = len(path)
-            if depth > stats.max_depth:
-                stats.max_depth = depth
-            if progress is not None and stats.nodes % _PROGRESS_EVERY == 0:
-                progress(stats.nodes, depth)
+            if depth > max_depth:
+                max_depth = depth
+            if progress is not None and nodes % _PROGRESS_EVERY == 0:
+                progress(nodes, depth)
             current = path[-1]
             if depth == nv and any(h == start and lo <= coil + w <= hi for h, w in out_opts[current]):
-                return verify_tour(g, list(map(g.geometry.cell, path)))
+                tour = verify_tour(g, list(map(g.geometry.cell, path)))
+                break
             moves = []
             if not (no_out or no_in > 1 or coil + has_cross_out[current] + crossing < lo):
                 # A vertex left with no unvisited tail can only be entered from current, now.
                 moves = [(h, w) for h, w in out_opts[current] if not visited[h]
                          and (not no_in or not in_free[h]) and coil + w <= hi]
-                if rng is not None:
-                    rng.shuffle(moves)
-                moves.sort(key=lambda m: out_free[m[0]])  # stable: ties keep arc-id or shuffled order
-            frames.append((moves[::-1], coil))  # reversed: pop() takes the next move
+                if len(moves) > 1:  # fewer need no order, and their shuffle draws nothing
+                    if rng is not None:
+                        rng.shuffle(moves)
+                    moves.sort(key=lambda m: out_free[m[0]])  # stable: ties keep arc-id or shuffled order
+                    moves.reverse()  # pop() takes the next move
+            frames.append((moves, coil))
         untried, arrival = frames[-1]
         if untried:  # visit the next untried head
             v, w = untried.pop()
@@ -267,8 +275,8 @@ def search_tour(
             frames.pop()
             v, d = path.pop(), 1
         else:
-            stats.exhausted = stats.nodes < budget
-            return None
+            stats.exhausted = nodes < budget
+            break
         k = d < 0  # a counter at k before it moves by d passes zero
         no_in += d * (not in_free[v])
         no_out += d * (not out_free[v])
@@ -278,14 +286,16 @@ def search_tour(
             if in_free[h] == k and not visited[h]:
                 no_in -= d
             in_free[h] += d
-        for t, w in in_opts[v]:
-            if not visited[t]:
-                if out_free[t] == k:
-                    no_out -= d
-                if w and cross_free[t] == k:
-                    crossing += d
+        for t in in_tails[v]:
+            if out_free[t] == k and not visited[t]:
+                no_out -= d
             out_free[t] += d
-            cross_free[t] += d * w
+        for t in in_cross[v]:
+            if cross_free[t] == k and not visited[t]:
+                crossing += d
+            cross_free[t] += d
+    stats.nodes, stats.max_depth = nodes, max_depth
+    return tour
 
 
 def tour_to_json(n: int, tour: Tour) -> str:

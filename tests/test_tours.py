@@ -211,6 +211,14 @@ class TestSearch:
             search_tour(dg(6), coil_target=target, stats=stats)
         assert stats.nodes == 0
 
+    @pytest.mark.parametrize("seed", [1.5, 7.0, True])
+    def test_non_int_seed_rejected(self, dg, seed):
+        # Unchecked, each seeds the shuffle: 1.5 by its hash, 7.0 as seed 7, True as seed 1.
+        stats = SearchStats(nodes=5)
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed}$"):
+            search_tour(dg(6), seed=seed, stats=stats)
+        assert stats == SearchStats(nodes=5)  # untouched: no node was expanded
+
     def test_reused_stats_describe_the_last_search(self, dg):
         stats = SearchStats()
         assert search_tour(dg(6), coil_target=3, stats=stats) is None
@@ -342,8 +350,9 @@ class TestSearch:
 
     # (n, coil_target, seed, nodes, exhausted, sha256 prefix of tour_to_json,
     # sha256 prefix of the space-joined depth at every node), budget 12 000: the
-    # perfbench search queries.  Past n = 8 no tour is found, so only the depth
-    # trace shows that the nodes are visited in the same order.
+    # perfbench search queries, then odd boards and a coil target past n = 8.
+    # Where no tour is found, only the depth trace shows that the nodes are
+    # visited in the same order.
     PINNED_TRACES = [
         (6, None, 0, 135, False, "c20236dee5245bbd", "72bbae7199819b80"),
         (6, None, 7, 166, False, "c20236dee5245bbd", "fd410aa3f4910e94"),
@@ -369,6 +378,20 @@ class TestSearch:
         (16, None, 0, 12000, False, None, "f98c86cdcc8ae56c"),
         (16, None, 7, 12000, False, None, "b822342f793302b2"),
         (16, None, 12345, 12000, False, None, "76674601633d09ce"),
+        (5, None, 0, 10, True, None, "dd2781c8a4e8f311"),
+        (5, None, 7, 10, True, None, "dd2781c8a4e8f311"),
+        (5, 4, 0, 10, True, None, "dd2781c8a4e8f311"),
+        (5, 4, 7, 10, True, None, "dd2781c8a4e8f311"),
+        (7, None, 0, 83, False, "3db9a0eaf7255c50", "54014537be221a18"),
+        (7, None, 7, 58, False, "3db9a0eaf7255c50", "575b6eb2e56ca3cc"),
+        (7, 6, 0, 12000, False, None, "8ba0a8b11a7f5ccf"),
+        (7, 6, 7, 12000, False, None, "3995613a025c6fd6"),
+        (9, None, 0, 12000, False, None, "dbb256aafb351c9b"),
+        (9, None, 7, 12000, False, None, "965d44597ce16307"),
+        (9, 7, 0, 12000, False, None, "bf830b7e210bb541"),
+        (9, 7, 7, 12000, False, None, "455aabb92ecb0272"),
+        (10, 8, 0, 12000, False, None, "28ddd928cbf2c738"),
+        (10, 8, 7, 12000, False, None, "c3e9596d088c1408"),
     ]
 
     @pytest.mark.parametrize("n,coil,seed,nodes,exhausted,digest,trace", PINNED_TRACES)
