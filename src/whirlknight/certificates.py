@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 
 from .digraph import Arc, WhirlDigraph
-from .geometry import BoardGeometry, Cell, _cell_text, _json_int
+from .geometry import BoardGeometry, Cell, _cell_text, _exact_int, _read_json
 
 __all__ = [
     "FarkasCertificate",
@@ -65,17 +65,15 @@ class FarkasCertificate:
 
     def __post_init__(self) -> None:
         index = BoardGeometry(self.n).index
-        for name, x in (("c", self.c), ("gamma", self.gamma)):
-            if type(x) is not int:
-                raise ValueError(f"{name} must be an integer, got {x!r}")
+        _exact_int(self.c, "c")
+        _exact_int(self.gamma, "gamma")
         for name, support in (("alpha", self.alpha), ("beta", self.beta)):
             for v, x in support.items():
                 try:
                     index(v)
                 except ValueError:
                     raise ValueError(f"{name} support cell {_cell_text(v)} is not a vertex") from None
-                if type(x) is not int:
-                    raise ValueError(f"{name} entry at {tuple(v)} must be an integer, got {x!r}")
+                _exact_int(x, "{0} entry at ({1[0]}, {1[1]})", name, v)  # v is a pair of ints here
 
     def sum_alpha(self) -> int:
         return sum(self.alpha.values())
@@ -94,7 +92,7 @@ class VerificationReport:
 
 def _require_residue(n: int, residue: int, minimum: int) -> int:
     """Validate n = residue (mod 8) and return m = (n - residue) / 8."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < minimum or n % 8 != residue:
+    if _exact_int(n, "board side") < minimum or n % 8 != residue:
         raise ValueError(
             f"expected n = {residue} (mod 8) with n >= {minimum}, got {n!r}"
         )
@@ -220,21 +218,20 @@ def _entries_from_json(name: str, rows) -> dict[Cell, int]:
     """Support entries [i, j, x] as a cell map; zeros dropped, repeats rejected."""
     support: dict[Cell, int] = {}
     for i, j, x in rows:
-        cell = Cell(_json_int(i), _json_int(j))
+        cell = Cell(_exact_int(i, "cell coordinate"), _exact_int(j, "cell coordinate"))
         if cell in support:
             raise ValueError(f"{name} lists cell {tuple(cell)} twice")
-        support[cell] = _json_int(x)
+        support[cell] = _exact_int(x, "{} entry", name)
     return {c: x for c, x in support.items() if x}
 
 
 def certificate_from_json(text: str) -> FarkasCertificate:
-    doc = json.loads(text)
-    try:
-        n, c = _json_int(doc["n"]), _json_int(doc["c"])
-        alpha = _entries_from_json("alpha", doc["alpha"])
-        beta = _entries_from_json("beta", doc["beta"])
-        gamma = _json_int(doc["gamma"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed certificate JSON: {exc}") from exc
-    # Outside the try: a bad n or support cell keeps the certificate's own message.
-    return FarkasCertificate(n=n, c=c, alpha=alpha, beta=beta, gamma=gamma)
+    fields = _read_json(text, "certificate", lambda doc: dict(
+        n=_exact_int(doc["n"], "n"),
+        c=_exact_int(doc["c"], "c"),
+        alpha=_entries_from_json("alpha", doc["alpha"]),
+        beta=_entries_from_json("beta", doc["beta"]),
+        gamma=_exact_int(doc["gamma"], "gamma"),
+    ))
+    # Built outside the envelope: a bad n or support cell keeps the certificate's own message.
+    return FarkasCertificate(**fields)

@@ -100,18 +100,34 @@ def cmd_lp(args: argparse.Namespace) -> int:
     return 0 if decision.feasible else 1
 
 
+def _file_tour(g, cells, coil: int | None):
+    """A tour file's cells verified on g; the coil the file claims, if any, must be the tour's."""
+    tour = verify_tour(g, cells)
+    if coil is not None and coil != tour.coil:
+        raise ValueError(f"the file claims coil={coil}, the tour has coil={tour.coil}")
+    return tour
+
+
 def cmd_tour_verify(args: argparse.Namespace) -> int:
-    n, cells = tour_from_json(Path(args.infile).read_text())
+    n, cells, coil = tour_from_json(Path(args.infile).read_text())
     _require_n(args.n, n, "tour")
     geom = BoardGeometry(n)  # a bad n is an error, not an invalid tour
     try:
         _check_cells(geom, cells)  # before the digraph, so a short file is cheap
-        tour = verify_tour(build_digraph(n), cells)
     except ValueError as exc:
-        print(f"valid=false error={json.dumps(str(exc))}")
-        return 1
+        return _invalid_tour(exc)
+    g = build_digraph(n)  # outside the try: an n above the size limit is an error, not an invalid tour
+    try:
+        tour = _file_tour(g, cells, coil)
+    except ValueError as exc:
+        return _invalid_tour(exc)
     print(f"valid=true n={n} coil={tour.coil}")
     return 0
+
+
+def _invalid_tour(exc: ValueError) -> int:
+    print(f"valid=false error={json.dumps(str(exc))}")
+    return 1
 
 
 def cmd_tour_search(args: argparse.Namespace) -> int:
@@ -154,11 +170,11 @@ def cmd_render(args: argparse.Namespace) -> int:
             _require_n(args.n, cert.n, "certificate")
             spec = certificate_spec(cert, args.format)
         elif "cells" in keys:
-            n, cells = tour_from_json(text)
+            n, cells, coil = tour_from_json(text)
             _require_n(args.n, n, "tour")
             _check_cells(BoardGeometry(n), cells)  # before the digraph, so a short file is cheap
             g = build_digraph(n)
-            spec = tour_spec(g, verify_tour(g, cells), args.format)
+            spec = tour_spec(g, _file_tour(g, cells, coil), args.format)
         else:
             raise ValueError("cannot identify input file")
     else:

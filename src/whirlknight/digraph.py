@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
-from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _json_int
+from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _bounded_board, _exact_int, _json_cell, _read_json
 
 __all__ = ["Arc", "WhirlDigraph", "build_digraph", "digraph_to_json", "digraph_from_json"]
 
@@ -105,8 +105,9 @@ class WhirlDigraph:
 def build_digraph(n: int) -> WhirlDigraph:
     """Build the whirling-knight digraph on the n x n board.
 
-    Deterministic: vertices row-major, arcs tail row-major, then
-    knight-step order.  In doubled coordinates (ui, uj) = (2i - m,
+    A side above ``geometry._MAX_SIDE`` (512) raises ``ValueError`` before
+    anything is allocated.  Deterministic: vertices row-major, arcs tail
+    row-major, then knight-step order.  In doubled coordinates (ui, uj) = (2i - m,
     2j - m), m = n - 1, with head v = u + s for the step s = (di, dj), so
     that (vi, vj) = (ui + 2di, uj + 2dj):
 
@@ -137,7 +138,7 @@ def build_digraph(n: int) -> WhirlDigraph:
     marked pair is an on-board knight step by construction, so the
     geometry predicates' own checks are not repeated here.
     """
-    centre = BoardGeometry(n).centre_cell()
+    centre = _bounded_board(n).centre_cell()
     m, slots = n - 1, 8 * n
     rows: list[list[int]] = []  # vertex indices of each row, padded with -1
     k = 0  # BoardGeometry.index order, counted here: filling through cell costs ~9x more
@@ -207,14 +208,11 @@ def digraph_from_json(text: str) -> WhirlDigraph:
     The digraph is a pure function of n, so the file must list exactly the
     canonical vertices and arcs; anything else is treated as corrupt.
     """
-    doc = json.loads(text)
-    try:
-        n = _json_int(doc["n"])
-        vertices = [Cell(_json_int(i), _json_int(j)) for i, j in doc["vertices"]]
-        arcs = [(Cell(*map(_json_int, a["u"])), Cell(*map(_json_int, a["v"])), _json_int(a["w"]))
-                for a in doc["arcs"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed digraph JSON: {exc}") from exc
+    n, vertices, arcs = _read_json(text, "digraph", lambda doc: (
+        _exact_int(doc["n"], "n"),
+        list(map(_json_cell, doc["vertices"])),
+        [(_json_cell(a["u"]), _json_cell(a["v"]), _exact_int(a["w"], "arc weight")) for a in doc["arcs"]],
+    ))
     # Counted first, so a short vertex list never costs a build of size n²; a bad n raises here.
     g = build_digraph(n) if len(vertices) == BoardGeometry(n).vertex_count else None
     if g is None or vertices != list(g.vertices):

@@ -6,13 +6,15 @@ work in doubled coordinates (2i - (n-1), 2j - (n-1)), which put the pivot
 at the origin and keep every comparison in plain integers, axis-ray
 crossings included, with no fractions and no floating point anywhere.
 ``BoardGeometry`` alone numbers the digraph's vertices (``index``, its
-inverse ``cell``) and counts them (``vertex_count``).
+inverse ``cell``) and counts them (``vertex_count``).  ``_exact_int`` alone states
+the rule that an integer input is exactly an ``int``; ``_read_json`` wraps every JSON reader.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 __all__ = [
     "Cell",
@@ -53,12 +55,32 @@ KNIGHT_STEPS: tuple[KnightStep, ...] = tuple(
 #: north points toward row 0, west toward column 0.
 RAYS = ("north", "east", "south", "west")
 
+#: The largest board side that ``build_digraph`` and ``render`` accept.  The
+#: digraph has about 4n² arcs, and its build peaks near 58 bytes per arc
+#: (CPython 3.11, n = 100..512), so n = 512 takes about 60 MB and n = 10^5
+#: would take terabytes.  A larger n raises before anything is allocated.
+_MAX_SIDE = 512
 
-def _json_int(x: object) -> int:
-    """A number read from JSON, which must be an integer: no floats, bools or strings."""
-    if type(x) is not int:
-        raise ValueError(f"expected an integer, got {x!r}")
-    return x
+
+def _exact_int(x: object, what: str, *args: object) -> int:
+    """x if its type is exactly ``int``, else ValueError naming ``what.format(*args)``, built only then."""
+    if type(x) is int:
+        return x
+    raise ValueError(f"{what.format(*args)} must be an integer, got {x!r}")
+
+
+def _read_json(text: str, kind: str, parse: Callable[[Any], Any]) -> Any:
+    """parse(json.loads(text)); its KeyError, TypeError or ValueError reads ``malformed <kind> JSON: ...``."""
+    doc = json.loads(text)
+    try:
+        return parse(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {kind} JSON: {exc}") from exc
+
+
+def _json_cell(pair: object) -> Cell:
+    i, j = pair  # [i, j] read from JSON
+    return Cell(_exact_int(i, "cell coordinate"), _exact_int(j, "cell coordinate"))
 
 
 def _cell_text(c: object) -> str:
@@ -80,7 +102,7 @@ class BoardGeometry:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 3:
+        if _exact_int(self.n, "board side") < 3:
             raise ValueError(f"board side must be an integer >= 3, got {self.n!r}")
 
     def on_board(self, c: Cell) -> bool:
@@ -119,6 +141,14 @@ class BoardGeometry:
         if self.n % 2:
             return Cell((self.n - 1) // 2, (self.n - 1) // 2)
         return None
+
+
+def _bounded_board(n: int) -> BoardGeometry:
+    """The board for n, which must be small enough to build: at most ``_MAX_SIDE``."""
+    geom = BoardGeometry(n)
+    if n > _MAX_SIDE:
+        raise ValueError(f"board side must be at most {_MAX_SIDE}, got {n}")
+    return geom
 
 
 def ccw_cross(geom: BoardGeometry, u: Cell, v: Cell) -> int:

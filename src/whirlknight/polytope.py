@@ -36,7 +36,7 @@ from functools import cached_property
 
 from .certificates import FarkasCertificate, _check_columns
 from .digraph import WhirlDigraph
-from .geometry import BoardGeometry, Cell
+from .geometry import BoardGeometry, Cell, _exact_int
 
 __all__ = [
     "NoCycleCoverError",
@@ -296,9 +296,7 @@ def coil_of_cover(g: WhirlDigraph, cover: CycleCover) -> int:
     if len(arcs) != geom.vertex_count:
         raise ValueError(f"cover has {len(arcs)} arcs for {geom.vertex_count} vertices")
     for k, a in enumerate(arcs):
-        if type(a) is not int:
-            raise ValueError(f"arc id {a!r} is not an integer")
-        if not (0 <= a < len(g.w) and g.tail[a] == k):
+        if not (0 <= _exact_int(a, "arc id") < len(g.w) and g.tail[a] == k):
             raise ValueError(f"cover arc {a} does not leave vertex {tuple(geom.cell(k))}")
     if len({g.head[a] for a in arcs}) != len(arcs):
         raise ValueError("cover heads are not a permutation")
@@ -385,13 +383,11 @@ def validate_assignment(g: WhirlDigraph, fa: FractionalAssignment, c: int) -> No
     must sum to d and the coil row to c * d.  c must be an ``int`` (not a
     bool), as for ``lp_feasible``.
     """
-    if type(c) is not int:
-        raise ValueError(f"coil count must be an integer, got {c!r}")
+    _exact_int(c, "coil count")
     head, tail, w = g.head, g.tail, g.w
     entries, dens = [], set()
     for aid, val in fa.x.items():
-        if type(aid) is not int:
-            raise ValueError(f"arc id {aid!r} is not an integer")
+        _exact_int(aid, "arc id")
         if type(val) not in (int, Fraction):
             raise ValueError(f"arc {aid} value {val!r} is not an int or Fraction")
         num, den = val.numerator, val.denominator  # den > 0; an int has den 1
@@ -430,8 +426,7 @@ def lp_feasible(g: WhirlDigraph, c: int) -> LpDecision:
     c must be an ``int`` (not a bool); anything else is rejected before
     any solve.
     """
-    if type(c) is not int:
-        raise ValueError(f"coil count must be an integer, got {c!r}")
+    _exact_int(c, "coil count")
     iv = coil_interval(g)
     feasible = iv.min_coil <= c <= iv.max_coil
     witness = certificate = None

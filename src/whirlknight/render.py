@@ -19,7 +19,7 @@ from itertools import chain
 
 from .certificates import FarkasCertificate
 from .digraph import WhirlDigraph
-from .geometry import BoardGeometry, Cell
+from .geometry import Cell, _bounded_board
 from .tours import Tour
 
 __all__ = [
@@ -70,7 +70,7 @@ def tour_spec(g: WhirlDigraph, tour: Tour, fmt: str = "ascii") -> RenderSpec:
 
 
 def render(spec: RenderSpec) -> str:
-    geom = BoardGeometry(spec.n)
+    geom = _bounded_board(spec.n)  # n above _MAX_SIDE raises before any drawing
     alpha, beta = spec.cert or ({}, {})
     for c in chain(alpha, beta, (c for t, h, _ in spec.arcs for c in (t, h)), spec.path):
         geom.index(c)  # raises on a cell that is not a vertex

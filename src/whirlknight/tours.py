@@ -22,7 +22,7 @@ from itertools import islice
 from typing import Callable
 
 from .digraph import WhirlDigraph
-from .geometry import RAYS, BoardGeometry, Cell, _json_int, crosses_axis_ray
+from .geometry import RAYS, BoardGeometry, Cell, _exact_int, _json_cell, _read_json, crosses_axis_ray
 from .polytope import FractionalAssignment, validate_assignment
 
 __all__ = [
@@ -139,14 +139,11 @@ def _check_search(n: int, budget: int, coil_target: int | None, seed: int) -> No
     bool), so no float decides what a search proves or the order it tries.
     """
     BoardGeometry(n)  # a bad n keeps the board's own message
-    if type(budget) is not int:
-        raise ValueError(f"budget must be an integer, got {budget!r}")
-    if budget < 1:
+    if _exact_int(budget, "budget") < 1:
         raise ValueError("budget must be >= 1")
-    if coil_target is not None and type(coil_target) is not int:
-        raise ValueError(f"coil count must be an integer, got {coil_target!r}")
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if coil_target is not None:
+        _exact_int(coil_target, "coil count")
+    _exact_int(seed, "seed")
 
 
 def search_tour(
@@ -303,12 +300,13 @@ def tour_to_json(n: int, tour: Tour) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def tour_from_json(text: str) -> tuple[int, list[Cell]]:
-    """Parse a tour file; returns (n, cells).  Verification is separate."""
-    doc = json.loads(text)
-    try:
-        n = _json_int(doc["n"])
-        cells = [Cell(_json_int(i), _json_int(j)) for i, j in doc["cells"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed tour JSON: {exc}") from exc
-    return n, cells
+def tour_from_json(text: str) -> tuple[int, list[Cell], int | None]:
+    """Parse a tour file; returns (n, cells, coil), coil None when the file has no ``coil``.
+
+    Verification, the claimed coil's included, is separate.
+    """
+    return _read_json(text, "tour", lambda doc: (
+        _exact_int(doc["n"], "n"),
+        list(map(_json_cell, doc["cells"])),
+        _exact_int(doc["coil"], "coil") if "coil" in doc else None,
+    ))

@@ -1,10 +1,13 @@
 import ast
 import importlib
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import whirlknight
+from whirlknight import render
 
 
 def _reexported(module: str) -> set[str]:
@@ -94,3 +97,116 @@ def test_oracles_import_nothing_from_package():
             modules.append(node.module or "")
     assert modules  # the walk sees the oracles' own imports
     assert [m for m in modules if m.split(".")[0] == "whirlknight"] == []
+
+
+def _int_rule_uses(tree: ast.AST) -> list[str]:
+    """type(...) compared with int, and isinstance(..., int), as 'line: what'."""
+
+    def is_int(node):
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    def is_type_call(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "type"
+
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_type_call, operands)) and any(map(is_int, operands)):
+                hits.append(f"{node.lineno}: type() compared with int")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            cls = node.args[1] if len(node.args) == 2 else None
+            if is_int(cls) or isinstance(cls, ast.Tuple) and any(map(is_int, cls.elts)):
+                hits.append(f"{node.lineno}: isinstance(..., int)")
+    return hits
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(whirlknight.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_only_geometry_states_the_integer_rule(path):
+    # Every other module calls geometry._exact_int, so the rule has one owner.
+    uses = _int_rule_uses(ast.parse(path.read_text()))
+    assert bool(uses) == (path.name == "geometry.py"), uses
+
+
+def test_integer_rule_guard_sees_each_form():
+    source = (
+        "type(x) is int\ntype(x) is not int\nint == type(x)\ntype(i) is type(j) is int\n"
+        "isinstance(x, int)\nisinstance(x, (bool, int))\n"
+        "type(x) is float\nisinstance(x, str)\ntype(x) in (int, Fraction)\n"
+    )  # the last three are other rules: validate_assignment's values may be int or Fraction
+    assert len(_int_rule_uses(ast.parse(source))) == 6
+
+
+# Every site of the integer rule, as (name, label in the message, call through a public entry
+# point); g is the n = 3 digraph, where arc k leaves vertex k.
+GUARD_SITES = [
+    ("BoardGeometry", "board side", lambda g, x: whirlknight.BoardGeometry(x)),
+    ("build_t1", "board side", lambda g, x: whirlknight.build_t1(x)),
+    ("build_t2", "board side", lambda g, x: whirlknight.build_t2(x)),
+    ("parity_census", "board side", lambda g, x: whirlknight.parity_census(x)),
+    ("render", "board side", lambda g, x: render.render(render.board_spec(x))),
+    ("certificate c", "c", lambda g, x: whirlknight.FarkasCertificate(3, x, {}, {}, -1)),
+    ("certificate gamma", "gamma", lambda g, x: whirlknight.FarkasCertificate(3, 2, {}, {}, x)),
+    ("certificate entry", "beta entry at (0, 0)",
+     lambda g, x: whirlknight.FarkasCertificate(3, 2, {}, {whirlknight.Cell(0, 0): x}, -1)),
+    ("coil_of_cover", "arc id", lambda g, x: whirlknight.coil_of_cover(g, whirlknight.CycleCover((x, *range(1, 8))))),
+    ("validate_assignment arc", "arc id",
+     lambda g, x: whirlknight.validate_assignment(g, whirlknight.FractionalAssignment({x: Fraction(1)}), 2)),
+    ("validate_assignment c", "coil count",
+     lambda g, x: whirlknight.validate_assignment(g, whirlknight.FractionalAssignment({}), x)),
+    ("lp_feasible", "coil count", lambda g, x: whirlknight.lp_feasible(g, x)),
+    ("search budget", "budget", lambda g, x: whirlknight.search_tour(g, budget=x)),
+    ("search coil", "coil count", lambda g, x: whirlknight.search_tour(g, coil_target=x)),
+    ("search seed", "seed", lambda g, x: whirlknight.search_tour(g, seed=x)),
+]
+CERT_DOC = {"n": 6, "c": 3, "gamma": -1, "alpha": [[0, 2, 1]], "beta": [[0, 3, 1]]}
+DIGRAPH_DOC = {"n": 3, "vertices": [[0, 0]], "arcs": [{"u": [0, 0], "v": [1, 2], "w": 0}]}
+# JSON has no Fraction, so these sites take the other three values.
+JSON_SITES = [
+    ("certificate n", "certificate", "n", lambda x: {**CERT_DOC, "n": x}),
+    ("certificate c", "certificate", "c", lambda x: {**CERT_DOC, "c": x}),
+    ("certificate gamma", "certificate", "gamma", lambda x: {**CERT_DOC, "gamma": x}),
+    ("certificate entry", "certificate", "alpha entry", lambda x: {**CERT_DOC, "alpha": [[0, 2, x]]}),
+    ("certificate cell", "certificate", "cell coordinate", lambda x: {**CERT_DOC, "beta": [[x, 3, 1]]}),
+    ("digraph n", "digraph", "n", lambda x: {**DIGRAPH_DOC, "n": x}),
+    ("digraph vertex", "digraph", "cell coordinate", lambda x: {**DIGRAPH_DOC, "vertices": [[0, x]]}),
+    ("digraph arc end", "digraph", "cell coordinate",
+     lambda x: {**DIGRAPH_DOC, "arcs": [{"u": [0, 0], "v": [x, 2], "w": 0}]}),
+    ("digraph weight", "digraph", "arc weight", lambda x: {**DIGRAPH_DOC, "arcs": [{"u": [0, 0], "v": [1, 2], "w": x}]}),
+    ("tour n", "tour", "n", lambda x: {"n": x, "cells": []}),
+    ("tour cell", "tour", "cell coordinate", lambda x: {"n": 3, "cells": [[0, 0], [x, 2]]}),
+    ("tour coil", "tour", "coil", lambda x: {"n": 3, "cells": [], "coil": x}),
+]
+READERS = {"certificate": "certificate_from_json", "digraph": "digraph_from_json", "tour": "tour_from_json"}
+NOT_INTS = [1.5, True, Fraction(1), "1"]
+
+
+@pytest.fixture
+def no_builds(dg, monkeypatch):
+    """The n = 3 digraph, built before every later build_digraph call is refused."""
+    g = dg(3)
+
+    def refuse(n):
+        raise AssertionError(f"built the n={n} digraph")
+
+    for module in (whirlknight, whirlknight.digraph, whirlknight.cli):
+        monkeypatch.setattr(module, "build_digraph", refuse)
+    return g
+
+
+@pytest.mark.parametrize("x", NOT_INTS, ids=repr)
+@pytest.mark.parametrize("name,what,call", GUARD_SITES, ids=[s[0] for s in GUARD_SITES])
+def test_every_guard_site_rejects_each_non_int(name, what, call, x, no_builds):
+    with pytest.raises(ValueError) as exc:
+        call(no_builds, x)
+    assert str(exc.value) == f"{what} must be an integer, got {x!r}"
+
+
+@pytest.mark.parametrize("x", [v for v in NOT_INTS if not isinstance(v, Fraction)], ids=repr)
+@pytest.mark.parametrize("name,kind,what,doc", JSON_SITES, ids=[s[0] for s in JSON_SITES])
+def test_every_json_number_rejects_each_non_int(name, kind, what, doc, x, no_builds):
+    with pytest.raises(ValueError) as exc:
+        getattr(whirlknight, READERS[kind])(json.dumps(doc(x)))
+    assert str(exc.value) == f"malformed {kind} JSON: {what} must be an integer, got {x!r}"

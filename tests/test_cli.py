@@ -13,7 +13,9 @@ from whirlknight import (
     cli,
     digraph_from_json,
     digraph_to_json,
+    search_tour,
     tour_from_json,
+    tour_to_json,
     verify_certificate,
 )
 from whirlknight.cli import main
@@ -259,6 +261,30 @@ class TestTour:
         code, stdout, _ = run(capsys, "tour", "verify", "--in", str(bad))
         assert code == 1 and "valid=false" in stdout
 
+    TAMPERED = "the file claims coil=99, the tour has coil=5"
+    NOT_AN_INT = "malformed tour JSON: coil must be an integer, got 'x'"
+
+    @pytest.mark.parametrize("coil,verify,render_code,render_err", [
+        (5, (0, "valid=true n=6 coil=5\n", ""), 0, ""),
+        (None, (0, "valid=true n=6 coil=5\n", ""), 0, ""),
+        (99, (1, f"valid=false error={json.dumps(TAMPERED)}\n", ""), 2, f"error: {TAMPERED}\n"),
+        ("x", (2, "", f"error: {NOT_AN_INT}\n"), 2, f"error: {NOT_AN_INT}\n"),
+    ], ids=["matching", "absent", "tampered", "not-an-int"])
+    def test_verify_checks_the_file_coil(self, coil, verify, render_code, render_err, tmp_path, capsys):
+        path = tmp_path / "t6.json"
+        run(capsys, "tour", "search", "--n", "6", "--coil", "5", "--budget", "100000", "--out", str(path))
+        doc = json.loads(path.read_text())
+        assert doc["coil"] == 5
+        if coil is None:
+            del doc["coil"]
+        else:
+            doc["coil"] = coil
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "tour", "verify", "--in", str(path)) == verify
+        code, stdout, stderr = run(capsys, "render", "--in", str(path))
+        assert (code, stderr) == (render_code, render_err)
+        assert (stdout != "") == (render_code == 0)
+
     def test_verify_with_contradicting_n_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "t3.json"
         run(capsys, "tour", "search", "--n", "3", "--budget", "1000", "--out", str(out))
@@ -342,6 +368,26 @@ class TestTour:
         args.coil = 5.5  # argparse gives an int; a caller of cmd_tour_search may not
         with pytest.raises(ValueError, match=r"^coil count must be an integer, got 5\.5$"):
             cli.cmd_tour_search(args)
+
+
+@pytest.mark.parametrize("argv", [
+    ["digraph", "--n", "6"],
+    ["lp", "--n", "6", "--c", "5"],
+    ["tour", "search", "--n", "6"],
+    ["render", "--n", "6"],
+    ["cert", "verify", "--family", "t1", "--n", "6"],
+    ["cert", "verify", "--family", "file", "--in", "c6.json"],
+    ["render", "--in", "c6.json"],
+    ["tour", "verify", "--in", "t6.json"],  # a whole tour: an error, not an invalid tour
+    ["render", "--in", "t6.json"],
+], ids=" ".join)
+def test_board_above_the_size_limit_is_an_error(argv, tmp_path, capsys, monkeypatch):
+    # A limit of 5 makes n = 6 too large, so every path is checked on a small board.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c6.json").write_text(certificate_to_json(build_t1(6)))
+    (tmp_path / "t6.json").write_text(tour_to_json(6, search_tour(build_digraph(6), 5, budget=100_000)))
+    monkeypatch.setattr("whirlknight.geometry._MAX_SIDE", 5)
+    assert run(capsys, *argv) == (2, "", "error: board side must be at most 5, got 6\n")
 
 
 class TestRender:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from whirlknight import (
     crosses_axis_ray,
     is_ccw,
 )
+from whirlknight import render as render_module
+from whirlknight.geometry import _MAX_SIDE
 
 from oracles import KNIGHT_DELTAS, board_cells, ccw_oracle, ray_cross_oracle
 
@@ -46,6 +49,25 @@ class TestBoardGeometry:
     def test_rejects_bad_sizes(self, bad):
         with pytest.raises(ValueError):
             BoardGeometry(bad)
+
+    def test_size_limit_covers_the_roadmap_boards(self):
+        assert _MAX_SIDE >= 2 * 203
+
+    @pytest.mark.parametrize("build", [
+        build_digraph,
+        lambda n: render_module.render(render_module.board_spec(n)),
+    ], ids=["build_digraph", "render"])
+    def test_size_limit_fires_before_any_allocation(self, build):
+        # Just above the limit, so a build that slipped past the check would stay small.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^board side must be at most {_MAX_SIDE}, got {_MAX_SIDE + 1}$"):
+                build(_MAX_SIDE + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Checked after its first allocations, each call takes megabytes at n = 513 before it raises.
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("n", [*range(3, 41), 61, 101])
     def test_index_numbers_the_vertices_row_major(self, n):

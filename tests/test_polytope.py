@@ -304,7 +304,7 @@ class TestCoilOfCover:
         g = dg(3)
         arcs = list(coil_interval(g).argmin.arcs)
         arcs[int(bad)] = bad
-        with pytest.raises(ValueError, match=f"^arc id {bad!r} is not an integer$"):
+        with pytest.raises(ValueError, match=f"^arc id must be an integer, got {bad!r}$"):
             coil_of_cover(g, CycleCover(arcs=tuple(arcs)))
 
     def test_rejects_non_permutation(self, dg):
@@ -403,8 +403,8 @@ class TestAssignmentValidation:
             validate_assignment(g, FractionalAssignment(x=x), iv.min_coil)
 
     @pytest.mark.parametrize("x,message", [
-        ({True: Fraction(1)}, r"^arc id True is not an integer$"),
-        ({0.0: Fraction(1)}, r"^arc id 0\.0 is not an integer$"),
+        ({True: Fraction(1)}, r"^arc id must be an integer, got True$"),
+        ({0.0: Fraction(1)}, r"^arc id must be an integer, got 0\.0$"),
         ({0: True}, r"^arc 0 value True is not an int or Fraction$"),
         ({0: 0.5}, r"^arc 0 value 0\.5 is not an int or Fraction$"),
     ])

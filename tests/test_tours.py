@@ -453,9 +453,17 @@ class TestTourSerialization:
         g = dg(3)
         tour = verify_tour(g, N3_CYCLE)
         text = tour_to_json(3, tour)
-        n, cells = tour_from_json(text)
-        assert n == 3 and verify_tour(g, cells) == tour
+        n, cells, coil = tour_from_json(text)
+        assert n == 3 and coil == tour.coil and verify_tour(g, cells) == tour
         assert tour_to_json(n, verify_tour(g, cells)) == text
+
+    def test_coil_is_optional(self, dg):
+        doc = json.loads(tour_to_json(3, verify_tour(dg(3), N3_CYCLE)))
+        del doc["coil"]
+        assert tour_from_json(json.dumps(doc))[2] is None
+        doc["coil"] = None  # null is not an absent key
+        with pytest.raises(ValueError, match=r"^malformed tour JSON: coil must be an integer, got None$"):
+            tour_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("bad", [0.9, False, "0"], ids=["float", "bool", "string"])
     def test_rejects_non_integer(self, bad, dg):
