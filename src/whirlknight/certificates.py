@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 
 from .digraph import Arc, WhirlDigraph
-from .geometry import BoardGeometry, Cell, _cell_text, _exact_int, _read_json
+from .geometry import BoardGeometry, Cell, _bounded_board, _cell_text, _exact_int, _read_doc
 
 __all__ = [
     "FarkasCertificate",
@@ -122,6 +122,7 @@ def build_t1(n: int) -> FarkasCertificate:
 
 def _triangle(n: int):
     """The north-east triangle row-major: cells (i, j) with i < h <= j and i + j <= n-1."""
+    _bounded_board(n)  # about n²/8 cells: an n above _MAX_SIDE raises before the walk
     h = n // 2
     return (Cell(i, j) for i in range(h) for j in range(h, n - i))
 
@@ -226,7 +227,12 @@ def _entries_from_json(name: str, rows) -> dict[Cell, int]:
 
 
 def certificate_from_json(text: str) -> FarkasCertificate:
-    fields = _read_json(text, "certificate", lambda doc: dict(
+    return _certificate_from_doc(json.loads(text))
+
+
+def _certificate_from_doc(doc: object) -> FarkasCertificate:
+    """``certificate_from_json`` on the document ``json.loads`` returned."""
+    fields = _read_doc(doc, "certificate", lambda doc: dict(
         n=_exact_int(doc["n"], "n"),
         c=_exact_int(doc["c"], "c"),
         alpha=_entries_from_json("alpha", doc["alpha"]),

@@ -4,7 +4,8 @@ Subcommands: ``digraph``, ``cert``, ``lp``, ``tour``, ``render``.  All
 output is line-oriented key=value pairs or JSON; search progress goes to
 stderr as key=value lines.  Exit codes follow one contract everywhere:
 0 = positive result (valid / feasible / found), 1 = definite negative,
-2 = usage, data or internal error.
+2 = usage, data or internal error.  Each command imports the layers it
+runs when it runs, so a command loads only its own layers.
 """
 
 from __future__ import annotations
@@ -14,20 +15,6 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-
-from .certificates import (
-    build_n3_certificate,
-    build_t1,
-    build_t2,
-    certificate_from_json,
-    certificate_to_json,
-    verify_certificate,
-)
-from .digraph import build_digraph, digraph_from_json, digraph_to_json
-from .geometry import BoardGeometry
-from .polytope import lp_decision_to_json, lp_feasible
-from .render import board_spec, certificate_spec, digraph_spec, render, tour_spec
-from .tours import SearchStats, _check_cells, _check_search, search_tour, tour_from_json, tour_to_json, verify_tour
 
 __all__ = ["main"]
 
@@ -45,6 +32,8 @@ def _summary(line: str, out: str | None) -> None:
 
 
 def cmd_digraph(args: argparse.Namespace) -> int:
+    from .digraph import build_digraph, digraph_to_json
+
     g = build_digraph(args.n)
     _summary(f"n={g.n} vertices={g.geometry.vertex_count} arcs={len(g.w)} "
              f"crossing_arcs={sum(g.w)}", args.out)
@@ -59,6 +48,8 @@ def _require_n(given: int | None, n: int, what: str) -> None:
 
 
 def _family_certificate(args: argparse.Namespace):
+    from .certificates import build_n3_certificate, build_t1, build_t2, certificate_from_json
+
     if args.family == "n3":
         cert = build_n3_certificate()
     elif args.family == "file":
@@ -68,7 +59,6 @@ def _family_certificate(args: argparse.Namespace):
     else:
         if args.n is None:
             raise ValueError(f"--n is required for family {args.family}")
-        # Looked up per call, so a tracer that swaps the module attributes sees it.
         cert = {"t1": build_t1, "t2": build_t2}[args.family](args.n)
     _require_n(args.n, cert.n, "certificate")
     if args.c is not None:
@@ -77,11 +67,16 @@ def _family_certificate(args: argparse.Namespace):
 
 
 def cmd_cert_build(args: argparse.Namespace) -> int:
+    from .certificates import certificate_to_json
+
     _write_or_print(certificate_to_json(_family_certificate(args)), args.out)
     return 0
 
 
 def cmd_cert_verify(args: argparse.Namespace) -> int:
+    from .certificates import verify_certificate
+    from .digraph import build_digraph
+
     if args.infile and args.family != "file":
         raise ValueError("--in is read only with --family file")
     cert = _family_certificate(args)
@@ -94,6 +89,9 @@ def cmd_cert_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_lp(args: argparse.Namespace) -> int:
+    from .digraph import build_digraph
+    from .polytope import lp_decision_to_json, lp_feasible
+
     g = build_digraph(args.n)
     decision = lp_feasible(g, args.c)
     sys.stdout.write(lp_decision_to_json(decision))
@@ -102,6 +100,8 @@ def cmd_lp(args: argparse.Namespace) -> int:
 
 def _file_tour(g, cells, coil: int | None):
     """A tour file's cells verified on g; the coil the file claims, if any, must be the tour's."""
+    from .tours import verify_tour
+
     tour = verify_tour(g, cells)
     if coil is not None and coil != tour.coil:
         raise ValueError(f"the file claims coil={coil}, the tour has coil={tour.coil}")
@@ -109,6 +109,10 @@ def _file_tour(g, cells, coil: int | None):
 
 
 def cmd_tour_verify(args: argparse.Namespace) -> int:
+    from .digraph import build_digraph
+    from .geometry import BoardGeometry
+    from .tours import _check_cells, tour_from_json
+
     n, cells, coil = tour_from_json(Path(args.infile).read_text())
     _require_n(args.n, n, "tour")
     geom = BoardGeometry(n)  # a bad n is an error, not an invalid tour
@@ -131,6 +135,9 @@ def _invalid_tour(exc: ValueError) -> int:
 
 
 def cmd_tour_search(args: argparse.Namespace) -> int:
+    from .digraph import build_digraph
+    from .tours import SearchStats, _check_search, search_tour, tour_to_json
+
     _check_search(args.n, args.budget, args.coil, args.seed)  # before the digraph, so a rejection is cheap
     g = build_digraph(args.n)
     stats = SearchStats()
@@ -158,19 +165,29 @@ def cmd_tour_search(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     if args.infile:
-        text = Path(args.infile).read_text()
-        doc = json.loads(text)
+        doc = json.loads(Path(args.infile).read_text())  # parsed once: its keys pick the reader
         keys = doc if isinstance(doc, dict) else {}
         if "arcs" in keys:
-            g = digraph_from_json(text)
+            from .digraph import _digraph_from_doc
+            from .render import digraph_spec
+
+            g = _digraph_from_doc(doc)
             _require_n(args.n, g.n, "digraph")
             spec = digraph_spec(g, args.format)
         elif "gamma" in keys:
-            cert = certificate_from_json(text)
+            from .certificates import _certificate_from_doc
+            from .render import certificate_spec
+
+            cert = _certificate_from_doc(doc)
             _require_n(args.n, cert.n, "certificate")
             spec = certificate_spec(cert, args.format)
         elif "cells" in keys:
-            n, cells, coil = tour_from_json(text)
+            from .digraph import build_digraph
+            from .geometry import BoardGeometry
+            from .render import tour_spec
+            from .tours import _check_cells, _tour_from_doc
+
+            n, cells, coil = _tour_from_doc(doc)
             _require_n(args.n, n, "tour")
             _check_cells(BoardGeometry(n), cells)  # before the digraph, so a short file is cheap
             g = build_digraph(n)
@@ -180,7 +197,11 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise ValueError("render needs --in or --n")
+        from .render import board_spec
+
         spec = board_spec(args.n, args.format)
+    from .render import render
+
     _write_or_print(render(spec), args.out)
     return 0
 

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
-from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _bounded_board, _exact_int, _json_cell, _read_json
+from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _bounded_board, _exact_int, _json_cell, _read_doc
 
 __all__ = ["Arc", "WhirlDigraph", "build_digraph", "digraph_to_json", "digraph_from_json"]
 
@@ -208,7 +208,12 @@ def digraph_from_json(text: str) -> WhirlDigraph:
     The digraph is a pure function of n, so the file must list exactly the
     canonical vertices and arcs; anything else is treated as corrupt.
     """
-    n, vertices, arcs = _read_json(text, "digraph", lambda doc: (
+    return _digraph_from_doc(json.loads(text))
+
+
+def _digraph_from_doc(doc: object) -> WhirlDigraph:
+    """``digraph_from_json`` on the document ``json.loads`` returned."""
+    n, vertices, arcs = _read_doc(doc, "digraph", lambda doc: (
         _exact_int(doc["n"], "n"),
         list(map(_json_cell, doc["vertices"])),
         [(_json_cell(a["u"]), _json_cell(a["v"]), _exact_int(a["w"], "arc weight")) for a in doc["arcs"]],

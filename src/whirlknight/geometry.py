@@ -7,12 +7,11 @@ at the origin and keep every comparison in plain integers, axis-ray
 crossings included, with no fractions and no floating point anywhere.
 ``BoardGeometry`` alone numbers the digraph's vertices (``index``, its
 inverse ``cell``) and counts them (``vertex_count``).  ``_exact_int`` alone states
-the rule that an integer input is exactly an ``int``; ``_read_json`` wraps every JSON reader.
+the rule that an integer input is exactly an ``int``; ``_read_doc`` wraps every JSON reader.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -55,10 +54,11 @@ KNIGHT_STEPS: tuple[KnightStep, ...] = tuple(
 #: north points toward row 0, west toward column 0.
 RAYS = ("north", "east", "south", "west")
 
-#: The largest board side that ``build_digraph`` and ``render`` accept.  The
-#: digraph has about 4n² arcs, and its build peaks near 58 bytes per arc
-#: (CPython 3.11, n = 100..512), so n = 512 takes about 60 MB and n = 10^5
-#: would take terabytes.  A larger n raises before anything is allocated.
+#: The largest board side that ``build_digraph``, ``render``, ``build_t2`` and
+#: ``parity_census`` accept.  The digraph has about 4n² arcs, and its build
+#: peaks near 58 bytes per arc (CPython 3.11, n = 100..512), so n = 512 takes
+#: about 60 MB and n = 10^5 would take terabytes; t2's triangle has about n²/8
+#: cells.  A larger n raises before anything is allocated.
 _MAX_SIDE = 512
 
 
@@ -69,9 +69,8 @@ def _exact_int(x: object, what: str, *args: object) -> int:
     raise ValueError(f"{what.format(*args)} must be an integer, got {x!r}")
 
 
-def _read_json(text: str, kind: str, parse: Callable[[Any], Any]) -> Any:
-    """parse(json.loads(text)); its KeyError, TypeError or ValueError reads ``malformed <kind> JSON: ...``."""
-    doc = json.loads(text)
+def _read_doc(doc: Any, kind: str, parse: Callable[[Any], Any]) -> Any:
+    """parse(doc) on a parsed JSON document; its KeyError, TypeError or ValueError reads ``malformed <kind> JSON: ...``."""
     try:
         return parse(doc)
     except (KeyError, TypeError, ValueError) as exc:

@@ -16,11 +16,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from typing import TYPE_CHECKING
 
-from .certificates import FarkasCertificate
-from .digraph import WhirlDigraph
 from .geometry import Cell, _bounded_board
-from .tours import Tour
+
+if TYPE_CHECKING:  # annotations only, so drawing a board loads no other layer
+    from .certificates import FarkasCertificate
+    from .digraph import WhirlDigraph
+    from .tours import Tour
 
 __all__ = [
     "RenderSpec",

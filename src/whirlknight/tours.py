@@ -22,8 +22,7 @@ from itertools import islice
 from typing import Callable
 
 from .digraph import WhirlDigraph
-from .geometry import RAYS, BoardGeometry, Cell, _exact_int, _json_cell, _read_json, crosses_axis_ray
-from .polytope import FractionalAssignment, validate_assignment
+from .geometry import RAYS, BoardGeometry, Cell, _exact_int, _json_cell, _read_doc, crosses_axis_ray
 
 __all__ = [
     "Tour",
@@ -105,6 +104,8 @@ def check_reduction(g: WhirlDigraph, tour: Tour) -> bool:
     coil row and box bounds.  Raises on inputs that are not Hamiltonian
     cycles of g at all.
     """
+    from .polytope import FractionalAssignment, validate_assignment  # the only use of polytope here
+
     cells = _check_cells(g.geometry, tour.cells)
     arcs = g.step_arcs(zip(cells, cells[1:] + cells[:1]))
     try:
@@ -305,7 +306,12 @@ def tour_from_json(text: str) -> tuple[int, list[Cell], int | None]:
 
     Verification, the claimed coil's included, is separate.
     """
-    return _read_json(text, "tour", lambda doc: (
+    return _tour_from_doc(json.loads(text))
+
+
+def _tour_from_doc(doc: object) -> tuple[int, list[Cell], int | None]:
+    """``tour_from_json`` on the document ``json.loads`` returned."""
+    return _read_doc(doc, "tour", lambda doc: (
         _exact_int(doc["n"], "n"),
         list(map(_json_cell, doc["cells"])),
         _exact_int(doc["coil"], "coil") if "coil" in doc else None,

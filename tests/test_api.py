@@ -1,6 +1,9 @@
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,23 +13,16 @@ import whirlknight
 from whirlknight import render
 
 
-def _reexported(module: str) -> set[str]:
-    """Names that whirlknight/__init__.py imports from the given submodule."""
-    tree = ast.parse(Path(whirlknight.__file__).read_text())
-    return {
-        alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
-        for alias in node.names
-    }
+LIBRARY_LAYERS = ["certificates", "digraph", "geometry", "polytope", "tours"]
 
 
-@pytest.mark.parametrize("module", ["certificates", "digraph", "geometry", "polytope", "tours"])
+@pytest.mark.parametrize("module", LIBRARY_LAYERS)
 def test_package_reexports_exactly_module_all(module):
     mod = importlib.import_module(f"whirlknight.{module}")
-    names = _reexported(module)
+    names = set(whirlknight._EXPORTS[module])  # the package's lazy table
     assert names == set(mod.__all__)
     assert all(getattr(whirlknight, name) is getattr(mod, name) for name in names)
+    assert names <= set(dir(whirlknight)) and names <= set(whirlknight.__all__)
 
 
 @pytest.mark.parametrize(
@@ -35,6 +31,84 @@ def test_package_reexports_exactly_module_all(module):
 def test_module_all_names_exist(module):
     mod = importlib.import_module(f"whirlknight.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_star_import_binds_every_export_and_layer():
+    namespace = {}
+    exec("from whirlknight import *", namespace)
+    for module in LIBRARY_LAYERS:
+        mod = importlib.import_module(f"whirlknight.{module}")
+        assert namespace[module] is mod
+        assert all(namespace[name] is getattr(mod, name) for name in mod.__all__)
+
+
+def test_package_reads_the_home_attribute_on_every_access(monkeypatch):
+    # A tracer swaps the home module's attribute; the package must hand out the swapped one.
+    swapped = object()
+    monkeypatch.setattr(whirlknight.tours, "search_tour", swapped)
+    assert whirlknight.search_tour is swapped
+    monkeypatch.undo()
+    assert whirlknight.search_tour is whirlknight.tours.search_tour
+    assert "search_tour" not in vars(whirlknight)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError) as exc:
+        whirlknight.nope
+    assert str(exc.value) == "module 'whirlknight' has no attribute 'nope'"
+
+
+def _fresh(code: str, *argv: str, cwd: Path | None = None) -> str:
+    """Stdout of code run by a fresh interpreter that imports the package from this tree."""
+    src = str(Path(whirlknight.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code, *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_each_layer_resolves_without_an_import():
+    code = "import sys, whirlknight; print(*(getattr(whirlknight, m).__name__ for m in sys.argv[1:]))"
+    assert _fresh(code, *LIBRARY_LAYERS).split() == [f"whirlknight.{m}" for m in LIBRARY_LAYERS]
+
+
+# A bare import (no argv) or one command through cli.main, then its exit code and the
+# whirlknight modules and fractions loaded, as JSON on the real stdout.
+FOOTPRINT = """
+import io, json, sys
+sys.stdout = io.StringIO()
+code = None
+if sys.argv[1:]:
+    from whirlknight.cli import main
+    code = main(sys.argv[1:])
+else:
+    import whirlknight
+loaded = [m for m in sys.modules if m == "fractions" or m.split(".")[0] == "whirlknight"]
+sys.__stdout__.write(json.dumps([code, sorted(loaded)]))
+"""
+COMMAND = ["whirlknight", "whirlknight.cli", "whirlknight.geometry", "whirlknight.digraph"]
+FOOTPRINTS = [
+    pytest.param([], None, ["whirlknight"], id="import"),
+    pytest.param(["digraph", "--n", "6"], 0, COMMAND, id="digraph"),
+    pytest.param(["cert", "verify", "--family", "t1", "--n", "6"], 0,
+                 [*COMMAND, "whirlknight.certificates"], id="cert verify"),
+    pytest.param(["lp", "--n", "6", "--c", "3"], 1,
+                 [*COMMAND, "whirlknight.certificates", "whirlknight.polytope", "fractions"], id="lp"),
+    pytest.param(["tour", "verify", "--in", "t6.json"], 0, [*COMMAND, "whirlknight.tours"], id="tour verify"),
+    pytest.param(["tour", "search", "--n", "6", "--coil", "5", "--budget", "100000"], 0,
+                 [*COMMAND, "whirlknight.tours"], id="tour search"),
+    pytest.param(["render", "--in", "g6.json"], 0, [*COMMAND, "whirlknight.render"], id="render --in"),
+]
+
+
+@pytest.mark.parametrize("argv,code,loaded", FOOTPRINTS)
+def test_each_command_loads_only_its_layers(argv, code, loaded, tmp_path, dg):
+    g = dg(6)
+    (tmp_path / "g6.json").write_text(whirlknight.digraph_to_json(g))
+    (tmp_path / "t6.json").write_text(whirlknight.tour_to_json(6, whirlknight.search_tour(g, 5, budget=100_000)))
+    assert json.loads(_fresh(FOOTPRINT, *argv, cwd=tmp_path)) == [code, sorted(loaded)]
 
 
 LAYERS = ["geometry", "digraph", "certificates", "polytope", "tours", "render", "cli"]
@@ -191,8 +265,8 @@ def no_builds(dg, monkeypatch):
     def refuse(n):
         raise AssertionError(f"built the n={n} digraph")
 
-    for module in (whirlknight, whirlknight.digraph, whirlknight.cli):
-        monkeypatch.setattr(module, "build_digraph", refuse)
+    # The home module: the package and every command look build_digraph up there at call time.
+    monkeypatch.setattr(whirlknight.digraph, "build_digraph", refuse)
     return g
 
 

@@ -226,6 +226,21 @@ class TestParityCensus:
             parity_census(6)
 
 
+class TestSizeLimit:
+    def test_triangle_families_reject_n_above_the_limit_before_the_walk(self, monkeypatch):
+        # A limit of 11 makes n = 12 too large, so the check runs on a small board.
+        monkeypatch.setattr("whirlknight.geometry._MAX_SIDE", 11)
+        assert build_t1(14).n == 14  # O(n), so t1 has no limit
+
+        def refuse(*cell):
+            raise AssertionError(f"walked the triangle at {cell}")
+
+        monkeypatch.setattr("whirlknight.certificates.Cell", refuse)
+        for family in (build_t2, parity_census):
+            with pytest.raises(ValueError, match=r"^board side must be at most 11, got 12$"):
+                family(12)
+
+
 class TestN3Certificate:
     def test_valid_against_digraph(self, dg):
         report = verify_certificate(dg(3), build_n3_certificate())

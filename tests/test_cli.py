@@ -174,7 +174,7 @@ class TestCert:
         def refuse(size):
             raise AssertionError(f"built the n={size} digraph")
 
-        monkeypatch.setattr(cli, "build_digraph", refuse)
+        monkeypatch.setattr("whirlknight.digraph.build_digraph", refuse)
         doc = {"n": n, "c": n // 2, "gamma": -1, "alpha": [], "beta": []}
         doc[field] = [[*cell, 1]]
         path = tmp_path / "c.json"
@@ -198,7 +198,7 @@ class TestLp:
         def broken(g, c):
             raise AssertionError("matching solves disagree:\nmin 6 > max 5")
 
-        monkeypatch.setattr("whirlknight.cli.lp_feasible", broken)
+        monkeypatch.setattr("whirlknight.polytope.lp_feasible", broken)
         code, stdout, stderr = run(capsys, "lp", "--n", "6", "--c", "3")
         assert code == 2 and stdout == ""
         assert stderr == "error: AssertionError: matching solves disagree: min 6 > max 5\n"
@@ -338,7 +338,7 @@ class TestTour:
         def refuse(size):
             raise AssertionError(f"built the n={size} digraph")
 
-        monkeypatch.setattr(cli, "build_digraph", refuse)
+        monkeypatch.setattr("whirlknight.digraph.build_digraph", refuse)
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"n": n, "cells": cells}))
         code, stdout, stderr = run(capsys, "tour", "verify", "--in", str(path))
@@ -355,7 +355,7 @@ class TestTour:
         def refuse(size):
             raise AssertionError(f"built the n={size} digraph")
 
-        monkeypatch.setattr(cli, "build_digraph", refuse)
+        monkeypatch.setattr("whirlknight.digraph.build_digraph", refuse)
         got = run(capsys, "tour", "search", "--n", str(n), "--budget", str(budget))
         assert got == (2, "", f"error: {message}\n")
 
@@ -363,7 +363,7 @@ class TestTour:
         def refuse(size):
             raise AssertionError(f"built the n={size} digraph")
 
-        monkeypatch.setattr(cli, "build_digraph", refuse)
+        monkeypatch.setattr("whirlknight.digraph.build_digraph", refuse)
         args = cli._build_parser().parse_args(["tour", "search", "--n", "6"])
         args.coil = 5.5  # argparse gives an int; a caller of cmd_tour_search may not
         with pytest.raises(ValueError, match=r"^coil count must be an integer, got 5\.5$"):
@@ -388,6 +388,13 @@ def test_board_above_the_size_limit_is_an_error(argv, tmp_path, capsys, monkeypa
     (tmp_path / "t6.json").write_text(tour_to_json(6, search_tour(build_digraph(6), 5, budget=100_000)))
     monkeypatch.setattr("whirlknight.geometry._MAX_SIDE", 5)
     assert run(capsys, *argv) == (2, "", "error: board side must be at most 5, got 6\n")
+
+
+@pytest.mark.parametrize("action", ["build", "verify"])
+def test_t2_above_the_size_limit_is_an_error(action, capsys, monkeypatch):
+    monkeypatch.setattr("whirlknight.geometry._MAX_SIDE", 11)
+    got = run(capsys, "cert", action, "--family", "t2", "--n", "12")
+    assert got == (2, "", "error: board side must be at most 11, got 12\n")
 
 
 class TestRender:
@@ -432,6 +439,25 @@ class TestRender:
         assert code == 2
         assert stderr == "error: cannot identify input file\n"
 
+    @pytest.mark.parametrize("build", [
+        ["digraph", "--n", "6"],
+        ["cert", "build", "--family", "t1", "--n", "6"],
+        ["tour", "search", "--n", "6", "--budget", "200000"],
+    ], ids=lambda argv: argv[0])
+    def test_in_file_is_parsed_once(self, build, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "in.json"
+        assert run(capsys, *build, "--out", str(path))[0] == 0
+        loads, calls = json.loads, []
+
+        def counting_loads(*args, **kwargs):
+            calls.append(args)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        code, stdout, _ = run(capsys, "render", "--in", str(path))
+        assert code == 0 and stdout
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("kind,what", [
         ("digraph", "digraph"), ("cert", "certificate"), ("tour", "tour"),
     ])
@@ -461,7 +487,7 @@ class TestRender:
         def refuse(size):
             raise AssertionError(f"built the n={size} digraph")
 
-        monkeypatch.setattr(cli, "build_digraph", refuse)
+        monkeypatch.setattr("whirlknight.digraph.build_digraph", refuse)
         doc = {"n": n, "c": n // 2, "gamma": -1, "alpha": [], "beta": []}
         doc[field] = [[*cell, 1]]
         path = tmp_path / "c.json"
