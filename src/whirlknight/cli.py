@@ -4,8 +4,9 @@ Subcommands: ``digraph``, ``cert``, ``lp``, ``tour``, ``render``.  All
 output is line-oriented key=value pairs or JSON; search progress goes to
 stderr as key=value lines.  Exit codes follow one contract everywhere:
 0 = positive result (valid / feasible / found), 1 = definite negative,
-2 = usage, data or internal error.  Each command imports the layers it
-runs when it runs, so a command loads only its own layers.
+2 = usage, data or internal error.  Commands reach the library through
+``whirlknight``'s lazy names (``wk.build_digraph``, ``wk.tours``), which load
+a layer on first use, so a command loads only its own layers.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import whirlknight as wk
 
 __all__ = ["main"]
 
@@ -32,13 +35,11 @@ def _summary(line: str, out: str | None) -> None:
 
 
 def cmd_digraph(args: argparse.Namespace) -> int:
-    from .digraph import build_digraph, digraph_to_json
-
-    g = build_digraph(args.n)
+    g = wk.build_digraph(args.n)
     _summary(f"n={g.n} vertices={g.geometry.vertex_count} arcs={len(g.w)} "
              f"crossing_arcs={sum(g.w)}", args.out)
     if args.out:
-        _write_or_print(digraph_to_json(g), args.out)
+        _write_or_print(wk.digraph_to_json(g), args.out)
     return 0
 
 
@@ -48,18 +49,16 @@ def _require_n(given: int | None, n: int, what: str) -> None:
 
 
 def _family_certificate(args: argparse.Namespace):
-    from .certificates import build_n3_certificate, build_t1, build_t2, certificate_from_json
-
     if args.family == "n3":
-        cert = build_n3_certificate()
+        cert = wk.build_n3_certificate()
     elif args.family == "file":
         if not args.infile:
             raise ValueError("--in is required for family file")
-        cert = certificate_from_json(Path(args.infile).read_text())
+        cert = wk.certificate_from_json(Path(args.infile).read_text())
     else:
         if args.n is None:
             raise ValueError(f"--n is required for family {args.family}")
-        cert = {"t1": build_t1, "t2": build_t2}[args.family](args.n)
+        cert = {"t1": wk.build_t1, "t2": wk.build_t2}[args.family](args.n)
     _require_n(args.n, cert.n, "certificate")
     if args.c is not None:
         cert = dataclasses.replace(cert, c=args.c)
@@ -67,20 +66,15 @@ def _family_certificate(args: argparse.Namespace):
 
 
 def cmd_cert_build(args: argparse.Namespace) -> int:
-    from .certificates import certificate_to_json
-
-    _write_or_print(certificate_to_json(_family_certificate(args)), args.out)
+    _write_or_print(wk.certificate_to_json(_family_certificate(args)), args.out)
     return 0
 
 
 def cmd_cert_verify(args: argparse.Namespace) -> int:
-    from .certificates import verify_certificate
-    from .digraph import build_digraph
-
     if args.infile and args.family != "file":
         raise ValueError("--in is read only with --family file")
     cert = _family_certificate(args)
-    report = verify_certificate(build_digraph(cert.n), cert)
+    report = wk.verify_certificate(wk.build_digraph(cert.n), cert)
     print(f"valid={str(report.valid).lower()} rhs={report.rhs} "
           f"max_lhs={report.max_lhs} violations={len(report.violations)}")
     for arc, lhs in report.violations[:10]:
@@ -89,63 +83,53 @@ def cmd_cert_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_lp(args: argparse.Namespace) -> int:
-    from .digraph import build_digraph
-    from .polytope import lp_decision_to_json, lp_feasible
-
-    g = build_digraph(args.n)
-    decision = lp_feasible(g, args.c)
-    sys.stdout.write(lp_decision_to_json(decision))
+    decision = wk.lp_feasible(wk.build_digraph(args.n), args.c)
+    sys.stdout.write(wk.lp_decision_to_json(decision))
     return 0 if decision.feasible else 1
 
 
-def _file_tour(g, cells, coil: int | None):
-    """A tour file's cells verified on g; the coil the file claims, if any, must be the tour's."""
-    from .tours import verify_tour
+class _InvalidTour(ValueError):
+    """A tour file that parses but holds no tour of its board."""
 
-    tour = verify_tour(g, cells)
+
+def _file_tour(n: int, cells, coil: int | None, given_n: int | None):
+    """A parsed tour file's digraph and verified tour; a coil the file claims must be the tour's."""
+    _require_n(given_n, n, "tour")
+    geom = wk.BoardGeometry(n)  # a bad n is an error, not an invalid tour
+    try:
+        wk.tours._check_cells(geom, cells)  # before the digraph, so a short file is cheap
+    except ValueError as exc:
+        raise _InvalidTour(exc) from exc
+    g = wk.build_digraph(n)  # outside the try: an n above the size limit is an error, not an invalid tour
+    try:
+        tour = wk.verify_tour(g, cells)
+    except ValueError as exc:
+        raise _InvalidTour(exc) from exc
     if coil is not None and coil != tour.coil:
-        raise ValueError(f"the file claims coil={coil}, the tour has coil={tour.coil}")
-    return tour
+        raise _InvalidTour(f"the file claims coil={coil}, the tour has coil={tour.coil}")
+    return g, tour
 
 
 def cmd_tour_verify(args: argparse.Namespace) -> int:
-    from .digraph import build_digraph
-    from .geometry import BoardGeometry
-    from .tours import _check_cells, tour_from_json
-
-    n, cells, coil = tour_from_json(Path(args.infile).read_text())
-    _require_n(args.n, n, "tour")
-    geom = BoardGeometry(n)  # a bad n is an error, not an invalid tour
+    n, cells, coil = wk.tour_from_json(Path(args.infile).read_text())
     try:
-        _check_cells(geom, cells)  # before the digraph, so a short file is cheap
-    except ValueError as exc:
-        return _invalid_tour(exc)
-    g = build_digraph(n)  # outside the try: an n above the size limit is an error, not an invalid tour
-    try:
-        tour = _file_tour(g, cells, coil)
-    except ValueError as exc:
-        return _invalid_tour(exc)
+        _, tour = _file_tour(n, cells, coil, args.n)
+    except _InvalidTour as exc:
+        print(f"valid=false error={json.dumps(str(exc))}")
+        return 1
     print(f"valid=true n={n} coil={tour.coil}")
     return 0
 
 
-def _invalid_tour(exc: ValueError) -> int:
-    print(f"valid=false error={json.dumps(str(exc))}")
-    return 1
-
-
 def cmd_tour_search(args: argparse.Namespace) -> int:
-    from .digraph import build_digraph
-    from .tours import SearchStats, _check_search, search_tour, tour_to_json
-
-    _check_search(args.n, args.budget, args.coil, args.seed)  # before the digraph, so a rejection is cheap
-    g = build_digraph(args.n)
-    stats = SearchStats()
+    wk.tours._check_search(args.n, args.budget, args.coil, args.seed)  # before the digraph, so a rejection is cheap
+    g = wk.build_digraph(args.n)
+    stats = wk.SearchStats()
 
     def progress(nodes: int, depth: int) -> None:
         print(f"nodes={nodes} depth={depth}", file=sys.stderr)
 
-    tour = search_tour(
+    tour = wk.search_tour(
         g,
         coil_target=args.coil,
         budget=args.budget,
@@ -159,50 +143,34 @@ def cmd_tour_search(args: argparse.Namespace) -> int:
         return 1
     _summary(f"found=true nodes={stats.nodes} coil={tour.coil}", args.out)
     if args.out:
-        _write_or_print(tour_to_json(g.n, tour), args.out)
+        _write_or_print(wk.tour_to_json(g.n, tour), args.out)
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from . import render  # not a lazy name of the package, whose render() would clash with the module
+
     if args.infile:
         doc = json.loads(Path(args.infile).read_text())  # parsed once: its keys pick the reader
         keys = doc if isinstance(doc, dict) else {}
         if "arcs" in keys:
-            from .digraph import _digraph_from_doc
-            from .render import digraph_spec
-
-            g = _digraph_from_doc(doc)
+            g = wk.digraph._digraph_from_doc(doc)
             _require_n(args.n, g.n, "digraph")
-            spec = digraph_spec(g, args.format)
+            spec = render.digraph_spec(g, args.format)
         elif "gamma" in keys:
-            from .certificates import _certificate_from_doc
-            from .render import certificate_spec
-
-            cert = _certificate_from_doc(doc)
+            cert = wk.certificates._certificate_from_doc(doc)
             _require_n(args.n, cert.n, "certificate")
-            spec = certificate_spec(cert, args.format)
+            spec = render.certificate_spec(cert, args.format)
         elif "cells" in keys:
-            from .digraph import build_digraph
-            from .geometry import BoardGeometry
-            from .render import tour_spec
-            from .tours import _check_cells, _tour_from_doc
-
-            n, cells, coil = _tour_from_doc(doc)
-            _require_n(args.n, n, "tour")
-            _check_cells(BoardGeometry(n), cells)  # before the digraph, so a short file is cheap
-            g = build_digraph(n)
-            spec = tour_spec(g, _file_tour(g, cells, coil), args.format)
+            n, cells, coil = wk.tours._tour_from_doc(doc)
+            spec = render.tour_spec(*_file_tour(n, cells, coil, args.n), args.format)
         else:
             raise ValueError("cannot identify input file")
+    elif args.n is None:
+        raise ValueError("render needs --in or --n")
     else:
-        if args.n is None:
-            raise ValueError("render needs --in or --n")
-        from .render import board_spec
-
-        spec = board_spec(args.n, args.format)
-    from .render import render
-
-    _write_or_print(render(spec), args.out)
+        spec = render.board_spec(args.n, args.format)
+    _write_or_print(render.render(spec), args.out)
     return 0
 
 

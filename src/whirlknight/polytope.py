@@ -68,7 +68,11 @@ class CycleCover:
     arcs: tuple[int, ...]
 
     def cycles(self, g: WhirlDigraph) -> list[list[Cell]]:
-        """The cycles of the cover in g, each starting at its smallest cell."""
+        """The cycles of the cover in g, each starting at its smallest cell.
+
+        An invalid cover raises ``ValueError``, as in ``coil_of_cover``.
+        """
+        coil_of_cover(g, self)
         seen, cell = bytearray(len(self.arcs)), g.geometry.cell
         out = []
         for start in range(len(self.arcs)):

@@ -297,6 +297,10 @@ def search_tour(
 
 
 def tour_to_json(n: int, tour: Tour) -> str:
+    """The tour file of a tour on the n x n board; an n whose board the tour does not cover raises."""
+    nv = BoardGeometry(n).vertex_count  # rises strictly with n, so it pins the tour's n
+    if len(tour.cells) != nv:
+        raise ValueError(f"the tour has {len(tour.cells)} cells, the n={n} board has {nv} vertices")
     doc = {"n": n, "cells": [[c.i, c.j] for c in tour.cells], "coil": tour.coil}
     return json.dumps(doc, separators=(",", ":")) + "\n"
 

@@ -114,15 +114,28 @@ def test_each_command_loads_only_its_layers(argv, code, loaded, tmp_path, dg):
 LAYERS = ["geometry", "digraph", "certificates", "polytope", "tours", "render", "cli"]
 
 
+def _sibling_imports(tree: ast.AST, module: str) -> set[str]:
+    """Sibling modules that a tree from whirlknight/<module>.py imports.
+
+    ``import whirlknight`` (under any name, or of a submodule, which binds the
+    package too) and ``from whirlknight import ...`` reach every layer through
+    the package's lazy names, so each counts as an import of every other layer.
+    """
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module or alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.startswith("whirlknight."):
+            found.add(node.module.split(".")[1])
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "whirlknight"
+              or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "whirlknight" for a in node.names)):
+            found |= set(LAYERS) - {module}
+    return found
+
+
 def _relative_imports(module: str) -> set[str]:
     """Sibling modules that whirlknight/<module>.py imports."""
-    tree = ast.parse((Path(whirlknight.__file__).parent / f"{module}.py").read_text())
-    return {
-        node.module or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+    return _sibling_imports(ast.parse((Path(whirlknight.__file__).parent / f"{module}.py").read_text()), module)
 
 
 def test_layers_name_every_module():
@@ -134,6 +147,33 @@ def test_layers_name_every_module():
 def test_modules_import_only_earlier_layers(module):
     # One order for the whole package, so no import cycle can form.
     assert _relative_imports(module) <= set(LAYERS[: LAYERS.index(module)])
+
+
+def test_layer_guard_sees_each_form():
+    every = set(LAYERS) - {"tours"}
+    cases = {
+        "from __future__ import annotations\nimport json\nfrom json import loads": set(),
+        "from .digraph import WhirlDigraph": {"digraph"},
+        "from . import render, geometry": {"render", "geometry"},
+        "from whirlknight.polytope import lp_feasible": {"polytope"},
+        "import whirlknight": every,
+        "import whirlknight as wk": every,
+        "import whirlknight.digraph": every,
+        "from whirlknight import build_digraph": every,
+        "def f():\n    import whirlknight": every,
+    }
+    for source, want in cases.items():
+        assert _sibling_imports(ast.parse(source), "tours") == want, source
+    package = ast.parse("import whirlknight")  # passes the order only in the last layer
+    assert [m for m in LAYERS if _sibling_imports(package, m) <= set(LAYERS[: LAYERS.index(m)])] == ["cli"]
+
+
+def test_cli_functions_import_no_layer_but_render():
+    # Commands reach the layers through the package's lazy names; render is not among them.
+    tree = ast.parse((Path(whirlknight.__file__).parent / "cli.py").read_text())
+    functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    imports = {f.name: _sibling_imports(f, "cli") for f in functions}
+    assert {name: got for name, got in imports.items() if got} == {"cmd_render": {"render"}}
 
 
 def _float_uses(tree: ast.AST) -> list[str]:

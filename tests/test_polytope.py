@@ -316,6 +316,24 @@ class TestCoilOfCover:
         with pytest.raises(ValueError, match="not a permutation"):
             coil_of_cover(g, CycleCover(arcs=tuple(arcs)))
 
+    @pytest.mark.parametrize("edit,message", [
+        ("second out-arc of a row", "not a permutation"),
+        ("arc of another row", "does not leave vertex"),
+        ("short", "15 arcs for 16 vertices"),
+    ])
+    def test_cycles_rejects_an_invalid_cover(self, edit, message, dg):
+        g = dg(4)
+        arcs = list(enumerate_cycle_covers(g)[0].arcs)
+        if edit == "second out-arc of a row":
+            k = next(k for k, out in enumerate(g.out_adj) if len(out) > 1)
+            arcs[k] = next(a for a in g.out_adj[k] if a != arcs[k])
+        elif edit == "arc of another row":
+            arcs[0], arcs[1] = arcs[1], arcs[0]
+        else:
+            arcs.pop()
+        with pytest.raises(ValueError, match=message):
+            CycleCover(arcs=tuple(arcs)).cycles(g)
+
 
 class TestCheckReduction:
     def test_n3_tour_satisfies_all_rows(self, dg):

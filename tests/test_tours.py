@@ -457,6 +457,12 @@ class TestTourSerialization:
         assert n == 3 and coil == tour.coil and verify_tour(g, cells) == tour
         assert tour_to_json(n, verify_tour(g, cells)) == text
 
+    @pytest.mark.parametrize("n,nv", [(4, 16), (8, 64)])
+    def test_rejects_another_board_s_n(self, n, nv, dg):
+        tour = verify_tour(dg(3), N3_CYCLE)  # its 8 cells fit only the n = 3 board
+        with pytest.raises(ValueError, match=f"^the tour has 8 cells, the n={n} board has {nv} vertices$"):
+            tour_to_json(n, tour)
+
     def test_coil_is_optional(self, dg):
         doc = json.loads(tour_to_json(3, verify_tour(dg(3), N3_CYCLE)))
         del doc["coil"]
