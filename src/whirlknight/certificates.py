@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 
 from .digraph import Arc, WhirlDigraph
-from .geometry import BoardGeometry, Cell, _bounded_board, _cell_text, _exact_int, _read_doc
+from .geometry import BoardGeometry, Cell, _bounded_board, _cell_text, _exact_int, _load_doc, _read_doc
 
 __all__ = [
     "FarkasCertificate",
@@ -227,11 +227,11 @@ def _entries_from_json(name: str, rows) -> dict[Cell, int]:
 
 
 def certificate_from_json(text: str) -> FarkasCertificate:
-    return _certificate_from_doc(json.loads(text))
+    return _certificate_from_doc(_load_doc(text))
 
 
 def _certificate_from_doc(doc: object) -> FarkasCertificate:
-    """``certificate_from_json`` on the document ``json.loads`` returned."""
+    """``certificate_from_json`` on the document ``_load_doc`` returned."""
     fields = _read_doc(doc, "certificate", lambda doc: dict(
         n=_exact_int(doc["n"], "n"),
         c=_exact_int(doc["c"], "c"),

@@ -151,7 +151,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     from . import render  # not a lazy name of the package, whose render() would clash with the module
 
     if args.infile:
-        doc = json.loads(Path(args.infile).read_text())  # parsed once: its keys pick the reader
+        doc = wk.geometry._load_doc(Path(args.infile).read_text())  # parsed once: its keys pick the reader
         keys = doc if isinstance(doc, dict) else {}
         if "arcs" in keys:
             g = wk.digraph._digraph_from_doc(doc)

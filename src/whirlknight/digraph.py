@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
-from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _bounded_board, _exact_int, _json_cell, _read_doc
+from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _bounded_board, _exact_int, _json_cell, _load_doc, _read_doc
 
 __all__ = ["Arc", "WhirlDigraph", "build_digraph", "digraph_to_json", "digraph_from_json"]
 
@@ -208,11 +208,11 @@ def digraph_from_json(text: str) -> WhirlDigraph:
     The digraph is a pure function of n, so the file must list exactly the
     canonical vertices and arcs; anything else is treated as corrupt.
     """
-    return _digraph_from_doc(json.loads(text))
+    return _digraph_from_doc(_load_doc(text))
 
 
 def _digraph_from_doc(doc: object) -> WhirlDigraph:
-    """``digraph_from_json`` on the document ``json.loads`` returned."""
+    """``digraph_from_json`` on the document ``_load_doc`` returned."""
     n, vertices, arcs = _read_doc(doc, "digraph", lambda doc: (
         _exact_int(doc["n"], "n"),
         list(map(_json_cell, doc["vertices"])),

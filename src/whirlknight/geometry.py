@@ -7,11 +7,14 @@ at the origin and keep every comparison in plain integers, axis-ray
 crossings included, with no fractions and no floating point anywhere.
 ``BoardGeometry`` alone numbers the digraph's vertices (``index``, its
 inverse ``cell``) and counts them (``vertex_count``).  ``_exact_int`` alone states
-the rule that an integer input is exactly an ``int``; ``_read_doc`` wraps every JSON reader.
+the rule that an integer input is exactly an ``int``; ``_load_doc`` parses every JSON file,
+and ``_read_doc`` wraps every JSON reader.
 """
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -75,6 +78,20 @@ def _read_doc(doc: Any, kind: str, parse: Callable[[Any], Any]) -> Any:
         return parse(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed {kind} JSON: {exc}") from exc
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object as a dict; a key it repeats raises ``ValueError``."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValueError(f"malformed JSON: an object repeats the key {key!r}")
+    return doc
+
+
+def _load_doc(text: str) -> Any:
+    """The JSON document in text, whose objects may not repeat a key; every JSON file is read here."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def _json_cell(pair: object) -> Cell:
@@ -165,6 +182,8 @@ def ccw_cross(geom: BoardGeometry, u: Cell, v: Cell) -> int:
 
 
 def _check_knight_pair(geom: BoardGeometry, u: Cell, v: Cell) -> None:
+    for x in (*u, *v):
+        _exact_int(x, "cell coordinate")  # so no float, bool or Fraction reaches a predicate
     if not (geom.on_board(u) and geom.on_board(v)):
         raise ValueError(f"{tuple(u)} -> {tuple(v)} is not on a {geom.n}x{geom.n} board")
     di, dj = v[0] - u[0], v[1] - u[1]

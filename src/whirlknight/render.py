@@ -67,9 +67,11 @@ def certificate_spec(cert: FarkasCertificate, fmt: str = "ascii") -> RenderSpec:
 
 
 def tour_spec(g: WhirlDigraph, tour: Tour, fmt: str = "ascii") -> RenderSpec:
-    steps = list(zip(tour.cells, tour.cells[1:] + tour.cells[:1]))
-    arcs = tuple((t, h, g.w[a]) for (t, h), a in zip(steps, g.step_arcs(steps)))
-    return RenderSpec(g.n, fmt, arcs=arcs, path=tour.cells)
+    """The tour's path and arcs; a tour of another digraph raises ``ValueError``."""
+    from .tours import _tour_arcs  # the only use of tours here
+
+    cells, ids = _tour_arcs(g, tour.cells)
+    return RenderSpec(g.n, fmt, arcs=tuple(g.arc(a)[:3] for a in ids), path=cells)
 
 
 def render(spec: RenderSpec) -> str:

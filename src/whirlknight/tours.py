@@ -10,7 +10,8 @@ one loop: each step visits a path vertex or backtracks one, and a single
 signed update moves only that vertex's neighbours' counts, so a node
 costs O(deg), not a pass over the board.  Search is explicitly budgeted,
 and a not-found result never means nonexistence.  Nonexistence claims
-belong to the certificate and LP modules.
+belong to the certificate and LP modules.  ``_tour_arcs`` is the one tour
+check, which every function that takes a digraph and a tour calls.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import islice
 from typing import Callable
 
 from .digraph import WhirlDigraph
-from .geometry import RAYS, BoardGeometry, Cell, _exact_int, _json_cell, _read_doc, crosses_axis_ray
+from .geometry import BoardGeometry, Cell, _exact_int, _json_cell, _load_doc, _read_doc, crosses_axis_ray
 
 __all__ = [
     "Tour",
@@ -71,9 +72,14 @@ def verify_tour(g: WhirlDigraph, cells) -> Tour:
     Checks that every vertex appears exactly once and that each cyclically
     consecutive pair is an arc; reports the first offending pair.
     """
+    cells, arcs = _tour_arcs(g, cells)
+    return Tour(cells=cells, coil=sum(g.w[a] for a in arcs))
+
+
+def _tour_arcs(g: WhirlDigraph, cells) -> tuple[tuple[Cell, ...], list[int]]:
+    """The one tour check: the checked cells and their steps' arc ids, the closing step last."""
     cells = _check_cells(g.geometry, cells)
-    coil = sum(g.w[a] for a in g.step_arcs(zip(cells, cells[1:] + cells[:1])))
-    return Tour(cells=cells, coil=coil)
+    return cells, g.step_arcs(zip(cells, cells[1:] + cells[:1]))
 
 
 def _check_cells(geom: BoardGeometry, cells) -> tuple[Cell, ...]:
@@ -106,8 +112,7 @@ def check_reduction(g: WhirlDigraph, tour: Tour) -> bool:
     """
     from .polytope import FractionalAssignment, validate_assignment  # the only use of polytope here
 
-    cells = _check_cells(g.geometry, tour.cells)
-    arcs = g.step_arcs(zip(cells, cells[1:] + cells[:1]))
+    _, arcs = _tour_arcs(g, tour.cells)
     try:
         validate_assignment(g, FractionalAssignment(x=dict.fromkeys(arcs, 1)), tour.coil)
     except ValueError:
@@ -120,16 +125,10 @@ def winding_by_ray(g: WhirlDigraph, tour: Tour, ray: str = "north") -> int:
 
     All arcs are CCW, so every crossing contributes +1 and the four totals
     agree (they all equal the winding number).  Odd boards support the
-    north ray only.
+    north ray only; a tour of another digraph raises ``ValueError``.
     """
-    if ray not in RAYS:
-        raise ValueError(f"unknown ray {ray!r}; expected one of {RAYS}")
-    geom = g.geometry
-    n = len(tour.cells)
-    return sum(
-        crosses_axis_ray(geom, tour.cells[k], tour.cells[(k + 1) % n], ray)
-        for k in range(n)
-    )
+    _, arcs = _tour_arcs(g, tour.cells)
+    return sum(crosses_axis_ray(g.geometry, t, h, ray) for t, h, _, _ in map(g.arc, arcs))
 
 
 def _check_search(n: int, budget: int, coil_target: int | None, seed: int) -> None:
@@ -310,11 +309,11 @@ def tour_from_json(text: str) -> tuple[int, list[Cell], int | None]:
 
     Verification, the claimed coil's included, is separate.
     """
-    return _tour_from_doc(json.loads(text))
+    return _tour_from_doc(_load_doc(text))
 
 
 def _tour_from_doc(doc: object) -> tuple[int, list[Cell], int | None]:
-    """``tour_from_json`` on the document ``json.loads`` returned."""
+    """``tour_from_json`` on the document ``_load_doc`` returned."""
     return _read_doc(doc, "tour", lambda doc: (
         _exact_int(doc["n"], "n"),
         list(map(_json_cell, doc["cells"])),

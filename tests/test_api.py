@@ -274,6 +274,9 @@ GUARD_SITES = [
     ("search budget", "budget", lambda g, x: whirlknight.search_tour(g, budget=x)),
     ("search coil", "coil count", lambda g, x: whirlknight.search_tour(g, coil_target=x)),
     ("search seed", "seed", lambda g, x: whirlknight.search_tour(g, seed=x)),
+    ("is_ccw", "cell coordinate", lambda g, x: whirlknight.is_ccw(g.geometry, (x, 0), (2, 1))),
+    ("crosses_axis_ray", "cell coordinate",
+     lambda g, x: whirlknight.crosses_axis_ray(g.geometry, (0, 1), (2, x))),
 ]
 CERT_DOC = {"n": 6, "c": 3, "gamma": -1, "alpha": [[0, 2, 1]], "beta": [[0, 3, 1]]}
 DIGRAPH_DOC = {"n": 3, "vertices": [[0, 0]], "arcs": [{"u": [0, 0], "v": [1, 2], "w": 0}]}

@@ -542,6 +542,43 @@ class TestRoundTrips:
         assert run(capsys, *argv, "--out", "-") == (1, "", stdout)
 
 
+class TestRepeatedKeys:
+    """A JSON object that repeats a key is malformed: no reader keeps the first or the last value."""
+
+    # Each file's last value is the one its command wrote, so keeping the last would pass it.
+    # kind: (the command that writes the file, the text to replace, its replacement, the key, the readers)
+    CASES = {
+        "certificate": (["cert", "build", "--family", "t1", "--n", "14"],
+                        '{"n":14,', '{"n":14,"gamma":5,', "gamma",
+                        [["cert", "verify", "--family", "file", "--in"], ["render", "--in"]]),
+        "tour": (["tour", "search", "--n", "6", "--coil", "5", "--budget", "100000"],
+                 '{"n":6,', '{"n":6,"coil":99,', "coil",
+                 [["tour", "verify", "--in"], ["render", "--in"]]),
+        "digraph": (["digraph", "--n", "4"], '{"u":', '{"w":1,"u":', "w", [["render", "--in"]]),  # first arc
+    }
+
+    @pytest.mark.parametrize("kind", CASES)
+    def test_repeated_key_is_an_error(self, kind, tmp_path, capsys):
+        build, old, new, key, readers = self.CASES[kind]
+        path = tmp_path / f"{kind}.json"
+        assert run(capsys, *build, "--out", str(path))[0] == 0
+        for argv in readers:
+            assert run(capsys, *argv, str(path))[0] == 0
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        for argv in readers:
+            assert run(capsys, *argv, str(path)) == (
+                2, "", f"error: malformed JSON: an object repeats the key {key!r}\n")
+
+    @pytest.mark.parametrize("text,key", [('{"n":3,"n":3}', "n"), ('[{"a":1},{"b":[{"c":0,"c":0}]}]', "c")])
+    @pytest.mark.parametrize("load", [certificate_from_json, digraph_from_json, tour_from_json])
+    def test_readers_reject_a_repeat_at_any_depth(self, load, text, key):
+        with pytest.raises(ValueError) as exc:
+            load(text)
+        assert str(exc.value) == f"malformed JSON: an object repeats the key {key!r}"
+
+
 # Keys of the three file formats, so generated documents reach past the first lookup.
 FORMAT_KEYS = ["n", "c", "alpha", "beta", "gamma", "cells", "coil", "vertices", "arcs", "u", "v", "w"]
 JSON_VALUES = st.recursive(

@@ -5,6 +5,7 @@ import pytest
 
 from whirlknight import (
     Cell,
+    Tour,
     build_n3_certificate,
     build_t1,
     build_t2,
@@ -151,6 +152,14 @@ class TestDigraphAndTourViews:
         out = render(tour_spec(g, tour, "svg"))
         assert out.count('stroke="#cc2222"') == 3  # coil 3
         assert out.count('stroke="#222222"') == 5
+
+    def test_tour_of_another_digraph_rejected(self, dg):
+        t6 = search_tour(dg(6), coil_target=5, budget=100_000)
+        with pytest.raises(ValueError, match="^not Hamiltonian"):
+            tour_spec(dg(8), t6)
+        reversed_t3 = Tour(tuple(reversed(search_tour(dg(3), budget=100).cells)), 3)
+        with pytest.raises(ValueError, match="not an arc"):
+            tour_spec(dg(3), reversed_t3)
 
     def test_digraph_svg_arrow_markers(self, dg):
         out = render(digraph_spec(dg(4), "svg"))

@@ -86,6 +86,17 @@ class TestWinding:
         with pytest.raises(ValueError):
             winding_by_ray(g, tour, "north-east")
 
+    @pytest.mark.parametrize("ray", ["north", "east"])
+    def test_tour_of_another_board_rejected(self, ray, dg):
+        t6 = search_tour(dg(6), coil_target=5, budget=100_000)
+        assert winding_by_ray(dg(6), t6, ray) == 5
+        with pytest.raises(ValueError, match="^not Hamiltonian: 28 vertices missing"):
+            winding_by_ray(dg(8), t6, ray)
+
+    def test_steps_that_are_not_arcs_rejected(self, dg):
+        with pytest.raises(ValueError, match="not an arc"):
+            winding_by_ray(dg(3), Tour(tuple(reversed(N3_CYCLE)), 3))
+
     def test_n4_covers_ray_invariant(self, dg):
         g = dg(4)
         geom = g.geometry
