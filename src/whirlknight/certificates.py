@@ -27,11 +27,10 @@ Both achieve RHS exactly 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .digraph import Arc, WhirlDigraph
-from .geometry import BoardGeometry, Cell, _bounded_board, _cell_text, _exact_int, _load_doc, _read_doc
+from .geometry import BoardGeometry, Cell, _bounded_board, _cell, _cell_text, _dump_doc, _exact_int, _load_doc, _read_doc
 
 __all__ = [
     "FarkasCertificate",
@@ -212,14 +211,14 @@ def certificate_to_json(cert: FarkasCertificate) -> str:
         "alpha": _sorted_entries(cert.alpha),
         "beta": _sorted_entries(cert.beta),
     }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return _dump_doc(doc)
 
 
 def _entries_from_json(name: str, rows) -> dict[Cell, int]:
     """Support entries [i, j, x] as a cell map; zeros dropped, repeats rejected."""
     support: dict[Cell, int] = {}
     for i, j, x in rows:
-        cell = Cell(_exact_int(i, "cell coordinate"), _exact_int(j, "cell coordinate"))
+        cell = _cell((i, j))
         if cell in support:
             raise ValueError(f"{name} lists cell {tuple(cell)} twice")
         support[cell] = _exact_int(x, "{} entry", name)

@@ -16,14 +16,13 @@ use; ``arc(a)`` builds one record alone.  A built digraph is immutable.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
-from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _bounded_board, _exact_int, _json_cell, _load_doc, _read_doc
+from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _bounded_board, _cell, _dump_doc, _exact_int, _load_doc, _read_doc
 
 __all__ = ["Arc", "WhirlDigraph", "build_digraph", "digraph_to_json", "digraph_from_json"]
 
@@ -199,7 +198,7 @@ def digraph_to_json(g: WhirlDigraph) -> str:
         "arcs": [{"u": [vs[t].i, vs[t].j], "v": [vs[h].i, vs[h].j], "w": x}
                  for t, h, x in zip(g.tail, g.head, g.w)],
     }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return _dump_doc(doc)
 
 
 def digraph_from_json(text: str) -> WhirlDigraph:
@@ -215,8 +214,8 @@ def _digraph_from_doc(doc: object) -> WhirlDigraph:
     """``digraph_from_json`` on the document ``_load_doc`` returned."""
     n, vertices, arcs = _read_doc(doc, "digraph", lambda doc: (
         _exact_int(doc["n"], "n"),
-        list(map(_json_cell, doc["vertices"])),
-        [(_json_cell(a["u"]), _json_cell(a["v"]), _exact_int(a["w"], "arc weight")) for a in doc["arcs"]],
+        list(map(_cell, doc["vertices"])),
+        [(_cell(a["u"]), _cell(a["v"]), _exact_int(a["w"], "arc weight")) for a in doc["arcs"]],
     ))
     # Counted first, so a short vertex list never costs a build of size n²; a bad n raises here.
     g = build_digraph(n) if len(vertices) == BoardGeometry(n).vertex_count else None

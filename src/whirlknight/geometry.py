@@ -7,8 +7,9 @@ at the origin and keep every comparison in plain integers, axis-ray
 crossings included, with no fractions and no floating point anywhere.
 ``BoardGeometry`` alone numbers the digraph's vertices (``index``, its
 inverse ``cell``) and counts them (``vertex_count``).  ``_exact_int`` alone states
-the rule that an integer input is exactly an ``int``; ``_load_doc`` parses every JSON file,
-and ``_read_doc`` wraps every JSON reader.
+the rule that an integer input is exactly an ``int``, and ``_cell`` that a cell from
+outside the program is exactly two of them; ``_load_doc`` parses every JSON file,
+``_read_doc`` wraps every JSON reader, and ``_dump_doc`` writes every JSON file.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ def _load_doc(text: str) -> Any:
     return json.loads(text, object_pairs_hook=_unique_keys)
 
 
-def _json_cell(pair: object) -> Cell:
-    i, j = pair  # [i, j] read from JSON
-    return Cell(_exact_int(i, "cell coordinate"), _exact_int(j, "cell coordinate"))
+def _dump_doc(doc: Any) -> str:
+    """The canonical text of a JSON document: no spaces, one closing newline; every JSON file is written here."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def _cell_text(c: object) -> str:
@@ -105,6 +106,15 @@ def _cell_text(c: object) -> str:
         return str(tuple(c))
     except TypeError:
         return repr(c)
+
+
+def _cell(c: object) -> Cell:
+    """c as a Cell if it is a pair of ``int`` coordinates, else ``ValueError``; how a cell from outside is read."""
+    try:
+        i, j = c
+    except (TypeError, ValueError):
+        raise ValueError(f"{_cell_text(c)} is not a cell") from None
+    return Cell(_exact_int(i, "cell coordinate"), _exact_int(j, "cell coordinate"))
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,9 @@ class BoardGeometry:
             raise ValueError(f"board side must be an integer >= 3, got {self.n!r}")
 
     def on_board(self, c: Cell) -> bool:
-        return 0 <= c[0] < self.n and 0 <= c[1] < self.n
+        """Is c on the board?  A non-cell (not a pair of ``int`` coordinates) raises ``ValueError``."""
+        i, j = _cell(c)
+        return 0 <= i < self.n and 0 <= j < self.n
 
     @property
     def vertex_count(self) -> int:
@@ -182,8 +194,7 @@ def ccw_cross(geom: BoardGeometry, u: Cell, v: Cell) -> int:
 
 
 def _check_knight_pair(geom: BoardGeometry, u: Cell, v: Cell) -> None:
-    for x in (*u, *v):
-        _exact_int(x, "cell coordinate")  # so no float, bool or Fraction reaches a predicate
+    u, v = _cell(u), _cell(v)  # so no non-pair, float, bool or Fraction reaches a predicate
     if not (geom.on_board(u) and geom.on_board(v)):
         raise ValueError(f"{tuple(u)} -> {tuple(v)} is not on a {geom.n}x{geom.n} board")
     di, dj = v[0] - u[0], v[1] - u[1]

@@ -27,7 +27,6 @@ brute-force check of the interval.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from functools import cached_property
 
 from .certificates import FarkasCertificate, _check_columns
 from .digraph import WhirlDigraph
-from .geometry import BoardGeometry, Cell, _exact_int
+from .geometry import BoardGeometry, Cell, _dump_doc, _exact_int
 
 __all__ = [
     "NoCycleCoverError",
@@ -458,4 +457,4 @@ def lp_decision_to_json(d: LpDecision) -> str:
         "min_coil": d.min_coil,
         "max_coil": d.max_coil,
     }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return _dump_doc(doc)

@@ -16,14 +16,13 @@ check, which every function that takes a digraph and a tour calls.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
 from .digraph import WhirlDigraph
-from .geometry import BoardGeometry, Cell, _exact_int, _json_cell, _load_doc, _read_doc, crosses_axis_ray
+from .geometry import BoardGeometry, Cell, _cell, _dump_doc, _exact_int, _load_doc, _read_doc, crosses_axis_ray
 
 __all__ = [
     "Tour",
@@ -300,8 +299,8 @@ def tour_to_json(n: int, tour: Tour) -> str:
     nv = BoardGeometry(n).vertex_count  # rises strictly with n, so it pins the tour's n
     if len(tour.cells) != nv:
         raise ValueError(f"the tour has {len(tour.cells)} cells, the n={n} board has {nv} vertices")
-    doc = {"n": n, "cells": [[c.i, c.j] for c in tour.cells], "coil": tour.coil}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    doc = {"n": n, "cells": [[c[0], c[1]] for c in tour.cells], "coil": tour.coil}
+    return _dump_doc(doc)
 
 
 def tour_from_json(text: str) -> tuple[int, list[Cell], int | None]:
@@ -316,6 +315,6 @@ def _tour_from_doc(doc: object) -> tuple[int, list[Cell], int | None]:
     """``tour_from_json`` on the document ``_load_doc`` returned."""
     return _read_doc(doc, "tour", lambda doc: (
         _exact_int(doc["n"], "n"),
-        list(map(_json_cell, doc["cells"])),
+        list(map(_cell, doc["cells"])),
         _exact_int(doc["coil"], "coil") if "coil" in doc else None,
     ))

@@ -253,6 +253,62 @@ def test_integer_rule_guard_sees_each_form():
     assert len(_int_rule_uses(ast.parse(source))) == 6
 
 
+def _cell_rule_uses(tree: ast.AST) -> list[str]:
+    """String literals (docstrings and f-string parts included) that name the label 'cell coordinate'."""
+    return [f"{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "cell coordinate" in node.value]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(whirlknight.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_only_geometry_states_the_cell_rule(path):
+    # Every other module reads an outside cell through geometry._cell.
+    uses = _cell_rule_uses(ast.parse(path.read_text()))
+    assert bool(uses) == (path.name == "geometry.py"), uses
+
+
+def test_cell_rule_guard_sees_each_form():
+    source = (
+        '_exact_int(i, "cell coordinate")\nf"{x} cell coordinate"\n"cell " "coordinate"\n'
+        "def f():\n    'Checks each cell coordinate.'\n"
+        '"cell"\n"coordinate"\n# cell coordinate\n'
+    )  # the last three name no label
+    assert len(_cell_rule_uses(ast.parse(source))) == 4
+
+
+def _json_imports(tree: ast.AST) -> list[str]:
+    """Imports of json or of one of its submodules, under any name and at any depth, as 'line: module'."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        hits += [f"{node.lineno}: {name}" for name in names if name.split(".")[0] == "json"]
+    return hits
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(whirlknight.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_only_geometry_and_cli_import_json(path):
+    # geometry reads and writes every file; cli only quotes an error string with json.dumps.
+    uses = _json_imports(ast.parse(path.read_text()))
+    assert bool(uses) == (path.name in ("geometry.py", "cli.py")), uses
+
+
+def test_json_import_guard_sees_each_form():
+    source = (
+        "import json\nimport json as j\nimport os, json\nimport json.decoder\n"
+        "from json import dumps\nfrom json.decoder import JSONDecodeError\ndef f():\n    import json\n"
+        "import jsonschema\nfrom .geometry import _dump_doc\nfrom . import json_utils\n"
+    )  # the last three are other modules
+    assert len(_json_imports(ast.parse(source))) == 7
+
+
 # Every site of the integer rule, as (name, label in the message, call through a public entry
 # point); g is the n = 3 digraph, where arc k leaves vertex k.
 GUARD_SITES = [
@@ -277,6 +333,7 @@ GUARD_SITES = [
     ("is_ccw", "cell coordinate", lambda g, x: whirlknight.is_ccw(g.geometry, (x, 0), (2, 1))),
     ("crosses_axis_ray", "cell coordinate",
      lambda g, x: whirlknight.crosses_axis_ray(g.geometry, (0, 1), (2, x))),
+    ("on_board", "cell coordinate", lambda g, x: g.geometry.on_board((x, 0))),
 ]
 CERT_DOC = {"n": 6, "c": 3, "gamma": -1, "alpha": [[0, 2, 1]], "beta": [[0, 3, 1]]}
 DIGRAPH_DOC = {"n": 3, "vertices": [[0, 0]], "arcs": [{"u": [0, 0], "v": [1, 2], "w": 0}]}
@@ -297,6 +354,19 @@ JSON_SITES = [
     ("tour coil", "tour", "coil", lambda x: {"n": 3, "cells": [], "coil": x}),
 ]
 READERS = {"certificate": "certificate_from_json", "digraph": "digraph_from_json", "tour": "tour_from_json"}
+# Every site of the cell rule, as (name, call through a public entry point); and every JSON cell,
+# as (name, reader kind, doc), each given values that are not pairs, with the text they show as.
+CELL_SITES = [
+    ("is_ccw", lambda g, c: whirlknight.is_ccw(g.geometry, c, (2, 1))),
+    ("crosses_axis_ray", lambda g, c: whirlknight.crosses_axis_ray(g.geometry, (0, 1), c)),
+    ("on_board", lambda g, c: g.geometry.on_board(c)),
+]
+JSON_CELL_SITES = [
+    ("tour cell", "tour", lambda c: {"n": 3, "cells": [[0, 0], c]}),
+    ("digraph vertex", "digraph", lambda c: {**DIGRAPH_DOC, "vertices": [c]}),
+    ("digraph arc end", "digraph", lambda c: {**DIGRAPH_DOC, "arcs": [{"u": [0, 0], "v": c, "w": 0}]}),
+]
+NOT_PAIRS = [((0, 0, 7), "(0, 0, 7)"), ((0,), "(0,)"), (5, "5")]
 NOT_INTS = [1.5, True, Fraction(1), "1"]
 
 
@@ -327,3 +397,19 @@ def test_every_json_number_rejects_each_non_int(name, kind, what, doc, x, no_bui
     with pytest.raises(ValueError) as exc:
         getattr(whirlknight, READERS[kind])(json.dumps(doc(x)))
     assert str(exc.value) == f"malformed {kind} JSON: {what} must be an integer, got {x!r}"
+
+
+@pytest.mark.parametrize("c,text", NOT_PAIRS, ids=[t for _, t in NOT_PAIRS])
+@pytest.mark.parametrize("name,call", CELL_SITES, ids=[s[0] for s in CELL_SITES])
+def test_every_cell_site_rejects_each_non_pair(name, call, c, text, no_builds):
+    with pytest.raises(ValueError) as exc:
+        call(no_builds, c)
+    assert str(exc.value) == f"{text} is not a cell"
+
+
+@pytest.mark.parametrize("c,text", NOT_PAIRS, ids=[t for _, t in NOT_PAIRS])
+@pytest.mark.parametrize("name,kind,doc", JSON_CELL_SITES, ids=[s[0] for s in JSON_CELL_SITES])
+def test_every_json_cell_rejects_each_non_pair(name, kind, doc, c, text, no_builds):
+    with pytest.raises(ValueError) as exc:
+        getattr(whirlknight, READERS[kind])(json.dumps(doc(c)))
+    assert str(exc.value) == f"malformed {kind} JSON: {text} is not a cell"

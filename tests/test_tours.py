@@ -468,6 +468,10 @@ class TestTourSerialization:
         assert n == 3 and coil == tour.coil and verify_tour(g, cells) == tour
         assert tour_to_json(n, verify_tour(g, cells)) == text
 
+    def test_plain_pair_cells_write_the_same_bytes(self, dg):
+        tour = verify_tour(dg(3), N3_CYCLE)
+        assert tour_to_json(3, Tour(tuple(N3_CYCLE), tour.coil)) == tour_to_json(3, tour)
+
     @pytest.mark.parametrize("n,nv", [(4, 16), (8, 64)])
     def test_rejects_another_board_s_n(self, n, nv, dg):
         tour = verify_tour(dg(3), N3_CYCLE)  # its 8 cells fit only the n = 3 board
