@@ -217,7 +217,10 @@ def certificate_to_json(cert: FarkasCertificate) -> str:
 def _entries_from_json(name: str, rows) -> dict[Cell, int]:
     """Support entries [i, j, x] as a cell map; zeros dropped, repeats rejected."""
     support: dict[Cell, int] = {}
-    for i, j, x in rows:
+    for entry in rows:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ValueError(f"{name} entry {entry!r} is not [i, j, x]")
+        i, j, x = entry
         cell = _cell((i, j))
         if cell in support:
             raise ValueError(f"{name} lists cell {tuple(cell)} twice")

@@ -8,8 +8,8 @@ the CCW test ``ui*dj > di*uj`` (doubled coordinates) is linear in the
 column j with the nonzero coefficient -2di, so the arcs form one interval
 of columns, and ``build_digraph`` marks each interval with one slice and
 copies the marked candidates in C.  The digraph is ``(n, tail, head, w)``:
-the arc columns ``tail``, ``head`` (vertex indices) and ``w``, indexed by
-arc id, which every solver reads.  ``vertices``, ``out_adj``, ``in_adj``
+the arc columns ``tail``, ``head`` (vertex indices) and ``w``, of one length and
+indexed by arc id, which every solver reads.  ``vertices``, ``out_adj``, ``in_adj``
 and the ``Arc`` records of cells (``arcs``) are derived from them on first
 use; ``arc(a)`` builds one record alone.  A built digraph is immutable.
 """
@@ -36,7 +36,7 @@ class Arc(NamedTuple):
 
 @dataclass(frozen=True)
 class WhirlDigraph:
-    """The digraph as ``(n, tail, head, w)``, which equality and hashing compare.
+    """The digraph as ``(n, tail, head, w)``, which equality and hashing compare; unequal columns raise when built.
 
     Derived on first use and cached (``dataclasses.replace`` derives them again): ``geometry``,
     which numbers and counts the vertices, ``vertices``, ``out_adj``, ``in_adj`` and ``arcs``.
@@ -46,6 +46,10 @@ class WhirlDigraph:
     tail: tuple[int, ...]  # arc id -> vertex index
     head: tuple[int, ...]
     w: tuple[int, ...]  # arc id -> north plumb-line crossing weight, 0 or 1
+
+    def __post_init__(self) -> None:
+        if not len(self.tail) == len(self.head) == len(self.w):
+            raise ValueError(f"arc columns differ in length: tail {len(self.tail)}, head {len(self.head)}, w {len(self.w)}")
 
     @cached_property
     def geometry(self) -> BoardGeometry:

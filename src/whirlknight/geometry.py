@@ -7,8 +7,8 @@ at the origin and keep every comparison in plain integers, axis-ray
 crossings included, with no fractions and no floating point anywhere.
 ``BoardGeometry`` alone numbers the digraph's vertices (``index``, its
 inverse ``cell``) and counts them (``vertex_count``).  ``_exact_int`` alone states
-the rule that an integer input is exactly an ``int``, and ``_cell`` that a cell from
-outside the program is exactly two of them; ``_load_doc`` parses every JSON file,
+the rule that an integer input is exactly an ``int``, and ``_PAIR`` with ``_cell`` that a cell from
+outside the program is a tuple or list of exactly two of them; ``_load_doc`` parses every JSON file,
 ``_read_doc`` wraps every JSON reader, and ``_dump_doc`` writes every JSON file.
 """
 
@@ -100,21 +100,19 @@ def _dump_doc(doc: Any) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+_PAIR = (tuple, list)  # a cell is one of these (``Cell`` included) of length 2; a set, dict, range or str is not
+
+
 def _cell_text(c: object) -> str:
-    """A cell as error messages show it: as a tuple if c is iterable, else as its repr."""
-    try:
-        return str(tuple(c))
-    except TypeError:
-        return repr(c)
+    """A cell as error messages show it: a tuple or list as a tuple, anything else as its repr."""
+    return str(tuple(c)) if isinstance(c, _PAIR) else repr(c)
 
 
 def _cell(c: object) -> Cell:
     """c as a Cell if it is a pair of ``int`` coordinates, else ``ValueError``; how a cell from outside is read."""
-    try:
-        i, j = c
-    except (TypeError, ValueError):
-        raise ValueError(f"{_cell_text(c)} is not a cell") from None
-    return Cell(_exact_int(i, "cell coordinate"), _exact_int(j, "cell coordinate"))
+    if not (isinstance(c, _PAIR) and len(c) == 2):
+        raise ValueError(f"{_cell_text(c)} is not a cell")
+    return Cell(_exact_int(c[0], "cell coordinate"), _exact_int(c[1], "cell coordinate"))
 
 
 @dataclass(frozen=True)
@@ -133,8 +131,7 @@ class BoardGeometry:
 
     def on_board(self, c: Cell) -> bool:
         """Is c on the board?  A non-cell (not a pair of ``int`` coordinates) raises ``ValueError``."""
-        i, j = _cell(c)
-        return 0 <= i < self.n and 0 <= j < self.n
+        return all(0 <= x < self.n for x in _cell(c))
 
     @property
     def vertex_count(self) -> int:
@@ -144,13 +141,10 @@ class BoardGeometry:
         """Cell c's vertex index: row-major i*n + j, less one past an odd board's centre.
 
         This is the digraph's vertex order; anything but a vertex, a non-pair
-        included, raises ``ValueError``.
+        (not a ``_PAIR`` of length 2) included, raises ``ValueError``.
         """
         n = self.n
-        try:
-            i, j = c
-        except (TypeError, ValueError):
-            i = j = None  # not a pair
+        i, j = c if isinstance(c, _PAIR) and len(c) == 2 else (None, None)
         if type(i) is type(j) is int and 0 <= i < n and 0 <= j < n:
             k, centre = i * n + j, (n * n // 2 if n % 2 else n * n)  # odd: (m, m), n = 2m + 1
             if k != centre:
@@ -195,7 +189,7 @@ def ccw_cross(geom: BoardGeometry, u: Cell, v: Cell) -> int:
 
 def _check_knight_pair(geom: BoardGeometry, u: Cell, v: Cell) -> None:
     u, v = _cell(u), _cell(v)  # so no non-pair, float, bool or Fraction reaches a predicate
-    if not (geom.on_board(u) and geom.on_board(v)):
+    if not 0 <= min(*u, *v) <= max(*u, *v) < geom.n:
         raise ValueError(f"{tuple(u)} -> {tuple(v)} is not on a {geom.n}x{geom.n} board")
     di, dj = v[0] - u[0], v[1] - u[1]
     if di * di + dj * dj != 5:

@@ -195,15 +195,13 @@ def search_tour(
     Every pruning rule only discards branches with no valid completion,
     so returning None with budget to spare means the (start-anchored)
     space was exhausted; returning None at budget means "not found".
-    A returned tour is re-verified before being handed back.  Arc columns of
-    unequal length, an arc end outside ``range(vertex_count)`` or a weight
-    other than 0 or 1 raise ``ValueError`` before any node is expanded.
+    A returned tour is re-verified before being handed back.  An arc end outside
+    ``range(vertex_count)`` or a weight other than 0 or 1 raises ``ValueError`` before any
+    node is expanded; unequal arc columns already raise when the ``WhirlDigraph`` is built.
     """
     _check_search(g.n, budget, coil_target, seed)
     nv, arcs = g.geometry.vertex_count, len(g.tail)
     # The counters index by the arc ends, and the coil prune assumes 0/1 weights.
-    if len(g.head) != arcs or len(g.w) != arcs:
-        raise ValueError(f"arc columns differ in length: tail {arcs}, head {len(g.head)}, w {len(g.w)}")
     if arcs and not (0 <= min(g.tail) and 0 <= min(g.head) and max(g.tail) < nv and max(g.head) < nv):
         raise ValueError(f"an arc end is not a vertex index in range({nv})")
     if not set(g.w) <= {0, 1}:

@@ -354,19 +354,25 @@ JSON_SITES = [
     ("tour coil", "tour", "coil", lambda x: {"n": 3, "cells": [], "coil": x}),
 ]
 READERS = {"certificate": "certificate_from_json", "digraph": "digraph_from_json", "tour": "tour_from_json"}
-# Every site of the cell rule, as (name, call through a public entry point); and every JSON cell,
-# as (name, reader kind, doc), each given values that are not pairs, with the text they show as.
+# Every site of the cell rule, as (name, call through a public entry point, what its message says
+# the value is not); and every JSON cell, as (name, reader kind, doc), each given values that are
+# not pairs, with the text they show as.
 CELL_SITES = [
-    ("is_ccw", lambda g, c: whirlknight.is_ccw(g.geometry, c, (2, 1))),
-    ("crosses_axis_ray", lambda g, c: whirlknight.crosses_axis_ray(g.geometry, (0, 1), c)),
-    ("on_board", lambda g, c: g.geometry.on_board(c)),
+    ("is_ccw", lambda g, c: whirlknight.is_ccw(g.geometry, c, (2, 1)), "a cell"),
+    ("crosses_axis_ray", lambda g, c: whirlknight.crosses_axis_ray(g.geometry, (0, 1), c), "a cell"),
+    ("on_board", lambda g, c: g.geometry.on_board(c), "a cell"),
+    ("BoardGeometry.index", lambda g, c: g.geometry.index(c), "a vertex of the n=3 digraph"),
 ]
 JSON_CELL_SITES = [
     ("tour cell", "tour", lambda c: {"n": 3, "cells": [[0, 0], c]}),
     ("digraph vertex", "digraph", lambda c: {**DIGRAPH_DOC, "vertices": [c]}),
     ("digraph arc end", "digraph", lambda c: {**DIGRAPH_DOC, "arcs": [{"u": [0, 0], "v": c, "w": 0}]}),
 ]
-NOT_PAIRS = [((0, 0, 7), "(0, 0, 7)"), ((0,), "(0,)"), (5, "5")]
+NOT_PAIRS = [((0, 0, 7), "(0, 0, 7)"), ((0,), "(0,)"), (5, "5"), ("ab", "'ab'"),
+             ({2, 1}, "{1, 2}"), ({0: 1, 1: 2}, "{0: 1, 1: 2}"), (range(2), "range(0, 2)")]
+NOT_JSON_PAIRS = NOT_PAIRS[:4]  # a set and a range have no JSON form; a dict's keys come back as strings
+# Certificate alpha lists whose entry is not [i, j, x], with the text that entry shows as.
+NOT_ENTRIES = [([[0, 2]], "[0, 2]"), ([[0, 2, 1, 9]], "[0, 2, 1, 9]"), ([5], "5"), ({"02": 1}, "'02'")]
 NOT_INTS = [1.5, True, Fraction(1), "1"]
 
 
@@ -400,16 +406,23 @@ def test_every_json_number_rejects_each_non_int(name, kind, what, doc, x, no_bui
 
 
 @pytest.mark.parametrize("c,text", NOT_PAIRS, ids=[t for _, t in NOT_PAIRS])
-@pytest.mark.parametrize("name,call", CELL_SITES, ids=[s[0] for s in CELL_SITES])
-def test_every_cell_site_rejects_each_non_pair(name, call, c, text, no_builds):
+@pytest.mark.parametrize("name,call,not_what", CELL_SITES, ids=[s[0] for s in CELL_SITES])
+def test_every_cell_site_rejects_each_non_pair(name, call, not_what, c, text, no_builds):
     with pytest.raises(ValueError) as exc:
         call(no_builds, c)
-    assert str(exc.value) == f"{text} is not a cell"
+    assert str(exc.value) == f"{text} is not {not_what}"
 
 
-@pytest.mark.parametrize("c,text", NOT_PAIRS, ids=[t for _, t in NOT_PAIRS])
+@pytest.mark.parametrize("c,text", NOT_JSON_PAIRS, ids=[t for _, t in NOT_JSON_PAIRS])
 @pytest.mark.parametrize("name,kind,doc", JSON_CELL_SITES, ids=[s[0] for s in JSON_CELL_SITES])
 def test_every_json_cell_rejects_each_non_pair(name, kind, doc, c, text, no_builds):
     with pytest.raises(ValueError) as exc:
         getattr(whirlknight, READERS[kind])(json.dumps(doc(c)))
     assert str(exc.value) == f"malformed {kind} JSON: {text} is not a cell"
+
+
+@pytest.mark.parametrize("alpha,text", NOT_ENTRIES, ids=[t for _, t in NOT_ENTRIES])
+def test_every_certificate_entry_rejects_each_non_triple(alpha, text, no_builds):
+    with pytest.raises(ValueError) as exc:
+        whirlknight.certificate_from_json(json.dumps({**CERT_DOC, "alpha": alpha}))
+    assert str(exc.value) == f"malformed certificate JSON: alpha entry {text} is not [i, j, x]"

@@ -119,6 +119,16 @@ class TestCert:
         assert "twice" in stderr
 
 
+    def test_verify_file_with_a_short_entry_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        run(capsys, "cert", "build", "--family", "t1", "--n", "14", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["alpha"][0] = doc["alpha"][0][:2]
+        path.write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, "cert", "verify", "--family", "file", "--in", str(path))
+        text = f"{doc['alpha'][0]} is not [i, j, x]"
+        assert (code, stdout, stderr) == (2, "", f"error: malformed certificate JSON: alpha entry {text}\n")
+
     def test_verify_file_with_fractional_entries_is_an_error(self, tmp_path, capsys):
         # Truncated to 1 these are the valid t1 certificate; as written, max LHS is 9/10.
         path = tmp_path / "c.json"

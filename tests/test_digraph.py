@@ -105,6 +105,16 @@ class TestAdjacency:
         reversed_ = dataclasses.replace(g, tail=g.head, head=g.tail)
         assert reversed_.out_adj == g.in_adj and reversed_.in_adj == g.out_adj
 
+    def test_unequal_columns_rejected_when_built(self, dg):
+        # Zipped, these columns would hold 10 of the 624 arcs, and the gamma = 0 t1 certificate,
+        # which violates 26 arcs of the real digraph, would read valid on them.
+        g = dg(14)
+        assert len(verify_certificate(g, dataclasses.replace(build_t1(14), gamma=0)).violations) == 26
+        with pytest.raises(ValueError, match=r"^arc columns differ in length: tail 624, head 10, w 10$"):
+            WhirlDigraph(14, g.tail, g.head[:10], g.w[:10])
+        with pytest.raises(ValueError, match=r"^arc columns differ in length: tail 624, head 624, w 623$"):
+            dataclasses.replace(g, w=g.w[:-1])
+
     @pytest.mark.parametrize("n", range(3, 13))
     def test_columns_match_arcs(self, n, dg):
         g = dg(n)
