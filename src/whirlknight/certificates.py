@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import Arc, WhirlDigraph
-from .geometry import BoardGeometry, Cell, _bounded_board, _cell, _cell_text, _dump_doc, _exact_int, _load_doc, _read_doc
+from .geometry import BoardGeometry, Cell, _bounded_board, _cell, _cell_text, _dump_doc, _exact_int, _list, _load_doc, _read_doc
 
 __all__ = [
     "FarkasCertificate",
@@ -215,9 +215,9 @@ def certificate_to_json(cert: FarkasCertificate) -> str:
 
 
 def _entries_from_json(name: str, rows) -> dict[Cell, int]:
-    """Support entries [i, j, x] as a cell map; zeros dropped, repeats rejected."""
+    """Support entries [i, j, x], a list of them, as a cell map; zeros dropped, repeats rejected."""
     support: dict[Cell, int] = {}
-    for entry in rows:
+    for entry in _list(rows, name):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ValueError(f"{name} entry {entry!r} is not [i, j, x]")
         i, j, x = entry

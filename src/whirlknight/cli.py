@@ -93,11 +93,14 @@ class _InvalidTour(ValueError):
 
 
 def _file_tour(n: int, cells, coil: int | None, given_n: int | None):
-    """A parsed tour file's digraph and verified tour; a coil the file claims must be the tour's."""
+    """A parsed tour file's digraph and verified tour; a coil the file claims must be the tour's.
+
+    The cells are checked before the build, so cells that alone show no tour exit 1 at any n.
+    """
     _require_n(given_n, n, "tour")
     geom = wk.BoardGeometry(n)  # a bad n is an error, not an invalid tour
     try:
-        wk.tours._check_cells(geom, cells)  # before the digraph, so a short file is cheap
+        wk.tours._check_cells(geom, cells)
     except ValueError as exc:
         raise _InvalidTour(exc) from exc
     g = wk.build_digraph(n)  # outside the try: an n above the size limit is an error, not an invalid tour
@@ -122,7 +125,6 @@ def cmd_tour_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_tour_search(args: argparse.Namespace) -> int:
-    wk.tours._check_search(args.n, args.budget, args.coil, args.seed)  # before the digraph, so a rejection is cheap
     g = wk.build_digraph(args.n)
     stats = wk.SearchStats()
 

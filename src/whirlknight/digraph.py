@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
-from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _bounded_board, _cell, _dump_doc, _exact_int, _load_doc, _read_doc
+from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _bounded_board, _cell, _dump_doc, _exact_int, _list, _load_doc, _read_doc
 
 __all__ = ["Arc", "WhirlDigraph", "build_digraph", "digraph_to_json", "digraph_from_json"]
 
@@ -218,12 +218,11 @@ def _digraph_from_doc(doc: object) -> WhirlDigraph:
     """``digraph_from_json`` on the document ``_load_doc`` returned."""
     n, vertices, arcs = _read_doc(doc, "digraph", lambda doc: (
         _exact_int(doc["n"], "n"),
-        list(map(_cell, doc["vertices"])),
-        [(_cell(a["u"]), _cell(a["v"]), _exact_int(a["w"], "arc weight")) for a in doc["arcs"]],
+        list(map(_cell, _list(doc["vertices"], "vertices"))),
+        [(_cell(a["u"]), _cell(a["v"]), _exact_int(a["w"], "arc weight")) for a in _list(doc["arcs"], "arcs")],
     ))
-    # Counted first, so a short vertex list never costs a build of size n²; a bad n raises here.
-    g = build_digraph(n) if len(vertices) == BoardGeometry(n).vertex_count else None
-    if g is None or vertices != list(g.vertices):
+    g = build_digraph(n)  # a bad n, or one above the size limit, raises here
+    if vertices != list(g.vertices):
         raise ValueError("digraph JSON vertex list does not match the canonical digraph")
     if arcs != [(vertices[t], vertices[h], x) for t, h, x in zip(g.tail, g.head, g.w)]:
         raise ValueError("digraph JSON arc list does not match the canonical digraph")

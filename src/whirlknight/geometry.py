@@ -7,9 +7,9 @@ at the origin and keep every comparison in plain integers, axis-ray
 crossings included, with no fractions and no floating point anywhere.
 ``BoardGeometry`` alone numbers the digraph's vertices (``index``, its
 inverse ``cell``) and counts them (``vertex_count``).  ``_exact_int`` alone states
-the rule that an integer input is exactly an ``int``, and ``_PAIR`` with ``_cell`` that a cell from
-outside the program is a tuple or list of exactly two of them; ``_load_doc`` parses every JSON file,
-``_read_doc`` wraps every JSON reader, and ``_dump_doc`` writes every JSON file.
+the rule that an integer input is exactly an ``int``, ``_PAIR`` with ``_cell`` that a cell from outside
+the program is a tuple or list of exactly two of them, and ``_list`` that a JSON array field is a ``list``;
+``_load_doc`` parses every JSON file, ``_read_doc`` wraps every JSON reader, and ``_dump_doc`` writes every JSON file.
 """
 
 from __future__ import annotations
@@ -106,6 +106,13 @@ _PAIR = (tuple, list)  # a cell is one of these (``Cell`` included) of length 2;
 def _cell_text(c: object) -> str:
     """A cell as error messages show it: a tuple or list as a tuple, anything else as its repr."""
     return str(tuple(c)) if isinstance(c, _PAIR) else repr(c)
+
+
+def _list(x: object, what: str) -> list:
+    """x if it is a ``list``, else ``ValueError`` naming ``what``; how every JSON array field is read."""
+    if isinstance(x, list):
+        return x
+    raise ValueError(f"{what} must be a list, got {x!r}")
 
 
 def _cell(c: object) -> Cell:

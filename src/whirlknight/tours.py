@@ -22,7 +22,7 @@ from itertools import islice
 from typing import Callable
 
 from .digraph import WhirlDigraph
-from .geometry import BoardGeometry, Cell, _cell, _dump_doc, _exact_int, _load_doc, _read_doc, crosses_axis_ray
+from .geometry import BoardGeometry, Cell, _cell, _dump_doc, _exact_int, _list, _load_doc, _read_doc, crosses_axis_ray
 
 __all__ = [
     "Tour",
@@ -84,7 +84,8 @@ def _tour_arcs(g: WhirlDigraph, cells) -> tuple[tuple[Cell, ...], list[int]]:
 def _check_cells(geom: BoardGeometry, cells) -> tuple[Cell, ...]:
     """verify_tour's checks that need only the board: each vertex appears exactly once.
 
-    They cost O(len(cells)), so callers run them before building a file's digraph.
+    A tour file's cells pass them before its digraph is built, so cells that alone show
+    there is no tour exit 1 in the CLI at any n, even above the size limit (exit 2).
     """
     seen: dict[Cell, None] = {}  # the cells in visiting order
     for c in cells:
@@ -128,21 +129,6 @@ def winding_by_ray(g: WhirlDigraph, tour: Tour, ray: str = "north") -> int:
     """
     _, arcs = _tour_arcs(g, tour.cells)
     return sum(crosses_axis_ray(g.geometry, t, h, ray) for t, h, _, _ in map(g.arc, arcs))
-
-
-def _check_search(n: int, budget: int, coil_target: int | None, seed: int) -> None:
-    """search_tour's argument checks, which need only n, the budget, the coil target and the seed.
-
-    Callers run them before building the digraph, so a rejection is cheap.
-    The budget, a coil target and the seed must be exactly ``int`` (not a
-    bool), so no float decides what a search proves or the order it tries.
-    """
-    BoardGeometry(n)  # a bad n keeps the board's own message
-    if _exact_int(budget, "budget") < 1:
-        raise ValueError("budget must be >= 1")
-    if coil_target is not None:
-        _exact_int(coil_target, "coil count")
-    _exact_int(seed, "seed")
 
 
 def search_tour(
@@ -195,11 +181,16 @@ def search_tour(
     Every pruning rule only discards branches with no valid completion,
     so returning None with budget to spare means the (start-anchored)
     space was exhausted; returning None at budget means "not found".
-    A returned tour is re-verified before being handed back.  An arc end outside
-    ``range(vertex_count)`` or a weight other than 0 or 1 raises ``ValueError`` before any
-    node is expanded; unequal arc columns already raise when the ``WhirlDigraph`` is built.
+    A returned tour is re-verified before being handed back.  Before any node, ``ValueError`` is raised,
+    in this order, for a budget that is not an ``int`` >= 1, a coil target or seed that is not exactly an
+    ``int`` (so no float decides what a search proves or the order it tries), an arc end outside
+    ``range(vertex_count)`` and a weight other than 0 or 1; unequal arc columns raise at construction.
     """
-    _check_search(g.n, budget, coil_target, seed)
+    if _exact_int(budget, "budget") < 1:
+        raise ValueError("budget must be >= 1")
+    if coil_target is not None:
+        _exact_int(coil_target, "coil count")
+    _exact_int(seed, "seed")
     nv, arcs = g.geometry.vertex_count, len(g.tail)
     # The counters index by the arc ends, and the coil prune assumes 0/1 weights.
     if arcs and not (0 <= min(g.tail) and 0 <= min(g.head) and max(g.tail) < nv and max(g.head) < nv):
@@ -313,6 +304,6 @@ def _tour_from_doc(doc: object) -> tuple[int, list[Cell], int | None]:
     """``tour_from_json`` on the document ``_load_doc`` returned."""
     return _read_doc(doc, "tour", lambda doc: (
         _exact_int(doc["n"], "n"),
-        list(map(_cell, doc["cells"])),
+        list(map(_cell, _list(doc["cells"], "cells"))),
         _exact_int(doc["coil"], "coil") if "coil" in doc else None,
     ))

@@ -372,7 +372,16 @@ NOT_PAIRS = [((0, 0, 7), "(0, 0, 7)"), ((0,), "(0,)"), (5, "5"), ("ab", "'ab'"),
              ({2, 1}, "{1, 2}"), ({0: 1, 1: 2}, "{0: 1, 1: 2}"), (range(2), "range(0, 2)")]
 NOT_JSON_PAIRS = NOT_PAIRS[:4]  # a set and a range have no JSON form; a dict's keys come back as strings
 # Certificate alpha lists whose entry is not [i, j, x], with the text that entry shows as.
-NOT_ENTRIES = [([[0, 2]], "[0, 2]"), ([[0, 2, 1, 9]], "[0, 2, 1, 9]"), ([5], "5"), ({"02": 1}, "'02'")]
+NOT_ENTRIES = [([[0, 2]], "[0, 2]"), ([[0, 2, 1, 9]], "[0, 2, 1, 9]"), ([5], "5")]
+# Every JSON array field, as (field, reader kind, doc), each given values that are not lists.
+JSON_LIST_SITES = [
+    ("alpha", "certificate", lambda x: {**CERT_DOC, "alpha": x}),
+    ("beta", "certificate", lambda x: {**CERT_DOC, "beta": x}),
+    ("cells", "tour", lambda x: {"n": 3, "cells": x}),
+    ("vertices", "digraph", lambda x: {**DIGRAPH_DOC, "vertices": x}),
+    ("arcs", "digraph", lambda x: {**DIGRAPH_DOC, "arcs": x}),
+]
+NOT_LISTS = [{}, {"02": 1}, "", "ab", 5, None]
 NOT_INTS = [1.5, True, Fraction(1), "1"]
 
 
@@ -426,3 +435,11 @@ def test_every_certificate_entry_rejects_each_non_triple(alpha, text, no_builds)
     with pytest.raises(ValueError) as exc:
         whirlknight.certificate_from_json(json.dumps({**CERT_DOC, "alpha": alpha}))
     assert str(exc.value) == f"malformed certificate JSON: alpha entry {text} is not [i, j, x]"
+
+
+@pytest.mark.parametrize("x", NOT_LISTS, ids=repr)
+@pytest.mark.parametrize("field,kind,doc", JSON_LIST_SITES, ids=[s[0] for s in JSON_LIST_SITES])
+def test_every_json_array_rejects_each_non_list(field, kind, doc, x, no_builds):
+    with pytest.raises(ValueError) as exc:
+        getattr(whirlknight, READERS[kind])(json.dumps(doc(x)))
+    assert str(exc.value) == f"malformed {kind} JSON: {field} must be a list, got {x!r}"

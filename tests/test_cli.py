@@ -129,6 +129,14 @@ class TestCert:
         text = f"{doc['alpha'][0]} is not [i, j, x]"
         assert (code, stdout, stderr) == (2, "", f"error: malformed certificate JSON: alpha entry {text}\n")
 
+    def test_verify_file_whose_beta_is_not_a_list_is_an_error(self, tmp_path, capsys):
+        # Read as an empty beta, this was a definite negative: valid=false rhs=-3, exit 1.
+        path = tmp_path / "c.json"
+        run(capsys, "cert", "build", "--family", "t1", "--n", "14", "--out", str(path))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "beta": {}}))
+        code, stdout, stderr = run(capsys, "cert", "verify", "--family", "file", "--in", str(path))
+        assert (code, stdout, stderr) == (2, "", "error: malformed certificate JSON: beta must be a list, got {}\n")
+
     def test_verify_file_with_fractional_entries_is_an_error(self, tmp_path, capsys):
         # Truncated to 1 these are the valid t1 certificate; as written, max LHS is 9/10.
         path = tmp_path / "c.json"
@@ -271,6 +279,13 @@ class TestTour:
         code, stdout, _ = run(capsys, "tour", "verify", "--in", str(bad))
         assert code == 1 and "valid=false" in stdout
 
+    def test_verify_file_whose_cells_are_not_a_list_is_an_error(self, tmp_path, capsys):
+        # Read as no cells, this was a definite negative: not Hamiltonian, exit 1.
+        bad = tmp_path / "t.json"
+        bad.write_text(json.dumps({"n": 6, "cells": {}}))
+        got = run(capsys, "tour", "verify", "--in", str(bad))
+        assert got == (2, "", "error: malformed tour JSON: cells must be a list, got {}\n")
+
     TAMPERED = "the file claims coil=99, the tour has coil=5"
     NOT_AN_INT = "malformed tour JSON: coil must be an integer, got 'x'"
 
@@ -357,23 +372,19 @@ class TestTour:
         assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("n,budget,message", [
-        (3001, 0, "budget must be >= 1"),
-        (3000, 0, "budget must be >= 1"),
+        (3001, 0, "board side must be at most 512, got 3001"),
+        (3000, 0, "board side must be at most 512, got 3000"),
         (1, 10, "board side must be an integer >= 3, got 1"),
     ])
-    def test_bad_search_rejected_before_building(self, n, budget, message, capsys, monkeypatch):
-        def refuse(size):
-            raise AssertionError(f"built the n={size} digraph")
-
-        monkeypatch.setattr("whirlknight.digraph.build_digraph", refuse)
+    def test_bad_search_rejected_before_building(self, n, budget, message, capsys):
+        # build_digraph checks n before it allocates, so a bad budget beside a bad n is not named.
         got = run(capsys, "tour", "search", "--n", str(n), "--budget", str(budget))
         assert got == (2, "", f"error: {message}\n")
 
-    def test_non_int_coil_rejected_before_building(self, monkeypatch):
-        def refuse(size):
-            raise AssertionError(f"built the n={size} digraph")
-
-        monkeypatch.setattr("whirlknight.digraph.build_digraph", refuse)
+    def test_bad_search_rejected_after_building(self, capsys):
+        # On a board within the size limit, search_tour checks its own arguments after the build.
+        got = run(capsys, "tour", "search", "--n", "6", "--budget", "0")
+        assert got == (2, "", "error: budget must be >= 1\n")
         args = cli._build_parser().parse_args(["tour", "search", "--n", "6"])
         args.coil = 5.5  # argparse gives an int; a caller of cmd_tour_search may not
         with pytest.raises(ValueError, match=r"^coil count must be an integer, got 5\.5$"):
