@@ -6,9 +6,9 @@ count is the number of tour arcs crossing the north plumb-line, which
 pivot.  Search is depth-first backtracking with forced-arc propagation,
 dead-vertex pruning, coil pruning and Warnsdorff-style successor
 ordering, all read from per-vertex counts of the arcs still open.  It is
-one loop: each step visits a path vertex or backtracks one, and a single
-signed update moves only that vertex's neighbours' counts, so a node
-costs O(deg), not a pass over the board.  Search is explicitly budgeted,
+one loop: each step visits a vertex, moving its neighbours' counts down
+by one, or backtracks one, moving them back up by one, so a node costs
+O(deg), not a pass over the board.  Search is explicitly budgeted,
 and a not-found result never means nonexistence.  Nonexistence claims
 belong to the certificate and LP modules.  ``_tour_arcs`` is the one tour
 check, which every function that takes a digraph and a tour calls.
@@ -169,12 +169,14 @@ def search_tour(
 
     The search is one loop over an explicit stack (a frame per depth: its
     untried moves and the coil on arrival), so no recursion limit caps the
-    depth.  Each step visits the next untried move (d = -1) or backtracks
-    one vertex (d = +1), and both run one update: v leaves or rejoins the
-    counts at its counters as they stand, then each arc at v moves the
-    other end's counter by d, and an unvisited neighbour's count changes
-    when that counter read k = [d < 0] before it moved.  So a backtrack
-    exactly undoes its visit on any column digraph, self-loops included.
+    depth.  Each step visits the next untried move or backtracks one
+    vertex.  A visit takes v out of the counts at its counters as they
+    stand, then each arc at v moves the other end's counter by -1, and an
+    unvisited neighbour's count changes when that counter reaches 0.  A
+    backtrack puts v back at its counters as they stand, then each arc at
+    v moves the other end's counter by +1, and the count changes back when
+    that counter leaves 0.  So a backtrack exactly undoes its visit on any
+    column digraph, self-loops included.
     The node count and depth are locals: ``progress(nodes, depth)`` gets
     them every 100 000 nodes, and ``stats`` is written on return.
 
@@ -225,60 +227,81 @@ def search_tour(
     no_out = sum(1 for u in range(nv) if not visited[u] and not out_free[u])
     crossing = sum(1 for u in range(nv) if not visited[u] and cross_free[u])
     frames: list[tuple[list[tuple[int, int]], int]] = []  # untried moves, coil on arrival
-    coil, d, nodes, max_depth, tour = 0, -1, 0, 0, None
-    while True:
-        if d < 0:  # a new node: count it, try the closing arc, list its moves
-            if nodes >= budget:
-                break
-            nodes += 1
-            depth = len(path)
-            if depth > max_depth:
-                max_depth = depth
-            if progress is not None and nodes % _PROGRESS_EVERY == 0:
-                progress(nodes, depth)
-            current = path[-1]
-            if depth == nv and any(h == start and lo <= coil + w <= hi for h, w in out_opts[current]):
-                tour = verify_tour(g, list(map(g.geometry.cell, path)))
-                break
-            moves = []
-            if not (no_out or no_in > 1 or coil + has_cross_out[current] + crossing < lo):
-                # A vertex left with no unvisited tail can only be entered from current, now.
-                moves = [(h, w) for h, w in out_opts[current] if not visited[h]
-                         and (not no_in or not in_free[h]) and coil + w <= hi]
-                if len(moves) > 1:  # fewer need no order, and their shuffle draws nothing
-                    if rng is not None:
-                        rng.shuffle(moves)
-                    moves.sort(key=lambda m: out_free[m[0]])  # stable: ties keep arc-id or shuffled order
-                    moves.reverse()  # pop() takes the next move
-            frames.append((moves, coil))
-        untried, arrival = frames[-1]
-        if untried:  # visit the next untried head
-            v, w = untried.pop()
-            path.append(v)
-            coil, d = arrival + w, -1
-        elif len(frames) > 1:  # backtrack one vertex
-            frames.pop()
-            v, d = path.pop(), 1
-        else:
-            stats.exhausted = nodes < budget
+    by_out_free = lambda m: out_free[m[0]]  # the move order's key, built once
+    coil, nodes, max_depth, tour = 0, 0, 0, None
+    while nodes < budget:  # a new node: count it, try the closing arc, list its moves
+        nodes += 1
+        depth = len(path)
+        if depth > max_depth:
+            max_depth = depth
+        if progress is not None and nodes % _PROGRESS_EVERY == 0:
+            progress(nodes, depth)
+        current = path[-1]
+        if depth == nv and any(h == start and lo <= coil + w <= hi for h, w in out_opts[current]):
+            tour = verify_tour(g, list(map(g.geometry.cell, path)))
             break
-        k = d < 0  # a counter at k before it moves by d passes zero
-        no_in += d * (not in_free[v])
-        no_out += d * (not out_free[v])
-        crossing += d * (cross_free[v] > 0)
-        visited[v] = k
-        for h, _ in out_opts[v]:
-            if in_free[h] == k and not visited[h]:
-                no_in -= d
-            in_free[h] += d
-        for t in in_tails[v]:
-            if out_free[t] == k and not visited[t]:
-                no_out -= d
-            out_free[t] += d
-        for t in in_cross[v]:
-            if cross_free[t] == k and not visited[t]:
-                crossing += d
-            cross_free[t] += d
+        moves = []
+        if not (no_out or no_in > 1 or coil + has_cross_out[current] + crossing < lo):
+            # A vertex left with no unvisited tail can only be entered from current, now.
+            moves = [(h, w) for h, w in out_opts[current] if not visited[h]
+                     and (not no_in or not in_free[h]) and coil + w <= hi]
+            if len(moves) > 1:  # fewer need no order, and their shuffle draws nothing
+                if rng is not None:
+                    rng.shuffle(moves)
+                moves.sort(key=by_out_free)  # stable: ties keep arc-id or shuffled order
+                moves.reverse()  # pop() takes the next move
+        frames.append((moves, coil))
+        while not moves:  # backtrack one vertex: it rejoins the counts, each arc at it gives one back
+            frames.pop()
+            if not frames:  # the root has no move left
+                stats.exhausted = nodes < budget
+                break
+            v = path.pop()
+            no_in += not in_free[v]
+            no_out += not out_free[v]
+            crossing += cross_free[v] > 0
+            visited[v] = 0
+            for h, _ in out_opts[v]:
+                x = in_free[h]
+                in_free[h] = x + 1
+                if not x and not visited[h]:
+                    no_in -= 1
+            for t in in_tails[v]:
+                x = out_free[t]
+                out_free[t] = x + 1
+                if not x and not visited[t]:
+                    no_out -= 1
+            for t in in_cross[v]:
+                x = cross_free[t]
+                cross_free[t] = x + 1
+                if not x and not visited[t]:
+                    crossing += 1
+            moves, coil = frames[-1]
+        else:  # visit the next untried head: it leaves the counts, each arc at it takes one
+            v, w = moves.pop()
+            path.append(v)
+            coil += w
+            no_in -= not in_free[v]
+            no_out -= not out_free[v]
+            crossing -= cross_free[v] > 0
+            visited[v] = 1
+            for h, _ in out_opts[v]:
+                x = in_free[h] - 1
+                in_free[h] = x
+                if not x and not visited[h]:
+                    no_in += 1
+            for t in in_tails[v]:
+                x = out_free[t] - 1
+                out_free[t] = x
+                if not x and not visited[t]:
+                    no_out += 1
+            for t in in_cross[v]:
+                x = cross_free[t] - 1
+                cross_free[t] = x
+                if not x and not visited[t]:
+                    crossing -= 1
+            continue
+        break  # the space is closed
     stats.nodes, stats.max_depth = nodes, max_depth
     return tour
 

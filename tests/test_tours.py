@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import sys
 import warnings
@@ -417,6 +418,52 @@ class TestSearch:
         assert got == digest
         assert hashlib.sha256(" ".join(map(str, depths)).encode()).hexdigest()[:16] == trace
         assert len(depths) == nodes and max(depths) == stats.max_depth
+
+    @staticmethod
+    def _column_digraph(k):
+        """A random 8-vertex column digraph drawn by random.Random(k): every fourth one plants a
+        Hamiltonian cycle, and each holds a self-loop, a parallel arc and weights 0 and 1."""
+        rng = random.Random(k)
+        arcs = [(rng.randrange(8), rng.randrange(8), rng.randrange(2)) for _ in range(rng.randint(8, 40))]
+        if k % 4 == 0:
+            order = [0, *rng.sample(range(1, 8), 7)]
+            arcs += [(order[i], order[(i + 1) % 8], rng.randrange(2)) for i in range(8)]
+        v = rng.randrange(8)
+        t, h, _ = rng.choice(arcs)
+        arcs += [(v, v, 1), (t, h, rng.randrange(2)), (h, t, 0)]
+        rng.shuffle(arcs)
+        return WhirlDigraph(3, *map(tuple, zip(*arcs)))
+
+    def test_sweep_is_pinned(self, dg, monkeypatch):
+        """One digest over every node of a sweep of searches pins each visit and backtrack:
+        the boards n = 3..12 at c in n-3..n+3 and at no target, and 200 random column digraphs."""
+        monkeypatch.setattr(tours, "_PROGRESS_EVERY", 1)
+        digest = hashlib.sha256()
+
+        def run(g, coil, seed):
+            stats = SearchStats()
+            tour = search_tour(g, coil_target=coil, budget=4000, seed=seed, stats=stats,
+                               progress=lambda nodes, depth: digest.update(b"%d,%d;" % (nodes, depth)))
+            digest.update(repr((stats, tour)).encode())
+
+        for n in range(3, 13):
+            for coil in [None, *range(n - 3, n + 4)]:
+                for seed in (0, 7, 2**31 - 1):
+                    run(dg(n), coil, seed)
+        for k in range(200):
+            g = self._column_digraph(k)
+            for coil in (None, 0, 2, 4):
+                for seed in (0, 7):
+                    run(g, coil, seed)
+        assert digest.hexdigest()[:16] == "915ac5ada24a064d"
+
+    def test_leaves_the_global_random_state_alone(self, dg):
+        # n = 8 at seed 7 shuffles at many nodes: a search draws only from its own random.Random(seed).
+        before = random.getstate()
+        stats = SearchStats()
+        search_tour(dg(8), budget=2000, seed=7, stats=stats)
+        assert stats.nodes == 2000
+        assert random.getstate() == before
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=1, max_value=2**31))
