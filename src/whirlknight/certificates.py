@@ -178,11 +178,16 @@ def _check_columns(
 
     The one place an arc's LHS is evaluated.  Scans all arcs (never
     samples) and collects every violating arc, not just the first.  Valid
-    means max LHS <= 0 and RHS >= 1.
+    means max LHS <= 0 and RHS >= 1.  alpha, beta and the coil row are
+    read on every arc in one comprehension: adding gamma * w only where
+    w != 0 would first list those arc ids, which makes an int per arc and
+    costs more than the product saves.  Violating ids are listed first,
+    and an ``Arc`` record is built only for each of them.
     """
     lhs = [alpha[h] + beta[t] + gamma * w for t, h, w in zip(g.tail, g.head, g.w)]
     max_lhs = max(lhs, default=0)
-    violations = tuple((g.arc(a), x) for a, x in enumerate(lhs) if x > 0) if max_lhs > 0 else ()
+    violators = [a for a, x in enumerate(lhs) if x > 0] if max_lhs > 0 else []
+    violations = tuple((g.arc(a), lhs[a]) for a in violators)
     rhs = sum(alpha) + sum(beta) + c * gamma
     return VerificationReport(rhs, max_lhs, violations, valid=not violations and rhs >= 1)
 

@@ -132,14 +132,21 @@ def build_digraph(n: int) -> WhirlDigraph:
       ``ui < 0``.
 
     Scratch lists of 8n slots hold one row's candidates, slot 8j + p for
-    column j and step p: the tails, the heads read from the vertex-index
+    column j and step p: the tails and the heads read from the vertex-index
     rows (padded by two cells on each side, -1 there and at the odd-board
-    centre) and the weights, whose two lists (north and south of the
-    pivot) are filled once.  One strided slice per (row, step) marks the
-    interval in a fresh byte mask, and ``itertools.compress`` appends the
-    marked slots to the columns, so the per-arc work runs in C, not in bytecode.  Every
+    centre).  One strided slice per (row, step) marks the interval in a
+    fresh byte mask, and ``itertools.compress`` appends the marked slots to
+    the columns, so the per-arc work runs in C, not in bytecode.  Every
     marked pair is an on-board knight step by construction, so the
     geometry predicates' own checks are not repeated here.
+
+    The weights need no 8n slots: w = 1 needs ``0 < uj < -2dj <= 4`` or a
+    tail on an odd board's pivot column (uj = 0, j = m/2), so only the
+    window of columns m//2 .. m//2 + 2 can hold a 1.  Its two weight lists
+    (north and south of the pivot) are filled once.  Each row compresses
+    only its window slots, whose arcs follow the row's arcs left of the
+    window, and ``w``, one zero per arc, takes them at that offset: exactly
+    what a compress of the full rows gives.
     """
     centre = _bounded_board(n).centre_cell()
     m, slots = n - 1, 8 * n
@@ -151,20 +158,22 @@ def build_digraph(n: int) -> WhirlDigraph:
             cells[centre.j:] = [-1, *range(k + centre.j, k + n - 1)]
         k = cells[-1] + 1
         rows.append([-1, -1, *cells, -1, -1])
-    # Per step p: the columns whose head is on the board, and its w in each column.
+    # Per step p: the columns whose head is on the board, and its w in each window column.
+    window = range(m // 2, min(n, m // 2 + 3))  # the only columns whose arcs can cross
+    a, b = 8 * window.start, 8 * window.stop
     steps = []
-    w_south = [0] * slots
+    w_south = [0] * (b - a)
     for p, (di, dj) in enumerate(KNIGHT_STEPS):
         steps.append((p, di, dj, max(0, -dj), min(n, n - dj)))
-        w_south[p::8] = [int(2 * j - m > 0 > 2 * j - m + 2 * dj) for j in range(n)]
+        w_south[p::8] = [int(2 * j - m > 0 > 2 * j - m + 2 * dj) for j in window]
     w_north = w_south
-    if centre is not None:  # a tail on the pivot column crosses iff it lies north of the pivot
+    if centre is not None:  # a tail on the pivot column, the window's first, crosses iff it lies north of the pivot
         w_north = w_south.copy()
-        w_north[8 * centre.j:8 * centre.j + 8] = [1] * 8
+        w_north[:8] = [1] * 8
     tails, heads = [0] * slots, [0] * slots
     tail: list[int] = []
     head: list[int] = []
-    w: list[int] = []
+    window_arcs: list[tuple[int, list[int]]] = []  # per row: the id of its first window arc, and their weights
     for i in range(n):
         ui, cells, mask = 2 * i - m, rows[i][2:n + 2], bytearray(slots)
         for p, di, dj, lo, hi in steps:
@@ -179,9 +188,12 @@ def build_digraph(n: int) -> WhirlDigraph:
                 mask[8 * lo + p:8 * hi + p:8] = b"\x01" * (hi - lo)
                 tails[p::8] = cells
                 heads[p::8] = rows[i + di][2 + dj:n + 2 + dj]
+        window_arcs.append((len(tail) + mask.count(1, 0, a), list(compress(w_north if ui < 0 else w_south, mask[a:b]))))
         tail += compress(tails, mask)
         head += compress(heads, mask)
-        w += compress(w_north if ui < 0 else w_south, mask)
+    w = [0] * len(tail)
+    for s, ws in window_arcs:
+        w[s:s + len(ws)] = ws
     return WhirlDigraph(n=n, tail=tuple(tail), head=tuple(head), w=tuple(w))
 
 

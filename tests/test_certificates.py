@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whirlknight import (
+    Arc,
+    BoardGeometry,
     Cell,
     FarkasCertificate,
     WhirlDigraph,
@@ -87,6 +90,35 @@ class TestVerify:
         assert not report.valid
         ids = [a.id for a, _ in report.violations]
         assert ids == sorted(ids)
+
+    def test_matches_a_plain_arc_loop_on_column_digraphs(self):
+        """Any int weights, self-loops and parallel arcs: the report is the per-arc definition's, exactly."""
+        cells = list(map(BoardGeometry(3).cell, range(8)))
+        entries, gammas, weights = [0, 1, -1, 5, -10**25], [0, 1, -1, 7, -10**20], [0, 1, 2, -3, 10**30]
+        seen = set()
+        for k in range(200):
+            rng = random.Random(k)
+            m = rng.randint(0, 30)
+            tail = tuple(rng.randrange(8) for _ in range(m))
+            head = tuple(rng.randrange(8) for _ in range(m))
+            w = tuple(rng.choice(weights) for _ in range(m))
+            alpha = [rng.choice(entries) for _ in range(8)]
+            beta = [rng.choice(entries) for _ in range(8)]
+            gamma, c = rng.choice(gammas), rng.choice([0, 1, 3, -2, 10**26, -10**26])
+            cert = FarkasCertificate(n=3, c=c, alpha=dict(zip(cells, alpha)), beta=dict(zip(cells, beta)), gamma=gamma)
+            lhs, violations = [], []
+            for a in range(m):
+                x = alpha[head[a]] + beta[tail[a]] + gamma * w[a]
+                lhs.append(x)
+                if x > 0:
+                    violations.append((Arc(cells[tail[a]], cells[head[a]], w[a], a), x))
+            rhs = sum(alpha) + sum(beta) + c * gamma
+            expected = (rhs, max(lhs, default=0), not violations and rhs >= 1, violations)
+            report = verify_certificate(WhirlDigraph(3, tail, head, w), cert)
+            assert (report.rhs, report.max_lhs, report.valid, list(report.violations)) == expected, k
+            seen.add((report.valid, bool(violations), m > 0))
+        assert seen == {(False, False, False), (True, False, False), (False, False, True),
+                        (True, False, True), (False, True, True)}  # every kind of report, with and without arcs
 
     @pytest.mark.parametrize("n", [14, 20])
     def test_reads_only_the_arc_columns(self, n):

@@ -297,3 +297,11 @@ class TestSerialization:
         for n in [*range(3, 41), 61, 62, 63, 101, 102]:
             digest.update(digraph_to_json(build_digraph(n)).encode())
         assert digest.hexdigest() == "8882be96e4efec5c9a44a0bc00bbdfb3238166ee97ed4550981674dbcbeeef62"
+
+    def test_columns_are_pinned_up_to_the_size_limit(self):
+        # The JSON pin above stops at n = 102; these boards reach the largest side, 512.
+        digest = hashlib.sha256()
+        for n in [255, 256, 257, 510, 511, 512]:
+            g = build_digraph(n)
+            digest.update(repr((n, g.tail, g.head, g.w)).encode())
+        assert digest.hexdigest() == "58500298f489de62fc0f196e1f99064d8bd1a86ebe6d478351119abe5f5ee578"
