@@ -197,6 +197,18 @@ def build_digraph(n: int) -> WhirlDigraph:
     return WhirlDigraph(n=n, tail=tuple(tail), head=tuple(head), w=tuple(w))
 
 
+def _check_arc_ends(g: WhirlDigraph) -> None:
+    """Raise ``ValueError`` unless every arc end is a vertex index in ``range(vertex_count)``.
+
+    A solver that indexes by arc ends calls this first, so a negative end
+    cannot wrap to a vertex at the back.  The constructor leaves it out:
+    the min/max scan costs about a third of a board's build.
+    """
+    nv = g.geometry.vertex_count
+    if g.tail and not (0 <= min(g.tail) and 0 <= min(g.head) and max(g.tail) < nv and max(g.head) < nv):
+        raise ValueError(f"an arc end is not a vertex index in range({nv})")
+
+
 def _group(nv: int, column: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Vertex index -> the arc ids whose entry in column (tail or head) is that vertex, ascending."""
     rows: list[list[int]] = [[] for _ in range(nv)]

@@ -12,7 +12,11 @@ leaving it, and the tuple of those arc ids is the cover
 
 The solver below is a sparse primal-dual matching on the digraph's
 adjacency lists with Python-int potentials; every comparison is exact,
-and there is no floating point in this module.  By LP duality each
+and there is no floating point in this module.  It runs a shortest-path
+search only when a sweep for tight augmenting paths finds none.  The
+least-coil solve starts with every row free; the most-coil solve starts
+from the least-coil cover, keeping each row's arc where it is of least
+cost, so only a few rows start free.  By LP duality each
 solve's potentials are a Farkas certificate in the paper's form.  The
 certificate checker itself proves it, run on the potentials' columns,
 and it is built as cells only on first access.  Infeasible decisions
@@ -34,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .certificates import FarkasCertificate, _check_columns
-from .digraph import WhirlDigraph
+from .digraph import WhirlDigraph, _check_arc_ends
 from .geometry import BoardGeometry, Cell, _dump_doc, _exact_int
 
 __all__ = [
@@ -138,35 +142,57 @@ class LpDecision:
 
 
 def _min_cost_matching(
-    out_adj: Sequence[Sequence[int]], head: Sequence[int], cost: Sequence[int]
+    out_adj: Sequence[Sequence[int]],
+    head: Sequence[int],
+    cost: Sequence[int],
+    start: Sequence[int] | None = None,
 ) -> tuple[list[int], list[int], list[int]]:
     """Exact minimum-cost perfect matching of rows to columns on a sparse graph.
 
     Row i may take column head[a] at any integer cost cost[a] for each arc
     id a in out_adj[i], which lists every arc.  Primal-dual successive
     shortest paths with integer potentials u (rows) and v (columns) (Ahuja,
-    Magnanti & Orlin, Network Flows, 1993).  Each phase runs one Dial
-    bucket-queue Dijkstra over the reduced costs cost[a] - u[i] - v[head[a]]
-    from all free rows at once, raises the potentials so that every
-    shortest augmenting path becomes tight (reduced cost 0), then augments
-    along a maximal set of vertex-disjoint tight paths found by iterative
-    DFS.  The first phase is closed form: every u starts at the least arc
-    cost and every v at 0, so every reduced cost starts >= 0 whatever the
-    costs' signs.  Reduced costs stay >= 0 and matched arcs stay tight
-    throughout, so the final potentials prove the matching optimal.  Dial's
-    queue keeps one bucket per distance up to the largest one reached,
-    which suits small integer costs such as the 0/1 coil weights.
-    Iteration order is fixed, so the result is deterministic.
+    Magnanti & Orlin, Network Flows, 1993).  The solve alternates two
+    steps.  A sweep augments along a maximal set of vertex-disjoint tight
+    paths (reduced cost cost[a] - u[i] - v[head[a]] = 0) found by
+    iterative DFS from the free rows; a sweep that augmented is followed at
+    once by another.  Only a sweep that augments nothing, which proves that
+    no tight augmenting path is left, is followed by one Dial bucket-queue
+    Dijkstra over the reduced costs from all free rows at once; it raises
+    the potentials so that every shortest augmenting path becomes tight.
+
+    The first phase is closed form.  Without a start every u begins at the
+    least arc cost and every v at 0, and every row is free.  start, if
+    given, must be a perfect matching of the same graph: start[i] in
+    out_adj[i] and the heads distinct.  Each u then begins at its own row's
+    least arc cost, every v at 0, and a row keeps its start arc if that arc
+    is tight; only the others begin free.  Either way every reduced cost
+    starts >= 0 whatever the costs' signs.  Reduced costs stay >= 0 and
+    matched arcs stay tight throughout, so the final potentials prove the
+    matching optimal.  Dial's queue keeps one bucket per distance up to the
+    largest one reached, which suits small integer costs such as the 0/1
+    coil weights.  Iteration order is fixed, so the result is deterministic.
 
     Returns the matched arc id of each row, u and v.  Raises
     NoCycleCoverError when no free row has an augmenting path, which is
     also how a vertex without out- or in-arcs shows.
     """
     nv = len(out_adj)
-    u, v = [min(cost, default=0)] * nv, [0] * nv
+    v = [0] * nv
     row_arc = [-1] * nv  # matched arc of each row
     col_row = [-1] * nv  # matched row of each column
-    free = list(range(nv))
+    if start is None:
+        u = [min(cost, default=0)] * nv
+        free = list(range(nv))
+    else:
+        u = [min(map(cost.__getitem__, adj)) for adj in out_adj]
+        free = []
+        for i, a in enumerate(start):
+            if cost[a] == u[i]:
+                row_arc[i] = a
+                col_row[head[a]] = i
+            else:
+                free.append(i)
     while True:
         # Augment along a maximal set of vertex-disjoint tight paths.
         seen = bytearray(nv)
@@ -202,9 +228,11 @@ def _min_cost_matching(
                         col_row[head[a]] = i
                     break
                 rows.append(nxt)
-        free = [i for i in free if row_arc[i] < 0]
+        swept, free = len(free), [i for i in free if row_arc[i] < 0]
         if not free:
             return row_arc, u, v
+        if len(free) < swept:
+            continue  # this sweep augmented, so a tight path may be left
         # Dial's Dijkstra: buckets[d] holds columns at tentative distance d;
         # a matched column passes its distance to its row at reduced cost 0.
         dist = [-1] * nv
@@ -250,16 +278,19 @@ def _min_cost_matching(
                     v[head[row_arc[i]]] -= d - di
 
 
-def _extreme_cover(g: WhirlDigraph, gamma: int) -> tuple[CycleCover, int, tuple[list, list]]:
+def _extreme_cover(
+    g: WhirlDigraph, gamma: int, start: Sequence[int] | None = None
+) -> tuple[CycleCover, int, tuple[list, list]]:
     """The least-coil (gamma = -1) or most-coil (gamma = +1) cover, its coil and columns.
 
-    The matching's arc cost is -gamma * w.  Its potentials are the
+    The matching's arc cost is -gamma * w, and start, if given, is a cover
+    of g that the matching starts from.  Its potentials are the
     certificate's columns, alpha = v and beta = u: an arc's LHS is then
     minus its reduced cost, and a zero duality gap is RHS = 1 at
     c = coil + gamma.  The certificate checker proves both on the columns,
     so the cover is proved extreme without building a certificate.
     """
-    row_arc, u, v = _min_cost_matching(g.out_adj, g.head, [-gamma * x for x in g.w])
+    row_arc, u, v = _min_cost_matching(g.out_adj, g.head, [-gamma * x for x in g.w], start)
     cover = CycleCover(arcs=tuple(row_arc))
     coil = coil_of_cover(g, cover)
     report = _check_columns(g, v, u, gamma, coil + gamma)
@@ -274,15 +305,20 @@ def _extreme_cover(g: WhirlDigraph, gamma: int) -> tuple[CycleCover, int, tuple[
 def coil_interval(g: WhirlDigraph) -> CoilInterval:
     """Extreme coil counts over all cycle covers, with witnessing covers.
 
-    One matching solve for each end.  The endpoints are recounted from
-    the witness covers' arc weights, which doubles as the runtime check
-    of the integrality premise.  The certificate checker itself, run on each
-    solve's potentials as columns, proves them a Farkas certificate:
+    One matching solve for each end: the most-coil solve starts from the
+    least-coil cover, which ``coil_of_cover`` has checked as a cover of g,
+    so only the rows whose least-coil arc is not of least cost start free.
+    The endpoints are recounted from the witness covers' arc weights, which
+    doubles as the runtime check of the integrality premise.  The
+    certificate checker itself, run on each solve's potentials as columns,
+    proves them a Farkas certificate:
     ``below`` excludes c = min_coil - 1 and ``above`` c = max_coil + 1, both
-    with RHS 1, each built on first access.
+    with RHS 1, each built on first access.  An arc end outside
+    ``range(vertex_count)`` raises ``ValueError`` before either solve.
     """
+    _check_arc_ends(g)
     lo_cover, lo, lo_cols = _extreme_cover(g, -1)
-    hi_cover, hi, hi_cols = _extreme_cover(g, 1)
+    hi_cover, hi, hi_cols = _extreme_cover(g, 1, start=lo_cover.arcs)
     if lo > hi:
         raise AssertionError(f"matching solves disagree: min {lo} > max {hi}")
     return CoilInterval(lo, hi, lo_cover, hi_cover, g.geometry, {-1: lo_cols, 1: hi_cols})

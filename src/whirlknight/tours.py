@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
-from .digraph import WhirlDigraph
+from .digraph import WhirlDigraph, _check_arc_ends
 from .geometry import BoardGeometry, Cell, _cell, _dump_doc, _exact_int, _list, _load_doc, _read_doc, crosses_axis_ray
 
 __all__ = [
@@ -193,10 +193,9 @@ def search_tour(
     if coil_target is not None:
         _exact_int(coil_target, "coil count")
     _exact_int(seed, "seed")
-    nv, arcs = g.geometry.vertex_count, len(g.tail)
+    nv = g.geometry.vertex_count
     # The counters index by the arc ends, and the coil prune assumes 0/1 weights.
-    if arcs and not (0 <= min(g.tail) and 0 <= min(g.head) and max(g.tail) < nv and max(g.head) < nv):
-        raise ValueError(f"an arc end is not a vertex index in range({nv})")
+    _check_arc_ends(g)
     if not set(g.w) <= {0, 1}:
         raise ValueError("an arc weight is not 0 or 1")
     # Without a target the coil window [0, nv] never prunes: a coil is at most its arc count.

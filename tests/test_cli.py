@@ -240,7 +240,7 @@ class TestLp:
         import whirlknight.polytope as polytope
 
         solve = polytope._extreme_cover
-        monkeypatch.setattr(polytope, "_extreme_cover", lambda g, gamma: solve(g, -gamma))
+        monkeypatch.setattr(polytope, "_extreme_cover", lambda g, gamma, start=None: solve(g, -gamma))
         message = "matching solves disagree: min 8 > max 6"
         with pytest.raises(AssertionError, match=f"^{message}$"):
             polytope.coil_interval(dg(8))

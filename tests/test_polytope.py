@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 from fractions import Fraction
 
@@ -42,6 +43,20 @@ FROZEN_INTERVALS = {
     18: (9, 17),
     20: (12, 20),
     22: (13, 21),
+}
+
+# (min_coil, max_coil) for every n = 3..60, computed before the most-coil
+# solve started from the least-coil cover.
+PINNED_INTERVALS = {
+    3: (3, 3), 4: (4, 4), 5: (4, 4), 6: (5, 5), 7: (5, 7), 8: (6, 8), 9: (6, 8), 10: (7, 9),
+    11: (7, 11), 12: (8, 12), 13: (8, 12), 14: (9, 13), 15: (9, 15), 16: (8, 16), 17: (10, 16),
+    18: (9, 17), 19: (9, 19), 20: (12, 20), 21: (12, 20), 22: (13, 21), 23: (13, 23), 24: (12, 24),
+    25: (12, 24), 26: (13, 25), 27: (15, 27), 28: (16, 28), 29: (16, 28), 30: (17, 29), 31: (17, 31),
+    32: (16, 32), 33: (18, 32), 34: (17, 33), 35: (19, 35), 36: (20, 36), 37: (20, 36), 38: (21, 37),
+    39: (21, 39), 40: (20, 40), 41: (22, 40), 42: (21, 41), 43: (21, 43), 44: (24, 44), 45: (24, 44),
+    46: (25, 45), 47: (25, 47), 48: (24, 48), 49: (24, 48), 50: (25, 49), 51: (27, 51), 52: (28, 52),
+    53: (28, 52), 54: (29, 53), 55: (29, 55), 56: (28, 56), 57: (30, 56), 58: (29, 57), 59: (31, 59),
+    60: (32, 60),
 }
 
 
@@ -167,6 +182,41 @@ class TestCoilInterval:
         b = coil_interval(dg(12))
         assert a.argmin.arcs == b.argmin.arcs
         assert a.argmax.arcs == b.argmax.arcs
+
+    def test_every_interval_is_pinned(self, dg):
+        intervals = {}
+        for n in range(3, 61):
+            iv = coil_interval(dg(n))
+            intervals[n] = (iv.min_coil, iv.max_coil)
+        assert intervals == PINNED_INTERVALS
+
+    def test_least_coil_solve_is_pinned(self, dg):
+        # The least-coil solve starts cold, so its cover and potentials (the
+        # below certificate's columns) keep the bytes they had before the
+        # most-coil solve was warm-started.
+        digest = hashlib.sha256()
+        for n in range(3, 41):
+            iv = coil_interval(dg(n))
+            digest.update(repr((n, iv.argmin.arcs, iv.columns[-1])).encode())
+        assert digest.hexdigest() == "13d2b7071ea9932fdc84a53f8c46853125995c20ae85218d9c0267702adaacd4"
+
+    def test_most_coil_solve_starts_from_the_least_coil_cover(self, dg, monkeypatch):
+        solve, starts = polytope._min_cost_matching, []
+
+        def recording(out_adj, head, cost, start=None):
+            starts.append(start)
+            return solve(out_adj, head, cost, start)
+
+        monkeypatch.setattr(polytope, "_min_cost_matching", recording)
+        iv = coil_interval(dg(14))
+        assert starts == [None, iv.argmin.arcs]
+
+    @pytest.mark.parametrize("tail,head", [((-1, 0), (0, 1)), ((0, 1), (1, -1)), ((0, 8), (1, 0)), ((0, 1), (8, 0))])
+    def test_arc_end_out_of_range_raises_before_any_solve(self, tail, head, monkeypatch):
+        # A negative end would index from the back of the adjacency lists.
+        monkeypatch.setattr(polytope, "_min_cost_matching", None)
+        with pytest.raises(ValueError, match=r"^an arc end is not a vertex index in range\(8\)$"):
+            coil_interval(WhirlDigraph(3, tail, head, (0, 0)))
 
     def test_no_cover_raises(self, dg):
         g = dg(3)
@@ -521,7 +571,11 @@ class TestMatchingSolver:
 
     @staticmethod
     def check_against_scipy(trial_seed, offset):
-        """A random instance with costs offset + 0..6 on a random arc mask."""
+        """A random instance with costs offset + 0..6 on a random arc mask.
+
+        A feasible instance is solved twice: cold, and started from a
+        perfect matching of the same mask under other random costs.
+        """
         import numpy as np
         from scipy.optimize import linear_sum_assignment
 
@@ -542,19 +596,23 @@ class TestMatchingSolver:
             head += js
             arc_cost += [int(cost[i, j]) for j in js]
         try:
-            row_arc, u, v = _min_cost_matching(out_adj, head, arc_cost)
+            solved = _min_cost_matching(out_adj, head, arc_cost)
         except NoCycleCoverError:
             assert not feasible
             return
         assert feasible
-        assert all(row_arc[i] in out_adj[i] for i in range(n))
-        assert sorted(head[a] for a in row_arc) == list(range(n))
-        total = sum(arc_cost[a] for a in row_arc)
-        assert total == int(sci[rows, cols].sum())
-        # the potentials are dual-feasible with zero gap
-        for i in range(n):
-            assert all(arc_cost[a] - u[i] - v[head[a]] >= 0 for a in out_adj[i])
-        assert sum(u) + sum(v) == total
+        other = np.where(mask, rng.integers(0, 7, size=(n, n)), big)
+        start = [out_adj[i][int(mask[i, :j].sum())] for i, j in zip(*linear_sum_assignment(other))]
+        assert sorted(head[a] for a in start) == list(range(n))
+        for row_arc, u, v in (solved, _min_cost_matching(out_adj, head, arc_cost, start)):
+            assert all(row_arc[i] in out_adj[i] for i in range(n))
+            assert sorted(head[a] for a in row_arc) == list(range(n))
+            total = sum(arc_cost[a] for a in row_arc)
+            assert total == int(sci[rows, cols].sum())
+            # the potentials are dual-feasible with zero gap
+            for i in range(n):
+                assert all(arc_cost[a] - u[i] - v[head[a]] >= 0 for a in out_adj[i])
+            assert sum(u) + sum(v) == total
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
