@@ -9,9 +9,10 @@ column j with the nonzero coefficient -2di, so the arcs form one interval
 of columns, and ``build_digraph`` marks each interval with one slice and
 copies the marked candidates in C.  The digraph is ``(n, tail, head, w)``:
 the arc columns ``tail``, ``head`` (vertex indices) and ``w``, of one length and
-indexed by arc id, which every solver reads.  ``vertices``, ``out_adj``, ``in_adj``
-and the ``Arc`` records of cells (``arcs``) are derived from them on first
-use; ``arc(a)`` builds one record alone.  A built digraph is immutable.
+indexed by arc id, which every solver reads.  ``vertices``, ``out_adj``, ``in_adj``,
+the ids of the crossing arcs (``crossing``) and the ``Arc`` records of cells
+(``arcs``) are derived from them on first use; ``arc(a)`` builds one record
+alone.  A built digraph is immutable.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class WhirlDigraph:
     """The digraph as ``(n, tail, head, w)``, which equality and hashing compare; unequal columns raise when built.
 
     Derived on first use and cached (``dataclasses.replace`` derives them again): ``geometry``,
-    which numbers and counts the vertices, ``vertices``, ``out_adj``, ``in_adj`` and ``arcs``.
+    which numbers and counts the vertices, ``vertices``, ``out_adj``, ``in_adj``, ``crossing``
+    and ``arcs``.  Every reader that indexes by the arc ends checks them first, once per digraph.
     """
 
     n: int
@@ -63,16 +65,24 @@ class WhirlDigraph:
     @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
         """Vertex index -> ids of the arcs leaving it, ascending."""
+        _check_arc_ends(self)
         return _group(self.geometry.vertex_count, self.tail)
 
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
         """Vertex index -> ids of the arcs entering it, ascending."""
+        _check_arc_ends(self)
         return _group(self.geometry.vertex_count, self.head)
+
+    @cached_property
+    def crossing(self) -> tuple[int, ...]:
+        """Ids of the arcs with w != 0 (those that cross the plumb line), ascending."""
+        return tuple(compress(range(len(self.w)), self.w))
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
         """Every arc as a record, in arc-id order; built from the columns on first use."""
+        _check_arc_ends(self)
         vs = self.vertices
         return tuple(
             Arc(vs[t], vs[h], x, a) for a, (t, h, x) in enumerate(zip(self.tail, self.head, self.w))
@@ -147,6 +157,12 @@ def build_digraph(n: int) -> WhirlDigraph:
     only its window slots, whose arcs follow the row's arcs left of the
     window, and ``w``, one zero per arc, takes them at that offset: exactly
     what a compress of the full rows gives.
+
+    The digraph it returns comes with two facts the build already knows:
+    ``crossing``, the ids of the window arcs with w = 1, is seeded where
+    ``cached_property`` keeps its value, and the arc ends are marked as
+    checked, since every end is read from the vertex-index rows.  Neither
+    is a field, so ``dataclasses.replace`` derives both again.
     """
     centre = _bounded_board(n).centre_cell()
     m, slots = n - 1, 8 * n
@@ -192,21 +208,30 @@ def build_digraph(n: int) -> WhirlDigraph:
         tail += compress(tails, mask)
         head += compress(heads, mask)
     w = [0] * len(tail)
+    crossing: list[int] = []
     for s, ws in window_arcs:
         w[s:s + len(ws)] = ws
-    return WhirlDigraph(n=n, tail=tuple(tail), head=tuple(head), w=tuple(w))
+        crossing += compress(range(s, s + len(ws)), ws)
+    g = WhirlDigraph(n=n, tail=tuple(tail), head=tuple(head), w=tuple(w))
+    vars(g).update(crossing=tuple(crossing), _ends_checked=True)
+    return g
 
 
 def _check_arc_ends(g: WhirlDigraph) -> None:
     """Raise ``ValueError`` unless every arc end is a vertex index in ``range(vertex_count)``.
 
-    A solver that indexes by arc ends calls this first, so a negative end
-    cannot wrap to a vertex at the back.  The constructor leaves it out:
-    the min/max scan costs about a third of a board's build.
+    Every reader that indexes by arc ends calls this first, so a negative
+    end cannot wrap to a vertex at the back.  The min/max scan runs once
+    per digraph: success is recorded on the digraph (``build_digraph``
+    records it at the build), and later calls return at once.  The
+    constructor leaves it out: the scan costs about a third of a build.
     """
+    if "_ends_checked" in vars(g):
+        return
     nv = g.geometry.vertex_count
     if g.tail and not (0 <= min(g.tail) and 0 <= min(g.head) and max(g.tail) < nv and max(g.head) < nv):
         raise ValueError(f"an arc end is not a vertex index in range({nv})")
+    vars(g)["_ends_checked"] = True
 
 
 def _group(nv: int, column: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -219,6 +244,7 @@ def _group(nv: int, column: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 def digraph_to_json(g: WhirlDigraph) -> str:
     """Canonical JSON form; byte-stable for a given n."""
+    _check_arc_ends(g)
     vs = g.vertices
     doc = {
         "n": g.n,

@@ -73,7 +73,8 @@ class CycleCover:
     def cycles(self, g: WhirlDigraph) -> list[list[Cell]]:
         """The cycles of the cover in g, each starting at its smallest cell.
 
-        An invalid cover raises ``ValueError``, as in ``coil_of_cover``.
+        An invalid cover, or an arc end of g outside ``range(vertex_count)``,
+        raises ``ValueError``, as in ``coil_of_cover``.
         """
         coil_of_cover(g, self)
         seen, cell = bytearray(len(self.arcs)), g.geometry.cell
@@ -314,9 +315,9 @@ def coil_interval(g: WhirlDigraph) -> CoilInterval:
     proves them a Farkas certificate:
     ``below`` excludes c = min_coil - 1 and ``above`` c = max_coil + 1, both
     with RHS 1, each built on first access.  An arc end outside
-    ``range(vertex_count)`` raises ``ValueError`` before either solve.
+    ``range(vertex_count)`` raises ``ValueError`` before either solve, when
+    the first solve reads ``g.out_adj``.
     """
-    _check_arc_ends(g)
     lo_cover, lo, lo_cols = _extreme_cover(g, -1)
     hi_cover, hi, hi_cols = _extreme_cover(g, 1, start=lo_cover.arcs)
     if lo > hi:
@@ -327,10 +328,12 @@ def coil_interval(g: WhirlDigraph) -> CoilInterval:
 def coil_of_cover(g: WhirlDigraph, cover: CycleCover) -> int:
     """Total plumb-line crossing weight of a cover; validates it first.
 
-    Every arc id must be of type ``int`` (not a bool), leave its own
-    vertex, and the heads must be a permutation; anything else raises
+    Every arc end of g must be a vertex index in ``range(vertex_count)``,
+    and every arc id of type ``int`` (not a bool) and leave its own vertex,
+    and the heads must be a permutation; anything else raises
     ``ValueError``.
     """
+    _check_arc_ends(g)
     arcs, geom = cover.arcs, g.geometry
     if len(arcs) != geom.vertex_count:
         raise ValueError(f"cover has {len(arcs)} arcs for {geom.vertex_count} vertices")
@@ -420,8 +423,10 @@ def validate_assignment(g: WhirlDigraph, fa: FractionalAssignment, c: int) -> No
     over the common denominator d, the lcm of the values' denominators:
     each value counts as numerator * (d // denominator), each degree row
     must sum to d and the coil row to c * d.  c must be an ``int`` (not a
-    bool), as for ``lp_feasible``.
+    bool), as for ``lp_feasible``.  An arc end of g outside
+    ``range(vertex_count)`` raises ``ValueError`` before any entry is read.
     """
+    _check_arc_ends(g)
     _exact_int(c, "coil count")
     head, tail, w = g.head, g.tail, g.w
     entries, dens = [], set()

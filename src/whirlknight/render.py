@@ -57,6 +57,10 @@ def board_spec(n: int, fmt: str = "ascii") -> RenderSpec:
 
 
 def digraph_spec(g: WhirlDigraph, fmt: str = "ascii") -> RenderSpec:
+    """Every arc of g; an arc end outside ``range(vertex_count)`` raises ``ValueError``."""
+    from .digraph import _check_arc_ends  # g's own module, already loaded
+
+    _check_arc_ends(g)
     vs = g.vertices
     arcs = tuple((vs[t], vs[h], x) for t, h, x in zip(g.tail, g.head, g.w))
     return RenderSpec(g.n, fmt, arcs=arcs)

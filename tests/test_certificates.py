@@ -30,6 +30,21 @@ T1_SIZES = [6, 14, 22, 30]
 T2_SIZES = [4, 12, 20, 28]
 
 
+def plain_report(g, cert):
+    """(rhs, max_lhs, valid, violations) by the per-arc definition, one arc at a time."""
+    cells = g.vertices
+    alpha = [cert.alpha.get(v, 0) for v in cells]
+    beta = [cert.beta.get(v, 0) for v in cells]
+    lhs, violations = [], []
+    for a in range(len(g.w)):
+        x = alpha[g.head[a]] + beta[g.tail[a]] + cert.gamma * g.w[a]
+        lhs.append(x)
+        if x > 0:
+            violations.append((Arc(cells[g.tail[a]], cells[g.head[a]], g.w[a], a), x))
+    rhs = sum(alpha) + sum(beta) + cert.c * cert.gamma
+    return (rhs, max(lhs, default=0), not violations and rhs >= 1, violations)
+
+
 class TestVerify:
     def test_t1_n6_valid_rhs_one(self, dg):
         report = verify_certificate(dg(6), build_t1(6))
@@ -106,19 +121,24 @@ class TestVerify:
             beta = [rng.choice(entries) for _ in range(8)]
             gamma, c = rng.choice(gammas), rng.choice([0, 1, 3, -2, 10**26, -10**26])
             cert = FarkasCertificate(n=3, c=c, alpha=dict(zip(cells, alpha)), beta=dict(zip(cells, beta)), gamma=gamma)
-            lhs, violations = [], []
-            for a in range(m):
-                x = alpha[head[a]] + beta[tail[a]] + gamma * w[a]
-                lhs.append(x)
-                if x > 0:
-                    violations.append((Arc(cells[tail[a]], cells[head[a]], w[a], a), x))
-            rhs = sum(alpha) + sum(beta) + c * gamma
-            expected = (rhs, max(lhs, default=0), not violations and rhs >= 1, violations)
-            report = verify_certificate(WhirlDigraph(3, tail, head, w), cert)
+            g = WhirlDigraph(3, tail, head, w)
+            expected = plain_report(g, cert)
+            report = verify_certificate(g, cert)
             assert (report.rhs, report.max_lhs, report.valid, list(report.violations)) == expected, k
-            seen.add((report.valid, bool(violations), m > 0))
+            seen.add((report.valid, bool(expected[3]), m > 0))
         assert seen == {(False, False, False), (True, False, False), (False, False, True),
                         (True, False, True), (False, True, True)}  # every kind of report, with and without arcs
+
+    @pytest.mark.parametrize("n,build", [(6, build_t1), (12, build_t2), (14, build_t1)])
+    def test_flipped_weights_match_a_plain_arc_loop(self, n, build):
+        """A replaced w derives its own crossing arcs: no seed of the built digraph is read."""
+        g = build_digraph(n)
+        flipped = dataclasses.replace(g, w=tuple(1 - x for x in g.w))
+        cert = build(n)
+        for gamma in (cert.gamma, 0, 1, 3):
+            c = dataclasses.replace(cert, gamma=gamma)
+            report = verify_certificate(flipped, c)
+            assert (report.rhs, report.max_lhs, report.valid, list(report.violations)) == plain_report(flipped, c)
 
     @pytest.mark.parametrize("n", [14, 20])
     def test_reads_only_the_arc_columns(self, n):

@@ -8,18 +8,24 @@ from hypothesis import strategies as st
 
 from whirlknight import (
     Cell,
+    CycleCover,
+    FarkasCertificate,
+    FractionalAssignment,
     WhirlDigraph,
     build_digraph,
     build_t1,
     check_reduction,
     coil_interval,
+    coil_of_cover,
     digraph_from_json,
     digraph_to_json,
     lp_feasible,
     search_tour,
+    validate_assignment,
     verify_certificate,
     verify_tour,
 )
+from whirlknight import digraph
 from whirlknight.render import digraph_spec, render
 
 from oracles import KNIGHT_DELTAS, arcs_oracle, board_cells, step_arcs_oracle, weight_oracle
@@ -305,3 +311,71 @@ class TestSerialization:
             g = build_digraph(n)
             digest.update(repr((n, g.tail, g.head, g.w)).encode())
         assert digest.hexdigest() == "58500298f489de62fc0f196e1f99064d8bd1a86ebe6d478351119abe5f5ee578"
+
+
+class TestSeededFacts:
+    """``build_digraph`` seeds ``crossing`` and the arc-end check; neither is a field."""
+
+    @pytest.mark.parametrize("n", [*range(3, 131), 255, 256, 257, 510, 511, 512])
+    def test_seeded_crossing_is_the_derived_one(self, n):
+        g = build_digraph(n)
+        assert "crossing" in vars(g)
+        derived = dataclasses.replace(g)
+        assert "crossing" not in vars(derived)
+        assert g.crossing == derived.crossing == tuple(a for a, x in enumerate(g.w) if x)
+
+    def test_replaced_weights_derive_their_own_crossing(self, dg):
+        g = dg(14)
+        assert g.crossing  # the seed is in place before the replace
+        flipped = dataclasses.replace(g, w=tuple(1 - x for x in g.w))
+        assert flipped.crossing == tuple(a for a, x in enumerate(flipped.w) if x)
+        assert len(flipped.crossing) == len(g.w) - len(g.crossing)
+
+    def test_seeds_leave_equality_hash_and_repr_alone(self):
+        g = build_digraph(6)
+        h = WhirlDigraph(6, g.tail, g.head, g.w)
+        assert "crossing" in vars(g) and "crossing" not in vars(h)
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+        assert repr(g) == f"WhirlDigraph(n=6, tail={g.tail!r}, head={g.head!r}, w={g.w!r})"
+
+    def test_the_end_scan_runs_once_per_digraph(self, monkeypatch):
+        g = build_digraph(6)
+        h = WhirlDigraph(6, g.tail, g.head, g.w)
+        scanned = []
+        monkeypatch.setattr(digraph, "min", lambda column: scanned.append(column) or min(column), raising=False)
+        for _ in range(3):
+            assert verify_certificate(g, build_t1(6)).valid and verify_certificate(h, build_t1(6)).valid
+        assert h.out_adj == g.out_adj and h.in_adj == g.in_adj
+        assert scanned == [h.tail, h.head]  # h once, g never: its build checked the ends
+
+
+ARC_END_READERS = {
+    "out_adj": lambda g: g.out_adj,
+    "in_adj": lambda g: g.in_adj,
+    "arcs": lambda g: g.arcs,
+    "verify_certificate": lambda g: verify_certificate(g, FarkasCertificate(g.n, 0, {}, {}, 0)),
+    "validate_assignment": lambda g: validate_assignment(g, FractionalAssignment(x={}), 0),
+    "CycleCover.cycles": lambda g: CycleCover(arcs=()).cycles(g),
+    "coil_of_cover": lambda g: coil_of_cover(g, CycleCover(arcs=())),
+    "digraph_to_json": digraph_to_json,
+    "digraph_spec": digraph_spec,
+}
+
+
+class TestArcEndsChecked:
+    @pytest.mark.parametrize("reader", ARC_END_READERS.values(), ids=ARC_END_READERS.keys())
+    @pytest.mark.parametrize("tail,head", [((-1, 0), (0, 1)), ((0, 1), (1, -1)), ((0, 8), (1, 0))])
+    def test_every_reader_rejects_an_end_out_of_range(self, reader, tail, head):
+        # A negative end would read vertex 7, the last, from the back.
+        g = WhirlDigraph(3, tail, head, (0, 0))
+        with pytest.raises(ValueError, match=r"^an arc end is not a vertex index in range\(8\)$"):
+            reader(g)
+        with pytest.raises(ValueError, match=r"^an arc end is not a vertex index in range\(8\)$"):
+            reader(g)  # a failed check is not recorded as a pass
+
+    @pytest.mark.parametrize("reader", ARC_END_READERS.values(), ids=ARC_END_READERS.keys())
+    def test_a_replaced_built_digraph_is_checked_again(self, reader):
+        g = build_digraph(6)
+        bad = dataclasses.replace(g, tail=(-1, *g.tail[1:]))
+        with pytest.raises(ValueError, match=r"^an arc end is not a vertex index in range\(36\)$"):
+            reader(bad)
