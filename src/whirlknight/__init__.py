@@ -19,6 +19,7 @@ import importlib
 # Each layer's exported names: exactly that module's ``__all__``.
 _EXPORTS = {
     "certificates": (
+        "FAMILIES",
         "FarkasCertificate",
         "VerificationReport",
         "build_n3_certificate",

@@ -11,16 +11,17 @@ coil count c when
 Everything here is integer-valued and verified arc-by-arc with exact
 arithmetic; there are no tolerances.
 
-Two closed-form families are provided, one per residue class of n mod 8.
-Each builder writes the paper's alpha/beta entries straight from its
-formula (h = n/2):
+``FAMILIES`` lists the closed-form families, each with the residue class
+of n mod 8 it takes; the builder of family f is ``build_f``.  Each builder
+writes the paper's alpha/beta entries straight from its formula (h = n/2),
+and both open with the same block rows: alpha = 1 at (r, h-1) and beta = 1
+at (r, h) for each row r of a list.
 
-* ``build_t1`` (n = 8m+6): alpha = 1 on the in-strip (r, h-1) and beta = 1
-  on the out-strip (r, h), for the rows r of the m+1 two-row blocks
-  {4k, 4k+1} flanking the pivot column; gamma = -1.
-* ``build_t2`` (n = 8m+4): on the north-east triangle, alpha = -1 on even
-  i+j and beta = 1 on odd i+j; on each block row r in {0, 4, ..., 4m},
-  alpha = 1 at (r, h-1) and beta = 1 at (r, h); gamma = -1.
+* ``build_t1`` (n = 8m+6): block rows {4k, 4k+1} for k = 0..m, the in-strip
+  and out-strip flanking the pivot column; gamma = -1.
+* ``build_t2`` (n = 8m+4): block rows {4k} for k = 0..m, then, on the
+  north-east triangle, alpha = -1 on even i+j and beta = 1 on odd i+j;
+  gamma = -1.
 
 Both achieve RHS exactly 1.
 """
@@ -33,6 +34,7 @@ from .digraph import Arc, WhirlDigraph, _check_arc_ends
 from .geometry import BoardGeometry, Cell, _bounded_board, _cell, _cell_text, _dump_doc, _exact_int, _list, _load_doc, _read_doc
 
 __all__ = [
+    "FAMILIES",
     "FarkasCertificate",
     "VerificationReport",
     "verify_certificate",
@@ -89,13 +91,21 @@ class VerificationReport:
     valid: bool
 
 
-def _require_residue(n: int, residue: int, minimum: int) -> int:
-    """Validate n = residue (mod 8) and return m = (n - residue) / 8."""
-    if _exact_int(n, "board side") < minimum or n % 8 != residue:
-        raise ValueError(
-            f"expected n = {residue} (mod 8) with n >= {minimum}, got {n!r}"
-        )
-    return (n - residue) // 8
+# Each family's name and the residue r of the boards it takes: n = r (mod 8), n >= r.
+FAMILIES = {"t1": 6, "t2": 4}
+
+
+def _require_residue(n: int, family: str) -> int:
+    """Validate n against the family's class n = r (mod 8), n >= r; return m = (n - r) / 8."""
+    r = FAMILIES[family]
+    if _exact_int(n, "board side") < r or n % 8 != r:
+        raise ValueError(f"expected n = {r} (mod 8) with n >= {r}, got {n!r}")
+    return (n - r) // 8
+
+
+def _block_rows(h: int, rows) -> tuple[dict[Cell, int], dict[Cell, int]]:
+    """(alpha, beta) with alpha = 1 at (r, h-1) and beta = 1 at (r, h) for each row r."""
+    return {Cell(r, h - 1): 1 for r in rows}, {Cell(r, h): 1 for r in rows}
 
 
 def build_t1(n: int) -> FarkasCertificate:
@@ -107,16 +117,10 @@ def build_t1(n: int) -> FarkasCertificate:
     plumb-line, (b) every arc out of N_out crosses it, and (c) no arc runs
     from N_out to N_in.  ``verify_certificate`` is therefore their check.
     """
-    m = _require_residue(n, 6, 6)
+    m = _require_residue(n, "t1")
     h = n // 2
-    rows = [4 * k + d for k in range(m + 1) for d in (0, 1)]
-    return FarkasCertificate(
-        n=n,
-        c=h,
-        alpha={Cell(r, h - 1): 1 for r in rows},
-        beta={Cell(r, h): 1 for r in rows},
-        gamma=-1,
-    )
+    alpha, beta = _block_rows(h, [4 * k + d for k in range(m + 1) for d in (0, 1)])
+    return FarkasCertificate(n=n, c=h, alpha=alpha, beta=beta, gamma=-1)
 
 
 def _triangle(n: int):
@@ -130,16 +134,13 @@ def build_t2(n: int) -> FarkasCertificate:
     """Certificate for coil count c = n/2 on boards with n = 4 (mod 8).
 
     The block cells (r, h) also sit in the even triangle, so they carry
-    alpha = -1 and beta = +1 simultaneously.  Entries are written row-major.
+    alpha = -1 and beta = +1 simultaneously.
     """
-    _require_residue(n, 4, 4)
+    m = _require_residue(n, "t2")
     h = n // 2
-    alpha: dict[Cell, int] = {}
-    beta: dict[Cell, int] = {}
-    for v in _triangle(n):
-        if v.j == h and v.i % 4 == 0:  # block row r: (r, h-1), (r, h) open the row
-            alpha[Cell(v.i, h - 1)] = 1
-            beta[v] = 1
+    triangle = _triangle(n)  # the size limit, before any cell is made
+    alpha, beta = _block_rows(h, range(0, 4 * m + 1, 4))
+    for v in triangle:
         if (v.i + v.j) % 2:
             beta[v] = 1
         else:
@@ -207,7 +208,7 @@ def parity_census(n: int) -> tuple[int, int]:
     Returns (even_count, odd_count), by direct enumeration of the
     triangle.  The odd count exceeds the even count by 2m+1.
     """
-    _require_residue(n, 4, 4)
+    _require_residue(n, "t2")
     parities = [(v.i + v.j) % 2 for v in _triangle(n)]
     return (parities.count(0), parities.count(1))
 

@@ -58,7 +58,7 @@ def _family_certificate(args: argparse.Namespace):
     else:
         if args.n is None:
             raise ValueError(f"--n is required for family {args.family}")
-        cert = {"t1": wk.build_t1, "t2": wk.build_t2}[args.family](args.n)
+        cert = getattr(wk, f"build_{args.family}")(args.n)  # looked up per call, as a tracer may swap it
     _require_n(args.n, cert.n, "certificate")
     if args.c is not None:
         cert = dataclasses.replace(cert, c=args.c)
@@ -73,6 +73,9 @@ def cmd_cert_build(args: argparse.Namespace) -> int:
 def cmd_cert_verify(args: argparse.Namespace) -> int:
     if args.infile and args.family != "file":
         raise ValueError("--in is read only with --family file")
+    if args.family in wk.FAMILIES and args.n is not None:  # an n the digraph refuses, before the O(n) build
+        wk.certificates._require_residue(args.n, args.family)
+        wk.geometry._bounded_board(args.n)
     cert = _family_certificate(args)
     report = wk.verify_certificate(wk.build_digraph(cert.n), cert)
     print(f"valid={str(report.valid).lower()} rhs={report.rhs} "

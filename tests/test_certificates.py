@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import whirlknight
 from whirlknight import (
+    FAMILIES,
     Arc,
     BoardGeometry,
     Cell,
@@ -396,14 +398,28 @@ class TestSerialization:
 
 
 class TestGoldenFamilies:
-    # sha256 over certificate_to_json(build_t1 or build_t2(n)) for every n <= 200
-    # with n mod 8 in {4, 6}, in increasing n.
+    # sha256 over certificate_to_json(build_<family>(n)) for every n <= 200 in a
+    # family's class (t2: n mod 8 = 4, t1: n mod 8 = 6), in increasing n.
     GOLDEN = "3da591d947986d62062532a9aef483c309899fd61b706516bca98798b6ebff90"
 
     def test_json_matches_recorded_hash(self):
         digest = hashlib.sha256()
-        for n in range(4, 201):
-            build = {4: build_t2, 6: build_t1}.get(n % 8)
-            if build is not None:
-                digest.update(certificate_to_json(build(n)).encode())
+        for n, name in sorted((n, name) for name, r in FAMILIES.items() for n in range(r, 201, 8)):
+            digest.update(certificate_to_json(getattr(whirlknight, f"build_{name}")(n)).encode())
         assert digest.hexdigest() == self.GOLDEN
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_every_family_has_a_builder(self, name):
+        assert callable(getattr(whirlknight, f"build_{name}"))
+
+    @pytest.mark.parametrize("build,n,message", [
+        (build_t1, 12, "expected n = 6 (mod 8) with n >= 6, got 12"),
+        (build_t2, 6, "expected n = 4 (mod 8) with n >= 4, got 6"),
+        (parity_census, 6, "expected n = 4 (mod 8) with n >= 4, got 6"),
+    ])
+    def test_residue_message(self, build, n, message):
+        with pytest.raises(ValueError) as exc:
+            build(n)
+        assert str(exc.value) == message

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whirlknight import (
+    FAMILIES,
     build_digraph,
     build_t1,
     certificate_from_json,
@@ -65,7 +67,18 @@ class TestCert:
 
     def test_build_wrong_residue(self, capsys):
         code, _, stderr = run(capsys, "cert", "build", "--family", "t1", "--n", "12")
-        assert code == 2 and "error" in stderr
+        assert code == 2 and stderr == "error: expected n = 6 (mod 8) with n >= 6, got 12\n"
+
+    def test_family_choices_are_the_table(self):
+        # The lists stay literal, so argparse needs no layer; they must name the table's families.
+        def family_choices(*command):
+            parser = cli._build_parser()
+            for name in command:
+                parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+            return next(a.choices for a in parser._actions if a.dest == "family")
+
+        assert family_choices("cert", "build") == [*FAMILIES, "n3"]
+        assert family_choices("cert", "verify") == [*FAMILIES, "n3", "file"]
 
     def test_build_then_verify_file(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -409,6 +422,25 @@ def test_board_above_the_size_limit_is_an_error(argv, tmp_path, capsys, monkeypa
     (tmp_path / "t6.json").write_text(tour_to_json(6, search_tour(build_digraph(6), 5, budget=100_000)))
     monkeypatch.setattr("whirlknight.geometry._MAX_SIDE", 5)
     assert run(capsys, *argv) == (2, "", "error: board side must be at most 5, got 6\n")
+
+
+def test_t1_verify_above_the_size_limit_is_an_error_before_the_build(capsys, monkeypatch):
+    # build_t1 itself is unbounded (O(n)); cert verify checks the limit before calling it.
+    monkeypatch.setattr("whirlknight.geometry._MAX_SIDE", 11)
+
+    def refuse(n):
+        raise AssertionError(f"built the t1 certificate for n={n}")
+
+    monkeypatch.setattr("whirlknight.certificates.build_t1", refuse)
+    got = run(capsys, "cert", "verify", "--family", "t1", "--n", "14")
+    assert got == (2, "", "error: board side must be at most 11, got 14\n")
+
+
+@pytest.mark.parametrize("family,n", [("t1", 100_004), ("t2", 100_006)])
+def test_verify_outside_the_class_names_the_class_at_any_size(family, n, capsys):
+    r = FAMILIES[family]
+    got = run(capsys, "cert", "verify", "--family", family, "--n", str(n))
+    assert got == (2, "", f"error: expected n = {r} (mod 8) with n >= {r}, got {n}\n")
 
 
 @pytest.mark.parametrize("action", ["build", "verify"])
