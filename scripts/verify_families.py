@@ -4,8 +4,9 @@
 For every family in ``whirlknight.FAMILIES`` and every n of its class up
 to --max-n, in increasing n, builds the family certificate
 (``build_<family>``), verifies it arc-by-arc against the digraph, and
-cross-checks the LP route: a valid certificate must force
-lp_feasible(n, n/2) to be false with min_coil >= n/2 + 1, and the LP's
+cross-checks the LP route at the certificate's own c: a valid certificate
+must force lp_feasible(g, c) to be false, with min_coil >= c + RHS when
+its gamma is negative and max_coil <= c - RHS otherwise, and the LP's
 own certificate for that negative must verify too.  The support columns
 count the nonzero alpha and beta entries of the family certificate and
 of the LP one.
@@ -37,10 +38,13 @@ def main() -> None:
         report = verify_certificate(g, cert)
         assert report.max_lhs <= 0  # no violated arc on any board of the class
         lp_support = "-"
-        decision = lp_feasible(g, n // 2)
+        decision = lp_feasible(g, cert.c)
         if report.valid:  # soundness: a valid certificate forces infeasibility
             assert not decision.feasible
-            assert decision.min_coil >= cert.sum_alpha() + cert.sum_beta()
+            if cert.gamma < 0:
+                assert decision.min_coil >= cert.c + report.rhs
+            else:
+                assert decision.max_coil <= cert.c - report.rhs
             assert verify_certificate(g, decision.certificate).valid
             lp_support = support(decision.certificate)
         lp_txt = "feas" if decision.feasible else "infeas"

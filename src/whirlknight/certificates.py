@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Arc, WhirlDigraph, _check_arc_ends
+from .digraph import Arc, WhirlDigraph
 from .geometry import BoardGeometry, Cell, _bounded_board, _cell, _cell_text, _dump_doc, _exact_int, _list, _load_doc, _read_doc
 
 __all__ = [
@@ -166,7 +166,6 @@ def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> Verification
     """
     if cert.n != g.n:
         raise ValueError(f"certificate is for n={cert.n}, digraph has n={g.n}")
-    _check_arc_ends(g)
     nv = g.geometry.vertex_count
     alpha, beta = [0] * nv, [0] * nv  # by vertex index
     index = g.geometry.index
@@ -188,9 +187,10 @@ def _check_columns(
     added only on ``g.crossing``, the arcs with w != 0 (about 3n of the
     4n² arcs), whose ids a built digraph carries from its build.  Violating
     ids are listed first, and an ``Arc`` record is built only for each of
-    them.  The caller has checked the arc ends.
+    them.
     """
-    lhs = [alpha[h] + beta[t] for t, h in zip(g.tail, g.head)]
+    tail, head = g.ends
+    lhs = [alpha[h] + beta[t] for t, h in zip(tail, head)]
     if gamma:
         w = g.w
         for a in g.crossing:

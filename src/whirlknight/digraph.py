@@ -10,9 +10,9 @@ of columns, and ``build_digraph`` marks each interval with one slice and
 copies the marked candidates in C.  The digraph is ``(n, tail, head, w)``:
 the arc columns ``tail``, ``head`` (vertex indices) and ``w``, of one length and
 indexed by arc id, which every solver reads.  ``vertices``, ``out_adj``, ``in_adj``,
-the ids of the crossing arcs (``crossing``) and the ``Arc`` records of cells
-(``arcs``) are derived from them on first use; ``arc(a)`` builds one record
-alone.  A built digraph is immutable.
+the checked arc ends (``ends``), the ids of the crossing arcs (``crossing``)
+and the ``Arc`` records of cells (``arcs``) are derived from them on first
+use; ``arc(a)`` builds one record alone.  A built digraph is immutable.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ class WhirlDigraph:
     """The digraph as ``(n, tail, head, w)``, which equality and hashing compare; unequal columns raise when built.
 
     Derived on first use and cached (``dataclasses.replace`` derives them again): ``geometry``,
-    which numbers and counts the vertices, ``vertices``, ``out_adj``, ``in_adj``, ``crossing``
-    and ``arcs``.  Every reader that indexes by the arc ends checks them first, once per digraph.
+    which numbers and counts the vertices, ``vertices``, ``ends``, ``out_adj``, ``in_adj``,
+    ``crossing`` and ``arcs``.  Every reader that indexes by the arc ends reads them from ``ends``,
+    which checks them once per digraph.
     """
 
     n: int
@@ -63,16 +64,29 @@ class WhirlDigraph:
         return tuple(map(self.geometry.cell, range(self.geometry.vertex_count)))
 
     @cached_property
+    def ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(tail, head)``, once a min/max scan has shown every end a vertex index in ``range(vertex_count)``.
+
+        Every reader that indexes by the arc ends takes them from here, so a
+        negative end cannot wrap to a vertex at the back.  An end out of
+        range raises ``ValueError``, and a failed scan caches nothing.
+        ``build_digraph`` seeds the value; the constructor leaves the scan
+        out, as it costs about a third of a build.
+        """
+        nv, tail, head = self.geometry.vertex_count, self.tail, self.head
+        if tail and not (0 <= min(tail) and 0 <= min(head) and max(tail) < nv and max(head) < nv):
+            raise ValueError(f"an arc end is not a vertex index in range({nv})")
+        return tail, head
+
+    @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
         """Vertex index -> ids of the arcs leaving it, ascending."""
-        _check_arc_ends(self)
-        return _group(self.geometry.vertex_count, self.tail)
+        return _group(self.geometry.vertex_count, self.ends[0])
 
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
         """Vertex index -> ids of the arcs entering it, ascending."""
-        _check_arc_ends(self)
-        return _group(self.geometry.vertex_count, self.head)
+        return _group(self.geometry.vertex_count, self.ends[1])
 
     @cached_property
     def crossing(self) -> tuple[int, ...]:
@@ -82,11 +96,9 @@ class WhirlDigraph:
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
         """Every arc as a record, in arc-id order; built from the columns on first use."""
-        _check_arc_ends(self)
+        tail, head = self.ends
         vs = self.vertices
-        return tuple(
-            Arc(vs[t], vs[h], x, a) for a, (t, h, x) in enumerate(zip(self.tail, self.head, self.w))
-        )
+        return tuple(Arc(vs[t], vs[h], x, a) for a, (t, h, x) in enumerate(zip(tail, head, self.w)))
 
     def arc(self, a: int) -> Arc:
         """Arc a as a record of cells."""
@@ -158,11 +170,11 @@ def build_digraph(n: int) -> WhirlDigraph:
     window, and ``w``, one zero per arc, takes them at that offset: exactly
     what a compress of the full rows gives.
 
-    The digraph it returns comes with two facts the build already knows:
-    ``crossing``, the ids of the window arcs with w = 1, is seeded where
-    ``cached_property`` keeps its value, and the arc ends are marked as
-    checked, since every end is read from the vertex-index rows.  Neither
-    is a field, so ``dataclasses.replace`` derives both again.
+    The digraph it returns comes with two facts the build already knows,
+    seeded where ``cached_property`` keeps its value: ``crossing``, the ids
+    of the window arcs with w = 1, and ``ends``, the columns themselves,
+    since every end is read from the vertex-index rows.  Neither is a
+    field, so ``dataclasses.replace`` derives both again.
     """
     centre = _bounded_board(n).centre_cell()
     m, slots = n - 1, 8 * n
@@ -213,25 +225,8 @@ def build_digraph(n: int) -> WhirlDigraph:
         w[s:s + len(ws)] = ws
         crossing += compress(range(s, s + len(ws)), ws)
     g = WhirlDigraph(n=n, tail=tuple(tail), head=tuple(head), w=tuple(w))
-    vars(g).update(crossing=tuple(crossing), _ends_checked=True)
+    vars(g).update(crossing=tuple(crossing), ends=(g.tail, g.head))
     return g
-
-
-def _check_arc_ends(g: WhirlDigraph) -> None:
-    """Raise ``ValueError`` unless every arc end is a vertex index in ``range(vertex_count)``.
-
-    Every reader that indexes by arc ends calls this first, so a negative
-    end cannot wrap to a vertex at the back.  The min/max scan runs once
-    per digraph: success is recorded on the digraph (``build_digraph``
-    records it at the build), and later calls return at once.  The
-    constructor leaves it out: the scan costs about a third of a build.
-    """
-    if "_ends_checked" in vars(g):
-        return
-    nv = g.geometry.vertex_count
-    if g.tail and not (0 <= min(g.tail) and 0 <= min(g.head) and max(g.tail) < nv and max(g.head) < nv):
-        raise ValueError(f"an arc end is not a vertex index in range({nv})")
-    vars(g)["_ends_checked"] = True
 
 
 def _group(nv: int, column: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -244,13 +239,13 @@ def _group(nv: int, column: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 def digraph_to_json(g: WhirlDigraph) -> str:
     """Canonical JSON form; byte-stable for a given n."""
-    _check_arc_ends(g)
+    tail, head = g.ends
     vs = g.vertices
     doc = {
         "n": g.n,
         "vertices": [[c.i, c.j] for c in vs],
         "arcs": [{"u": [vs[t].i, vs[t].j], "v": [vs[h].i, vs[h].j], "w": x}
-                 for t, h, x in zip(g.tail, g.head, g.w)],
+                 for t, h, x in zip(tail, head, g.w)],
     }
     return _dump_doc(doc)
 

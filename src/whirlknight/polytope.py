@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .certificates import FarkasCertificate, _check_columns
-from .digraph import WhirlDigraph, _check_arc_ends
+from .digraph import WhirlDigraph
 from .geometry import BoardGeometry, Cell, _dump_doc, _exact_int
 
 __all__ = [
@@ -77,7 +77,7 @@ class CycleCover:
         raises ``ValueError``, as in ``coil_of_cover``.
         """
         coil_of_cover(g, self)
-        seen, cell = bytearray(len(self.arcs)), g.geometry.cell
+        head, seen, cell = g.ends[1], bytearray(len(self.arcs)), g.geometry.cell
         out = []
         for start in range(len(self.arcs)):
             cyc = []
@@ -85,7 +85,7 @@ class CycleCover:
             while not seen[v]:
                 seen[v] = 1
                 cyc.append(cell(v))
-                v = g.head[self.arcs[v]]
+                v = head[self.arcs[v]]
             if cyc:
                 out.append(cyc)
         return out
@@ -291,7 +291,7 @@ def _extreme_cover(
     c = coil + gamma.  The certificate checker proves both on the columns,
     so the cover is proved extreme without building a certificate.
     """
-    row_arc, u, v = _min_cost_matching(g.out_adj, g.head, [-gamma * x for x in g.w], start)
+    row_arc, u, v = _min_cost_matching(g.out_adj, g.ends[1], [-gamma * x for x in g.w], start)
     cover = CycleCover(arcs=tuple(row_arc))
     coil = coil_of_cover(g, cover)
     report = _check_columns(g, v, u, gamma, coil + gamma)
@@ -333,14 +333,14 @@ def coil_of_cover(g: WhirlDigraph, cover: CycleCover) -> int:
     and the heads must be a permutation; anything else raises
     ``ValueError``.
     """
-    _check_arc_ends(g)
+    tail, head = g.ends
     arcs, geom = cover.arcs, g.geometry
     if len(arcs) != geom.vertex_count:
         raise ValueError(f"cover has {len(arcs)} arcs for {geom.vertex_count} vertices")
     for k, a in enumerate(arcs):
-        if not (0 <= _exact_int(a, "arc id") < len(g.w) and g.tail[a] == k):
+        if not (0 <= _exact_int(a, "arc id") < len(g.w) and tail[a] == k):
             raise ValueError(f"cover arc {a} does not leave vertex {tuple(geom.cell(k))}")
-    if len({g.head[a] for a in arcs}) != len(arcs):
+    if len({head[a] for a in arcs}) != len(arcs):
         raise ValueError("cover heads are not a permutation")
     return sum(g.w[a] for a in arcs)
 
@@ -360,8 +360,9 @@ def enumerate_cycle_covers(g: WhirlDigraph) -> list[CycleCover]:
     if g.n > 7:
         raise ValueError(f"enumeration is intended for n <= 7, got n={g.n}")
     nv = g.geometry.vertex_count
-    out_opts = [[g.head[a] for a in arcs] for arcs in g.out_adj]
-    in_opts = [[g.tail[a] for a in arcs] for arcs in g.in_adj]
+    tail, head = g.ends
+    out_opts = [[head[a] for a in arcs] for arcs in g.out_adj]
+    in_opts = [[tail[a] for a in arcs] for arcs in g.in_adj]
     heads_left = [len(heads) for heads in out_opts]  # unused heads of each row
     rows_left = [len(tails) for tails in in_opts]  # rows still to choose that reach each column
     used = bytearray(nv)
@@ -426,9 +427,9 @@ def validate_assignment(g: WhirlDigraph, fa: FractionalAssignment, c: int) -> No
     bool), as for ``lp_feasible``.  An arc end of g outside
     ``range(vertex_count)`` raises ``ValueError`` before any entry is read.
     """
-    _check_arc_ends(g)
+    tail, head = g.ends
     _exact_int(c, "coil count")
-    head, tail, w = g.head, g.tail, g.w
+    w = g.w
     entries, dens = [], set()
     for aid, val in fa.x.items():
         _exact_int(aid, "arc id")

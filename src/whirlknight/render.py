@@ -58,11 +58,9 @@ def board_spec(n: int, fmt: str = "ascii") -> RenderSpec:
 
 def digraph_spec(g: WhirlDigraph, fmt: str = "ascii") -> RenderSpec:
     """Every arc of g; an arc end outside ``range(vertex_count)`` raises ``ValueError``."""
-    from .digraph import _check_arc_ends  # g's own module, already loaded
-
-    _check_arc_ends(g)
+    tail, head = g.ends
     vs = g.vertices
-    arcs = tuple((vs[t], vs[h], x) for t, h, x in zip(g.tail, g.head, g.w))
+    arcs = tuple((vs[t], vs[h], x) for t, h, x in zip(tail, head, g.w))
     return RenderSpec(g.n, fmt, arcs=arcs)
 
 

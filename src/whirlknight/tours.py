@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
-from .digraph import WhirlDigraph, _check_arc_ends
+from .digraph import WhirlDigraph
 from .geometry import BoardGeometry, Cell, _cell, _dump_doc, _exact_int, _list, _load_doc, _read_doc, crosses_axis_ray
 
 __all__ = [
@@ -195,13 +195,13 @@ def search_tour(
     _exact_int(seed, "seed")
     nv = g.geometry.vertex_count
     # The counters index by the arc ends, and the coil prune assumes 0/1 weights.
-    _check_arc_ends(g)
+    tail, head = g.ends
     if not set(g.w) <= {0, 1}:
         raise ValueError("an arc weight is not 0 or 1")
     # Without a target the coil window [0, nv] never prunes: a coil is at most its arc count.
     lo, hi = (0, nv) if coil_target is None else (coil_target, coil_target)
     first: dict[tuple[int, int], int] = {}  # (tail, head) -> w of the pair's first arc
-    for t, h, w in zip(g.tail, g.head, g.w):
+    for t, h, w in zip(tail, head, g.w):
         first.setdefault((t, h), w)
     out_opts: list[list[tuple[int, int]]] = [[] for _ in range(nv)]  # (head, w), arc-id order
     in_tails: list[list[int]] = [[] for _ in range(nv)]

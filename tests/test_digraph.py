@@ -11,6 +11,7 @@ from whirlknight import (
     CycleCover,
     FarkasCertificate,
     FractionalAssignment,
+    Tour,
     WhirlDigraph,
     build_digraph,
     build_t1,
@@ -19,14 +20,16 @@ from whirlknight import (
     coil_of_cover,
     digraph_from_json,
     digraph_to_json,
+    enumerate_cycle_covers,
     lp_feasible,
     search_tour,
     validate_assignment,
     verify_certificate,
     verify_tour,
+    winding_by_ray,
 )
 from whirlknight import digraph
-from whirlknight.render import digraph_spec, render
+from whirlknight.render import digraph_spec, render, tour_spec
 
 from oracles import KNIGHT_DELTAS, arcs_oracle, board_cells, step_arcs_oracle, weight_oracle
 
@@ -314,7 +317,7 @@ class TestSerialization:
 
 
 class TestSeededFacts:
-    """``build_digraph`` seeds ``crossing`` and the arc-end check; neither is a field."""
+    """``build_digraph`` seeds ``crossing`` and ``ends``; neither is a field."""
 
     @pytest.mark.parametrize("n", [*range(3, 131), 255, 256, 257, 510, 511, 512])
     def test_seeded_crossing_is_the_derived_one(self, n):
@@ -323,6 +326,15 @@ class TestSeededFacts:
         derived = dataclasses.replace(g)
         assert "crossing" not in vars(derived)
         assert g.crossing == derived.crossing == tuple(a for a, x in enumerate(g.w) if x)
+
+    @pytest.mark.parametrize("n", [*range(3, 131), 255, 256, 257, 510, 511, 512])
+    def test_seeded_ends_are_the_derived_ones(self, n):
+        g = build_digraph(n)
+        assert "ends" in vars(g)
+        assert g.ends[0] is g.tail and g.ends[1] is g.head
+        derived = dataclasses.replace(g)
+        assert "ends" not in vars(derived)
+        assert derived.ends == (g.tail, g.head)
 
     def test_replaced_weights_derive_their_own_crossing(self, dg):
         g = dg(14)
@@ -335,6 +347,7 @@ class TestSeededFacts:
         g = build_digraph(6)
         h = WhirlDigraph(6, g.tail, g.head, g.w)
         assert "crossing" in vars(g) and "crossing" not in vars(h)
+        assert "ends" in vars(g) and "ends" not in vars(h)
         assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
         assert repr(g) == f"WhirlDigraph(n=6, tail={g.tail!r}, head={g.head!r}, w={g.w!r})"
 
@@ -359,6 +372,17 @@ ARC_END_READERS = {
     "coil_of_cover": lambda g: coil_of_cover(g, CycleCover(arcs=())),
     "digraph_to_json": digraph_to_json,
     "digraph_spec": digraph_spec,
+    "search_tour": lambda g: search_tour(g, budget=1),
+    "verify_tour": lambda g: verify_tour(g, g.vertices),
+    "check_reduction": lambda g: check_reduction(g, Tour(g.vertices, 0)),
+    "winding_by_ray": lambda g: winding_by_ray(g, Tour(g.vertices, 0)),
+    "tour_spec": lambda g: tour_spec(g, Tour(g.vertices, 0)),
+    "step_arcs": lambda g: g.step_arcs([(g.geometry.cell(0), g.geometry.cell(1))]),
+    "out_arcs": lambda g: g.out_arcs(g.geometry.cell(0)),
+    "in_arcs": lambda g: g.in_arcs(g.geometry.cell(0)),
+    "enumerate_cycle_covers": enumerate_cycle_covers,
+    "coil_interval": coil_interval,
+    "lp_feasible": lambda g: lp_feasible(g, 0),
 }
 
 
