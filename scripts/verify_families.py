@@ -29,7 +29,7 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"{'n':>4} {'family':>6} {'rhs':>4} {'max_lhs':>8} {'valid':>6} {'support':>7} "
-          f"{'lp(n/2)':>8} {'min_coil':>8} {'lp_support':>10} {'time':>7}")
+          f"{'lp(c)':>8} {'min_coil':>8} {'lp_support':>10} {'time':>7}")
     boards = sorted((n, family) for family, r in FAMILIES.items() for n in range(r, args.max_n + 1, 8))
     for n, family in boards:
         cert = getattr(wk, f"build_{family}")(n)

@@ -8,23 +8,29 @@ verifies closed-form Farkas certificates showing that coil count n/2 is
 impossible when n = 4 or 6 (mod 8), decides cycle-cover LP feasibility
 exactly, and searches for and verifies tours.
 
-Importing the package loads none of its layers.  Each name below is
-looked up in its home module on every access (PEP 562), which loads that
-module on first use, so ``whirlknight.X is whirlknight.<home>.X`` always
-holds, also while a tracer or a test has swapped the home attribute.
+Importing the package loads none of its layers; it holds the package's
+two tables.  ``FAMILIES``, the closed-form certificate families, is a plain
+attribute, and each family's builder ``build_<name>`` is exported from its
+entry.  ``_EXPORTS`` names each layer's public names, and each layer's
+``__all__`` is its row.  Each of those names is looked up in its home
+module on every access (PEP 562), which loads that module on first use, so
+``whirlknight.X is whirlknight.<home>.X`` always holds, also while a tracer
+or a test has swapped the home attribute.
 """
 
 import importlib
 
-# Each layer's exported names: exactly that module's ``__all__``.
+# Each closed-form certificate family's name and the residue r of the boards it
+# takes: n = r (mod 8), n >= r.  Family f is built by ``certificates.build_f``.
+FAMILIES = {"t1": 6, "t2": 4}
+
+# Each layer's exported names; each layer's ``__all__`` is its row.
 _EXPORTS = {
     "certificates": (
-        "FAMILIES",
         "FarkasCertificate",
         "VerificationReport",
         "build_n3_certificate",
-        "build_t1",
-        "build_t2",
+        *(f"build_{name}" for name in FAMILIES),
         "certificate_from_json",
         "certificate_to_json",
         "parity_census",
@@ -67,7 +73,7 @@ _EXPORTS = {
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
-__all__ = [*_EXPORTS, *_HOME]
+__all__ = ["FAMILIES", *_EXPORTS, *_HOME]
 __version__ = "0.1.0"
 
 

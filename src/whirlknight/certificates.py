@@ -11,11 +11,11 @@ coil count c when
 Everything here is integer-valued and verified arc-by-arc with exact
 arithmetic; there are no tolerances.
 
-``FAMILIES`` lists the closed-form families, each with the residue class
-of n mod 8 it takes; the builder of family f is ``build_f``.  Each builder
-writes the paper's alpha/beta entries straight from its formula (h = n/2),
-and both open with the same block rows: alpha = 1 at (r, h-1) and beta = 1
-at (r, h) for each row r of a list.
+The package's ``FAMILIES`` lists the closed-form families, each with the
+residue class of n mod 8 it takes; the builder of family f is ``build_f``.
+Each builder writes the paper's alpha/beta entries straight from its
+formula (h = n/2), and both open with the same block rows: alpha = 1 at
+(r, h-1) and beta = 1 at (r, h) for each row r of a list.
 
 * ``build_t1`` (n = 8m+6): block rows {4k, 4k+1} for k = 0..m, the in-strip
   and out-strip flanking the pivot column; gamma = -1.
@@ -30,21 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import FAMILIES, _EXPORTS
 from .digraph import Arc, WhirlDigraph
 from .geometry import BoardGeometry, Cell, _bounded_board, _cell, _cell_text, _dump_doc, _exact_int, _list, _load_doc, _read_doc
 
-__all__ = [
-    "FAMILIES",
-    "FarkasCertificate",
-    "VerificationReport",
-    "verify_certificate",
-    "build_t1",
-    "build_t2",
-    "build_n3_certificate",
-    "parity_census",
-    "certificate_to_json",
-    "certificate_from_json",
-]
+__all__ = list(_EXPORTS["certificates"])
 
 
 @dataclass(frozen=True)
@@ -89,10 +79,6 @@ class VerificationReport:
     max_lhs: int
     violations: tuple[tuple[Arc, int], ...]  # arcs with LHS > 0, in arc-id order
     valid: bool
-
-
-# Each family's name and the residue r of the boards it takes: n = r (mod 8), n >= r.
-FAMILIES = {"t1": 6, "t2": 4}
 
 
 def _require_residue(n: int, family: str) -> int:

@@ -196,8 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     actions = p.add_subparsers(dest="action", required=True)
     build = actions.add_parser("build", help="write a family's certificate as JSON")
     verify = actions.add_parser("verify", help="check a certificate on its board")
-    build.add_argument("--family", choices=["t1", "t2", "n3"], required=True)
-    verify.add_argument("--family", choices=["t1", "t2", "n3", "file"], required=True)
+    build.add_argument("--family", choices=[*wk.FAMILIES, "n3"], required=True)
+    verify.add_argument("--family", choices=[*wk.FAMILIES, "n3", "file"], required=True)
     for a in (build, verify):
         a.add_argument("--n", type=int)
         a.add_argument("--c", type=int, help="override the certificate's coil count")

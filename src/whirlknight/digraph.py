@@ -23,9 +23,10 @@ from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .geometry import KNIGHT_STEPS, BoardGeometry, Cell, _bounded_board, _cell, _dump_doc, _exact_int, _list, _load_doc, _read_doc
 
-__all__ = ["Arc", "WhirlDigraph", "build_digraph", "digraph_to_json", "digraph_from_json"]
+__all__ = list(_EXPORTS["digraph"])
 
 
 class Arc(NamedTuple):
@@ -101,7 +102,9 @@ class WhirlDigraph:
         return tuple(Arc(vs[t], vs[h], x, a) for a, (t, h, x) in enumerate(zip(tail, head, self.w)))
 
     def arc(self, a: int) -> Arc:
-        """Arc a as a record of cells."""
+        """Arc a as a record of cells; an a that is not an id in ``range(len(w))`` raises ``ValueError``."""
+        if not 0 <= _exact_int(a, "arc id") < len(self.w):
+            raise ValueError(f"unknown arc id {a}")
         cell = self.geometry.cell
         return Arc(cell(self.tail[a]), cell(self.head[a]), self.w[a], a)
 

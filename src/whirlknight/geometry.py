@@ -19,16 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
-__all__ = [
-    "Cell",
-    "KnightStep",
-    "BoardGeometry",
-    "KNIGHT_STEPS",
-    "RAYS",
-    "ccw_cross",
-    "is_ccw",
-    "crosses_axis_ray",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["geometry"])
 
 
 class Cell(NamedTuple):

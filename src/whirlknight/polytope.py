@@ -37,23 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from . import _EXPORTS
 from .certificates import FarkasCertificate, _check_columns
 from .digraph import WhirlDigraph
 from .geometry import BoardGeometry, Cell, _dump_doc, _exact_int
 
-__all__ = [
-    "NoCycleCoverError",
-    "CycleCover",
-    "CoilInterval",
-    "FractionalAssignment",
-    "LpDecision",
-    "coil_interval",
-    "lp_feasible",
-    "coil_of_cover",
-    "enumerate_cycle_covers",
-    "validate_assignment",
-    "lp_decision_to_json",
-]
+__all__ = list(_EXPORTS["polytope"])
 
 
 class NoCycleCoverError(ValueError):

@@ -21,19 +21,11 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
+from . import _EXPORTS
 from .digraph import WhirlDigraph
 from .geometry import BoardGeometry, Cell, _cell, _dump_doc, _exact_int, _list, _load_doc, _read_doc, crosses_axis_ray
 
-__all__ = [
-    "Tour",
-    "SearchStats",
-    "verify_tour",
-    "check_reduction",
-    "winding_by_ray",
-    "search_tour",
-    "tour_to_json",
-    "tour_from_json",
-]
+__all__ = list(_EXPORTS["tours"])
 
 _PROGRESS_EVERY = 100_000  # node expansions between progress calls
 

@@ -112,19 +112,27 @@ def test_each_command_loads_only_its_layers(argv, code, loaded, tmp_path, dg):
 
 
 LAYERS = ["geometry", "digraph", "certificates", "polytope", "tours", "render", "cli"]
+# The names whirlknight/__init__.py assigns at module level: its tables, which load no layer.
+PACKAGE_OWN = {
+    target.id
+    for node in ast.parse(Path(whirlknight.__file__).read_text()).body if isinstance(node, ast.Assign)
+    for target in node.targets if isinstance(target, ast.Name)
+}
 
 
 def _sibling_imports(tree: ast.AST, module: str) -> set[str]:
     """Sibling modules that a tree from whirlknight/<module>.py imports.
 
-    ``import whirlknight`` (under any name, or of a submodule, which binds the
-    package too) and ``from whirlknight import ...`` reach every layer through
-    the package's lazy names, so each counts as an import of every other layer.
+    ``from . import NAME`` imports module NAME unless the package itself
+    assigns NAME (``PACKAGE_OWN``).  ``import whirlknight`` (under any name,
+    or of a submodule, which binds the package too) and ``from whirlknight
+    import ...`` reach every layer through the package's lazy names, so each
+    counts as an import of every other layer.
     """
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
-            found |= {node.module or alias.name for alias in node.names}
+            found |= {node.module or alias.name for alias in node.names} - PACKAGE_OWN
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.startswith("whirlknight."):
             found.add(node.module.split(".")[1])
         elif (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "whirlknight"
@@ -161,6 +169,9 @@ def test_layer_guard_sees_each_form():
         "import whirlknight.digraph": every,
         "from whirlknight import build_digraph": every,
         "def f():\n    import whirlknight": every,
+        "from . import _EXPORTS, FAMILIES": set(),
+        "from . import FAMILIES, render": {"render"},
+        "from . import build_digraph": {"build_digraph"},
     }
     for source, want in cases.items():
         assert _sibling_imports(ast.parse(source), "tours") == want, source
@@ -334,6 +345,7 @@ GUARD_SITES = [
     ("crosses_axis_ray", "cell coordinate",
      lambda g, x: whirlknight.crosses_axis_ray(g.geometry, (0, 1), (2, x))),
     ("on_board", "cell coordinate", lambda g, x: g.geometry.on_board((x, 0))),
+    ("WhirlDigraph.arc", "arc id", lambda g, x: g.arc(x)),
 ]
 CERT_DOC = {"n": 6, "c": 3, "gamma": -1, "alpha": [[0, 2, 1]], "beta": [[0, 3, 1]]}
 DIGRAPH_DOC = {"n": 3, "vertices": [[0, 0]], "arcs": [{"u": [0, 0], "v": [1, 2], "w": 0}]}

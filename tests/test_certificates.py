@@ -1,9 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import re
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -413,6 +418,27 @@ class TestFamilyTable:
     @pytest.mark.parametrize("name", FAMILIES)
     def test_every_family_has_a_builder(self, name):
         assert callable(getattr(whirlknight, f"build_{name}"))
+
+    def test_a_family_is_one_entry_and_one_builder(self, tmp_path):
+        # A copy of the package with family zz added by those two edits alone: the CLI
+        # takes --family zz and the package exports build_zz.
+        package = tmp_path / "whirlknight"
+        shutil.copytree(Path(whirlknight.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        init, certificates = package / "__init__.py", package / "certificates.py"
+        table = 'FAMILIES = {"t1": 6, "t2": 4}'
+        assert table in init.read_text()
+        init.write_text(init.read_text().replace(table, 'FAMILIES = {"t1": 6, "t2": 4, "zz": 4}'))
+        certificates.write_text(certificates.read_text() + "\n\ndef build_zz(n):\n    return build_t2(n)\n")
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-B", *argv], env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                                  capture_output=True, text=True, timeout=120)
+
+        verify = run("-m", "whirlknight.cli", "cert", "verify", "--family", "zz", "--n", "12")
+        assert verify.returncode == 0, verify.stderr
+        assert verify.stdout == "valid=true rhs=1 max_lhs=0 violations=0\n"
+        built = run("-c", "import whirlknight; assert whirlknight.build_zz(12).c == 6")
+        assert built.returncode == 0, built.stderr
 
     @pytest.mark.parametrize("build,n,message", [
         (build_t1, 12, "expected n = 6 (mod 8) with n >= 6, got 12"),

@@ -70,7 +70,7 @@ class TestCert:
         assert code == 2 and stderr == "error: expected n = 6 (mod 8) with n >= 6, got 12\n"
 
     def test_family_choices_are_the_table(self):
-        # The lists stay literal, so argparse needs no layer; they must name the table's families.
+        # The lists are read from the package's table, which loads no layer.
         def family_choices(*command):
             parser = cli._build_parser()
             for name in command:

@@ -134,6 +134,13 @@ class TestAdjacency:
             assert g.w[a.id] == a.w
             assert g.arc(a.id) == a
 
+    @pytest.mark.parametrize("a", [-1, 8])
+    def test_arc_rejects_an_unknown_id(self, a, dg):
+        # Arc k of the n = 3 digraph leaves vertex k; -1 would wrap to the last arc.
+        with pytest.raises(ValueError) as exc:
+            dg(3).arc(a)
+        assert str(exc.value) == f"unknown arc id {a}"
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_arc_between_matches_scan(self, n, dg):
         g = dg(n)

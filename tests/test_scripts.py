@@ -29,7 +29,7 @@ def rows(lines):
 @pytest.mark.parametrize(
     "name,args,row",
     [
-        # n, family, rhs, max_lhs, valid, support, lp(n/2), min_coil, lp_support
+        # n, family, rhs, max_lhs, valid, support, lp(c), min_coil, lp_support
         ("verify_families.py", ["--max-n", "14"],
          ["14", "t1", "1", "0", "true", "8", "infeas", "9", "135"]),
         # n, n%8, c=n/2, min, max, c in range
@@ -43,7 +43,7 @@ def test_table_script(name, args, row):
 def test_verify_families_whole_table():
     lines = run_script("verify_families.py", "--max-n", "30")
     assert lines[0].split() == ["n", "family", "rhs", "max_lhs", "valid", "support",
-                                "lp(n/2)", "min_coil", "lp_support", "time"]
+                                "lp(c)", "min_coil", "lp_support", "time"]
     assert rows(lines) == [
         ["4", "t2", "1", "0", "true", "5", "infeas", "4", "4"],
         ["6", "t1", "1", "0", "true", "4", "infeas", "5", "9"],
