@@ -98,15 +98,11 @@ class _InvalidTour(ValueError):
 def _file_tour(n: int, cells, coil: int | None, given_n: int | None):
     """A parsed tour file's digraph and verified tour; a coil the file claims must be the tour's.
 
-    The cells are checked before the build, so cells that alone show no tour exit 1 at any n.
+    The digraph is built first, so an n that is no board, or one above the size limit,
+    is an error (exit 2) whatever the cells hold.
     """
     _require_n(given_n, n, "tour")
-    geom = wk.BoardGeometry(n)  # a bad n is an error, not an invalid tour
-    try:
-        wk.tours._check_cells(geom, cells)
-    except ValueError as exc:
-        raise _InvalidTour(exc) from exc
-    g = wk.build_digraph(n)  # outside the try: an n above the size limit is an error, not an invalid tour
+    g = wk.build_digraph(n)  # outside the try: a bad n is an error, not an invalid tour
     try:
         tour = wk.verify_tour(g, cells)
     except ValueError as exc:

@@ -55,7 +55,10 @@ RAYS = ("north", "east", "south", "west")
 #: ``parity_census`` accept.  The digraph has about 4n² arcs, and its build
 #: peaks near 58 bytes per arc (CPython 3.11, n = 100..512), so n = 512 takes
 #: about 60 MB and n = 10^5 would take terabytes; t2's triangle has about n²/8
-#: cells.  A larger n raises before anything is allocated.
+#: cells.  A larger n raises before anything is allocated.  Every CLI command
+#: reaches the limit through these functions or ``_bounded_board``, which they
+#: call: ``cert verify`` before it builds a family's certificate, and
+#: ``tour verify`` and ``render --in`` before they read a tour file's cells.
 _MAX_SIDE = 512
 
 

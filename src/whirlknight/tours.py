@@ -11,7 +11,8 @@ by one, or backtracks one, moving them back up by one, so a node costs
 O(deg), not a pass over the board.  Search is explicitly budgeted,
 and a not-found result never means nonexistence.  Nonexistence claims
 belong to the certificate and LP modules.  ``_tour_arcs`` is the one tour
-check, which every function that takes a digraph and a tour calls.
+check, which every function that takes a digraph and a tour calls; a tour
+file is checked once, by it, against the digraph of the file's n.
 """
 
 from __future__ import annotations
@@ -68,17 +69,11 @@ def verify_tour(g: WhirlDigraph, cells) -> Tour:
 
 
 def _tour_arcs(g: WhirlDigraph, cells) -> tuple[tuple[Cell, ...], list[int]]:
-    """The one tour check: the checked cells and their steps' arc ids, the closing step last."""
-    cells = _check_cells(g.geometry, cells)
-    return cells, g.step_arcs(zip(cells, cells[1:] + cells[:1]))
+    """The one tour check: the checked cells and their steps' arc ids, the closing step last.
 
-
-def _check_cells(geom: BoardGeometry, cells) -> tuple[Cell, ...]:
-    """verify_tour's checks that need only the board: each vertex appears exactly once.
-
-    A tour file's cells pass them before its digraph is built, so cells that alone show
-    there is no tour exit 1 in the CLI at any n, even above the size limit (exit 2).
+    Each vertex must appear exactly once; then each cyclic step must be an arc.
     """
+    geom = g.geometry
     seen: dict[Cell, None] = {}  # the cells in visiting order
     for c in cells:
         geom.index(c)  # raises on anything that is not a vertex, a non-pair included
@@ -91,7 +86,7 @@ def _check_cells(geom: BoardGeometry, cells) -> tuple[Cell, ...]:
         unseen = (c for c in map(geom.cell, range(nv)) if c not in seen)
         missing = [tuple(c) for c in islice(unseen, 3)]
         raise ValueError(f"not Hamiltonian: {nv - len(cells)} vertices missing, e.g. {missing}")
-    return cells
+    return cells, g.step_arcs(zip(cells, cells[1:] + cells[:1]))
 
 
 def check_reduction(g: WhirlDigraph, tour: Tour) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from whirlknight import (
     FAMILIES,
+    BoardGeometry,
     build_digraph,
     build_t1,
     certificate_from_json,
@@ -363,26 +364,58 @@ class TestTour:
         assert got == (1, "found=false nodes=250 exhausted=false\n",
                        "nodes=100 depth=31\nnodes=200 depth=37\n")
 
-    SHORT_FILES = [
-        (3000, [], "not Hamiltonian: 9000000 vertices missing, e.g. [(0, 0), (0, 1), (0, 2)]"),
-        (3000, [[0, 0], [0, 0]], "vertex (0, 0) is visited twice"),
-        (3000, [[0, 0], [3000, 0]], "(3000, 0) is not a vertex of the n=3000 digraph"),
-        (3001, [[1500, 1500]], "(1500, 1500) is not a vertex of the n=3001 digraph"),
+    BAD_CELLS = [
+        (30, [], "not Hamiltonian: 900 vertices missing, e.g. [(0, 0), (0, 1), (0, 2)]"),
+        (30, [[0, 0], [0, 0]], "vertex (0, 0) is visited twice"),
+        (30, [[0, 0], [30, 0]], "(30, 0) is not a vertex of the n=30 digraph"),
+        (31, [[15, 15]], "(15, 15) is not a vertex of the n=31 digraph"),
     ]
 
-    @pytest.mark.parametrize("n,cells,message", SHORT_FILES)
-    def test_bad_cells_rejected_before_building(self, n, cells, message, tmp_path, capsys,
-                                                monkeypatch):
-        def refuse(size):
-            raise AssertionError(f"built the n={size} digraph")
-
-        monkeypatch.setattr("whirlknight.digraph.build_digraph", refuse)
+    @pytest.mark.parametrize("n,cells,message", BAD_CELLS)
+    def test_bad_cells_are_an_invalid_tour(self, n, cells, message, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"n": n, "cells": cells}))
         code, stdout, stderr = run(capsys, "tour", "verify", "--in", str(path))
         assert (code, stdout, stderr) == (1, f"valid=false error={json.dumps(message)}\n", "")
         code, stdout, stderr = run(capsys, "render", "--in", str(path))
         assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("n,cells", [(600, [[0, 0]]), (3000, []), (3001, [[1500, 1500]])])
+    def test_tour_file_above_the_size_limit_is_an_error_before_any_cell(self, n, cells, tmp_path,
+                                                                        capsys, monkeypatch):
+        def refuse(g, _):
+            raise AssertionError(f"walked the cells of an n={g.n} tour")
+
+        monkeypatch.setattr("whirlknight.tours._tour_arcs", refuse)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"n": n, "cells": cells}))
+        for command in (("tour", "verify"), ("render",)):
+            got = run(capsys, *command, "--in", str(path))
+            assert got == (2, "", f"error: board side must be at most 512, got {n}\n")
+
+    @pytest.mark.parametrize("command", [("tour", "verify"), ("render",)], ids=" ".join)
+    def test_tour_file_whose_n_is_no_board_is_an_error(self, command, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"n": 2, "cells": []}))
+        got = run(capsys, *command, "--in", str(path))
+        assert got == (2, "", "error: board side must be an integer >= 3, got 2\n")
+
+    @pytest.mark.parametrize("command,calls", [(("tour", "verify"), 108), (("render",), 324)],
+                             ids=["tour verify", "render"])
+    def test_tour_file_cells_are_checked_once(self, command, calls, tmp_path, capsys, monkeypatch):
+        # tour verify: one index per cell for the vertex check, two per step in step_arcs.
+        # render --in adds the checks of render.tour_spec and render(), both public.
+        path = tmp_path / "t6.json"
+        path.write_text(tour_to_json(6, search_tour(build_digraph(6), 5, budget=100_000)))
+        index, counted = BoardGeometry.index, []
+
+        def counting(geom, c):
+            counted.append(c)
+            return index(geom, c)
+
+        monkeypatch.setattr(BoardGeometry, "index", counting)
+        code, _, stderr = run(capsys, *command, "--in", str(path))
+        assert (code, stderr, len(counted)) == (0, "", calls)
 
     @pytest.mark.parametrize("n,budget,message", [
         (3001, 0, "board side must be at most 512, got 3001"),
@@ -412,7 +445,7 @@ class TestTour:
     ["cert", "verify", "--family", "t1", "--n", "6"],
     ["cert", "verify", "--family", "file", "--in", "c6.json"],
     ["render", "--in", "c6.json"],
-    ["tour", "verify", "--in", "t6.json"],  # a whole tour: an error, not an invalid tour
+    ["tour", "verify", "--in", "t6.json"],  # any tour file above the limit: an error, not an invalid tour
     ["render", "--in", "t6.json"],
 ], ids=" ".join)
 def test_board_above_the_size_limit_is_an_error(argv, tmp_path, capsys, monkeypatch):
