@@ -12,7 +12,9 @@ the arc columns ``tail``, ``head`` (vertex indices) and ``w``, of one length and
 indexed by arc id, which every solver reads.  ``vertices``, ``out_adj``, ``in_adj``,
 the checked arc ends (``ends``), the ids of the crossing arcs (``crossing``)
 and the ``Arc`` records of cells (``arcs``) are derived from them on first
-use; ``arc(a)`` builds one record alone.  A built digraph is immutable.
+use; ``arc(a)`` builds one record alone.  One fact is never derived:
+``knight_runs``, the build's arc layout, holds only on a digraph that
+``build_digraph`` made.  A built digraph is immutable.
 """
 
 from __future__ import annotations
@@ -44,12 +46,18 @@ class WhirlDigraph:
     which numbers and counts the vertices, ``vertices``, ``ends``, ``out_adj``, ``in_adj``,
     ``crossing`` and ``arcs``.  Every reader that indexes by the arc ends reads them from ``ends``,
     which checks them once per digraph.
+
+    ``knight_runs`` is True only where ``build_digraph`` seeded it: the tail column ascends, so
+    each vertex's out-arcs are one run of ids, and every arc is a knight step whose head no other
+    arc of its run shares.  It is never derived, so a ``dataclasses.replace`` copy or a digraph
+    built from columns by hand reads the class's False, whatever its columns hold.
     """
 
     n: int
     tail: tuple[int, ...]  # arc id -> vertex index
     head: tuple[int, ...]
     w: tuple[int, ...]  # arc id -> north plumb-line crossing weight, 0 or 1
+    knight_runs = False  # not a field: build_digraph seeds True on the digraphs it makes
 
     def __post_init__(self) -> None:
         if not len(self.tail) == len(self.head) == len(self.w):
@@ -173,11 +181,14 @@ def build_digraph(n: int) -> WhirlDigraph:
     window, and ``w``, one zero per arc, takes them at that offset: exactly
     what a compress of the full rows gives.
 
-    The digraph it returns comes with two facts the build already knows,
-    seeded where ``cached_property`` keeps its value: ``crossing``, the ids
-    of the window arcs with w = 1, and ``ends``, the columns themselves,
-    since every end is read from the vertex-index rows.  Neither is a
-    field, so ``dataclasses.replace`` derives both again.
+    The digraph it returns comes with three facts the build already knows,
+    seeded in its instance dict, where ``cached_property`` keeps its value:
+    ``crossing``, the ids of the window arcs with w = 1; ``ends``, the
+    columns themselves, since every end is read from the vertex-index rows;
+    and ``knight_runs`` = True, since the tails go row-major and each tail's
+    arcs are distinct knight steps.  None is a field, so
+    ``dataclasses.replace`` derives the first two again and reads False
+    for the third.
     """
     centre = _bounded_board(n).centre_cell()
     m, slots = n - 1, 8 * n
@@ -228,7 +239,7 @@ def build_digraph(n: int) -> WhirlDigraph:
         w[s:s + len(ws)] = ws
         crossing += compress(range(s, s + len(ws)), ws)
     g = WhirlDigraph(n=n, tail=tuple(tail), head=tuple(head), w=tuple(w))
-    vars(g).update(crossing=tuple(crossing), ends=(g.tail, g.head))
+    vars(g).update(crossing=tuple(crossing), ends=(g.tail, g.head), knight_runs=True)
     return g
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -32,6 +33,10 @@ from whirlknight import (
     parity_census,
     verify_certificate,
 )
+from whirlknight import certificates
+from whirlknight.certificates import _candidates, _check_columns
+
+from oracles import board_cells, step_arcs_oracle
 
 T1_SIZES = [6, 14, 22, 30]
 T2_SIZES = [4, 12, 20, 28]
@@ -147,13 +152,122 @@ class TestVerify:
             report = verify_certificate(flipped, c)
             assert (report.rhs, report.max_lhs, report.valid, list(report.violations)) == plain_report(flipped, c)
 
-    @pytest.mark.parametrize("n", [14, 20])
+    @pytest.mark.parametrize("n", [14, 20, 102])
     def test_reads_only_the_arc_columns(self, n):
         g = build_digraph(n)
         cert = build_t1(n) if n % 8 == 6 else build_t2(n)
         assert verify_certificate(g, cert).valid
         assert verify_certificate(g, dataclasses.replace(cert, gamma=0)).violations
         assert not {"vertices", "out_adj", "in_adj", "arcs"} & vars(g).keys()
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_arcs(n):
+    """(tail cell, head cell, w) of every arc, in arc-id order, from the package-free oracle."""
+    cells = board_cells(n)
+    return tuple((cells[t], cells[h], w) for t, h, w in step_arcs_oracle(n))
+
+
+def oracle_report(cert):
+    """(rhs, max_lhs, valid, violations) of cert on the oracle's arcs, one arc at a time."""
+    lhs, violations = [], []
+    for a, (t, h, w) in enumerate(oracle_arcs(cert.n)):
+        x = cert.alpha.get(h, 0) + cert.beta.get(t, 0) + cert.gamma * w
+        lhs.append(x)
+        if x > 0:
+            violations.append((Arc(Cell(*t), Cell(*h), w, a), x))
+    rhs = sum(cert.alpha.values()) + sum(cert.beta.values()) + cert.c * cert.gamma
+    return (rhs, max(lhs, default=0), not violations and rhs >= 1, violations)
+
+
+def both_paths(g, cert):
+    """The report tuple of the full scan and of the candidate ids, each forced, on a built g."""
+    nv = g.geometry.vertex_count
+    alpha, beta = [0] * nv, [0] * nv
+    for support, col in ((cert.alpha, alpha), (cert.beta, beta)):
+        for v, x in support.items():
+            col[g.geometry.index(v)] = x
+    reports = (_check_columns(g, alpha, beta, cert.gamma, cert.c),
+               _check_columns(g, alpha, beta, cert.gamma, cert.c, _candidates(g, cert)))
+    return [(r.rhs, r.max_lhs, r.valid, list(r.violations)) for r in reports]
+
+
+class TestSparseCheck:
+    """A built digraph's certificate check may read only the candidate arcs; the report is the full scan's."""
+
+    @pytest.mark.parametrize("n", [n for n in range(4, 201) if n % 8 in (4, 6)])
+    def test_family_boards_match_the_full_scan(self, n):
+        g = build_digraph(n)  # not kept for the session, as dg would
+        cert = build_t1(n) if n % 8 == 6 else build_t2(n)
+        for gamma in (cert.gamma, 0, 1, 3):
+            c = dataclasses.replace(cert, gamma=gamma)
+            full, sparse = both_paths(g, c)
+            assert sparse == full
+            report = verify_certificate(g, c)
+            assert (report.rhs, report.max_lhs, report.valid, list(report.violations)) == full
+            if n < 40:
+                assert full == oracle_report(c)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 13, 16, 21, 30, 31, 39, 40, 47, 60])
+    def test_random_supports_match_the_full_scan(self, n, dg):
+        g = dg(n)
+        cells = list(map(g.geometry.cell, range(g.geometry.vertex_count)))
+        seen = set()
+        for k in range(12):
+            rng = random.Random(1000 * n + k)
+            size = rng.choice([0, 1, rng.randrange(len(cells) + 1), len(cells)])
+            support = rng.sample(cells, size)
+            cut = rng.randrange(size + 1)
+            alpha = {v: rng.choice([-2, -1, 1, 2]) for v in support[:cut]}
+            beta = {v: rng.choice([-2, -1, 1, 2]) for v in rng.sample(support, size - cut)}
+            cert = FarkasCertificate(n=n, c=rng.randrange(-3, 2 * n), alpha=alpha, beta=beta,
+                                     gamma=rng.choice([-1, 0, 1, 3]))
+            full, sparse = both_paths(g, cert)
+            assert sparse == full, k
+            if n < 40:
+                assert full == oracle_report(cert), k
+            seen.add((full[2], bool(full[3])))
+        assert (False, True) in seen  # violations are compared, not only their absence
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_max_lhs_reads_zero_only_from_an_arc_outside_the_candidates(self, n, dg):
+        g = dg(n)
+        everywhere = {g.geometry.cell(k): -1 for k in range(g.geometry.vertex_count)}
+        cert = FarkasCertificate(n=n, c=0, alpha=everywhere, beta={}, gamma=0)
+        assert _candidates(g, cert) == list(range(len(g.w)))  # every arc enters some alpha cell
+        assert [r[1] for r in both_paths(g, cert)] == [-1, -1]
+        corner = FarkasCertificate(n=n, c=0, alpha={Cell(0, 0): -1}, beta={}, gamma=0)
+        assert len(_candidates(g, corner)) < len(g.w)
+        assert [r[1] for r in both_paths(g, corner)] == [0, 0]
+
+    def test_the_rule_reads_candidates_on_t1_from_n_38(self, monkeypatch, dg):
+        calls = []
+        monkeypatch.setattr(certificates, "_candidates", lambda g, cert: calls.append(g.n) or _candidates(g, cert))
+        for n in range(4, 103):
+            if n % 8 in (4, 6):
+                verify_certificate(dg(n), build_t1(n) if n % 8 == 6 else build_t2(n))
+        assert calls == list(range(38, 103, 8))
+
+    def test_without_the_layout_fact_the_full_scan_runs(self, monkeypatch, dg):
+        g, cert = dg(102), build_t1(102)
+        h = g.geometry.index(next(iter(cert.alpha)))
+        last = g.geometry.vertex_count - 1
+        copies = {
+            "replaced": dataclasses.replace(g),
+            "by hand": WhirlDigraph(g.n, g.tail, g.head, g.w),
+            # one more arc, last in tail order, from the last cell into an alpha cell: no knight step
+            "extra arc": WhirlDigraph(g.n, (*g.tail, last), (*g.head, h), (*g.w, 0)),
+        }
+        calls = []
+        monkeypatch.setattr(certificates, "_candidates", lambda g, cert: calls.append(g) or _candidates(g, cert))
+        assert g.knight_runs and verify_certificate(g, cert).valid and calls == [g]
+        for name, copy in copies.items():
+            assert not copy.knight_runs, name
+            report = verify_certificate(copy, cert)
+            assert (report.rhs, report.max_lhs, report.valid, list(report.violations)) == plain_report(copy, cert), name
+        assert calls == [g]
+        assert not verify_certificate(copies["extra arc"], cert).valid
+        assert both_paths(copies["extra arc"], cert)[1][2]  # the candidates alone miss the extra arc
 
 
 class TestT1Family:
