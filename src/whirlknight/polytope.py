@@ -146,10 +146,16 @@ def _min_cost_matching(
     steps.  A sweep augments along a maximal set of vertex-disjoint tight
     paths (reduced cost cost[a] - u[i] - v[head[a]] = 0) found by
     iterative DFS from the free rows; a sweep that augmented is followed at
-    once by another.  Only a sweep that augments nothing, which proves that
-    no tight augmenting path is left, is followed by one Dial bucket-queue
-    Dijkstra over the reduced costs from all free rows at once; it raises
-    the potentials so that every shortest augmenting path becomes tight.
+    once by another.  A sweep reaches each row at most once, since the
+    column that leads to it is then seen, so it reads each row's arcs
+    through one iterator, made when it first reaches the row and resumed
+    when the DFS backs up to it: every arc is tried at most once per
+    sweep, in out_adj order.  A root whose first tight arc ends at a free
+    column is matched at once, and keeps no path.  Only a sweep that
+    augments nothing, which proves that no tight augmenting path is left,
+    is followed by one Dial bucket-queue Dijkstra over the reduced costs
+    from all free rows at once; it raises the potentials so that every
+    shortest augmenting path becomes tight.
 
     The first phase is closed form.  Without a start every u begins at the
     least arc cost and every v at 0, and every row is free.  start, if
@@ -165,7 +171,8 @@ def _min_cost_matching(
 
     Returns the matched arc id of each row, u and v.  Raises
     NoCycleCoverError when no free row has an augmenting path, which is
-    also how a vertex without out- or in-arcs shows.
+    also how a vertex without out- or in-arcs shows; with a start, a row
+    without arcs raises a plain ``ValueError`` before any sweep.
     """
     nv = len(out_adj)
     v = [0] * nv
@@ -175,7 +182,15 @@ def _min_cost_matching(
         u = [min(cost, default=0)] * nv
         free = list(range(nv))
     else:
-        u = [min(map(cost.__getitem__, adj)) for adj in out_adj]
+        u = []
+        for adj in out_adj:
+            if not adj:
+                raise ValueError("a start is given for a row with no arcs")
+            low = cost[adj[0]]
+            for a in adj:
+                if cost[a] < low:
+                    low = cost[a]
+            u.append(low)
         free = []
         for i, a in enumerate(start):
             if cost[a] == u[i]:
@@ -184,40 +199,40 @@ def _min_cost_matching(
             else:
                 free.append(i)
     while True:
-        # Augment along a maximal set of vertex-disjoint tight paths.
+        # Augment along a maximal set of vertex-disjoint tight paths.  Row i
+        # (potential ui) reads its arcs through it; the rows below it wait
+        # in rows with their iterators in iters, and path[k] leaves rows[k].
         seen = bytearray(nv)
-        ptr = [0] * nv
-        for r in free:
-            rows = [r]
-            path: list[int] = []
-            while rows:
-                i = rows[-1]
-                adj = out_adj[i]
-                deg = len(adj)
-                k = ptr[i]
-                ui = u[i]
-                while k < deg:
-                    a = adj[k]
-                    k += 1
+        for i in free:
+            it, ui, rows = iter(out_adj[i]), u[i], None
+            while True:
+                for a in it:
                     h = head[a]
                     if not seen[h] and cost[a] - ui == v[h]:
                         seen[h] = 1
                         break
-                else:
-                    ptr[i] = k
-                    rows.pop()
-                    if path:
-                        path.pop()
+                else:  # i is a dead end: go back to the row below it
+                    if not rows:
+                        break
+                    i, it = rows.pop(), iters.pop()
+                    ui = u[i]
+                    path.pop()
                     continue
-                ptr[i] = k
-                path.append(a)
                 nxt = col_row[h]
-                if nxt < 0:
-                    for i, a in zip(rows, path):
-                        row_arc[i] = a
-                        col_row[head[a]] = i
+                if nxt < 0:  # a free column: augment
+                    row_arc[i] = a
+                    col_row[h] = i
+                    if rows:
+                        for i, a in zip(rows, path):
+                            row_arc[i] = a
+                            col_row[head[a]] = i
                     break
-                rows.append(nxt)
+                if rows is None:
+                    rows, iters, path = [], [], []
+                rows.append(i)
+                iters.append(it)
+                path.append(a)
+                i, it, ui = nxt, iter(out_adj[nxt]), u[nxt]
         swept, free = len(free), [i for i in free if row_arc[i] < 0]
         if not free:
             return row_arc, u, v
@@ -335,13 +350,15 @@ def coil_of_cover(g: WhirlDigraph, cover: CycleCover) -> int:
 
 
 def enumerate_cycle_covers(g: WhirlDigraph) -> list[CycleCover]:
-    """All cycle covers of a small digraph, by arc-choice DFS.
+    """All cycle covers of a small digraph, by arc-choice DFS on an explicit stack.
 
-    Rows (tails) take an out-arc in vertex order.  A branch ends as soon
-    as a later row has no unused head left, or an unused column (head) has
-    no later row that reaches it; both counts are kept per vertex and
-    updated in O(deg) per choice.  Neither check drops a cover, so the
-    covers come out in the same order as from the plain DFS.
+    Rows (tails) take an out-arc in vertex order; the stack is rows 0..k,
+    each with its current arc and the position of its next option.  A
+    branch ends as soon as a later row has no unused head left, or an
+    unused column (head) has no later row that reaches it; both counts
+    are kept per vertex and updated in O(deg) per choice.  Neither check
+    drops a cover, so the covers come out in the same order as from the
+    plain DFS.
 
     Guarded to n <= 7, where the covers number 1, 1, 1, 16 and 289 for
     n = 3..7.
@@ -355,32 +372,44 @@ def enumerate_cycle_covers(g: WhirlDigraph) -> list[CycleCover]:
     heads_left = [len(heads) for heads in out_opts]  # unused heads of each row
     rows_left = [len(tails) for tails in in_opts]  # rows still to choose that reach each column
     used = bytearray(nv)
-    chosen = [0] * nv
+    chosen = [-1] * nv  # arc of each row on the stack; -1 before its first choice
+    nxt = [0] * nv  # position in out_opts of the next option each row on the stack tries
     covers: list[CycleCover] = []
-
-    def rec(k: int) -> None:
+    k = 0
+    while k >= 0:
         if k == nv:
             covers.append(CycleCover(arcs=tuple(chosen)))
-            return
-        for head in out_opts[k]:
-            rows_left[head] -= 1
-        for a, head in zip(g.out_adj[k], out_opts[k]):
-            if used[head]:
-                continue
-            used[head] = 1
-            for t in in_opts[head]:
-                heads_left[t] -= 1
-            if not (any(t > k and not heads_left[t] for t in in_opts[head])
-                    or any(not used[h] and not rows_left[h] for h in out_opts[k])):
-                chosen[k] = a
-                rec(k + 1)
-            for t in in_opts[head]:
+            k -= 1
+            continue
+        opts = out_opts[k]
+        if chosen[k] < 0:  # row k is entered: its columns have one row less to come
+            for h in opts:
+                rows_left[h] -= 1
+        else:  # back at row k: take back its choice
+            h = head[chosen[k]]
+            for t in in_opts[h]:
                 heads_left[t] += 1
-            used[head] = 0
-        for head in out_opts[k]:
-            rows_left[head] += 1
-
-    rec(0)
+            used[h] = 0
+        for j in range(nxt[k], len(opts)):
+            h = opts[j]
+            if used[h]:
+                continue
+            used[h] = 1
+            for t in in_opts[h]:
+                heads_left[t] -= 1
+            if not (any(t > k and not heads_left[t] for t in in_opts[h])
+                    or any(not used[x] and not rows_left[x] for x in opts)):
+                chosen[k], nxt[k] = g.out_adj[k][j], j + 1
+                k += 1
+                break
+            for t in in_opts[h]:
+                heads_left[t] += 1
+            used[h] = 0
+        else:  # row k has no option left
+            for h in opts:
+                rows_left[h] += 1
+            chosen[k], nxt[k] = -1, 0
+            k -= 1
     return covers
 
 

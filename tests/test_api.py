@@ -224,6 +224,44 @@ def test_oracles_import_nothing_from_package():
     assert [m for m in modules if m.split(".")[0] == "whirlknight"] == []
 
 
+def _self_calls(tree: ast.AST) -> list[str]:
+    """Calls of a function, by its name or as self./cls.name, inside its own body, as 'line: name'."""
+    hits = []
+    for f in ast.walk(tree):
+        if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(f):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == f.name
+                    or isinstance(func, ast.Attribute) and func.attr == f.name
+                    and isinstance(func.value, ast.Name) and func.value.id in ("self", "cls")):
+                hits.append(f"{node.lineno}: {f.name}")
+    return hits
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(whirlknight.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_function_in_package_calls_itself(path):
+    # Package code runs on explicit stacks, so no input size meets the recursion limit.
+    assert _self_calls(ast.parse(path.read_text())) == []
+
+
+def test_self_call_guard_sees_each_form():
+    source = (
+        "def f(k):\n    return f(k - 1)\n"
+        "def outer():\n    def rec(k):\n        rec(k + 1)\n    rec(0)\n"
+        "async def g():\n    await g()\n"
+        "class C:\n    def m(self):\n        self.m()\n    @classmethod\n    def n(cls):\n        cls.n()\n"
+        "def h():\n    other()\n"
+        "def index(self, c):\n    return self.geometry.index(c)\n"
+        "def cell(k):\n    return geom.cell(k)\n"
+    )  # the last three call another function of the same or another name
+    assert len(_self_calls(ast.parse(source))) == 5
+
+
 def _int_rule_uses(tree: ast.AST) -> list[str]:
     """type(...) compared with int, and isinstance(..., int), as 'line: what'."""
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 import re
 from fractions import Fraction
 
@@ -199,6 +200,15 @@ class TestCoilInterval:
             iv = coil_interval(dg(n))
             digest.update(repr((n, iv.argmin.arcs, iv.columns[-1])).encode())
         assert digest.hexdigest() == "13d2b7071ea9932fdc84a53f8c46853125995c20ae85218d9c0267702adaacd4"
+
+    def test_most_coil_solve_is_pinned(self, dg):
+        # The most-coil solve starts warm from the least-coil cover; its cover
+        # and potentials (the above certificate's columns) are pinned as well.
+        digest = hashlib.sha256()
+        for n in range(3, 41):
+            iv = coil_interval(dg(n))
+            digest.update(repr((n, iv.argmax.arcs, iv.columns[1])).encode())
+        assert digest.hexdigest() == "6b33bca816a638d0ddff7379679fea45aa2e7b90ec02b67aea12ea1405c332fa"
 
     def test_most_coil_solve_starts_from_the_least_coil_cover(self, dg, monkeypatch):
         solve, starts = polytope._min_cost_matching, []
@@ -639,3 +649,51 @@ class TestMatchingSolver:
     def test_unmatchable_row_raises(self, out_adj, head):
         with pytest.raises(NoCycleCoverError, match="no cycle cover exists"):
             polytope._min_cost_matching(out_adj, head, [1] * len(head))
+
+    def test_start_with_an_arcless_row_raises(self):
+        with pytest.raises(ValueError) as excinfo:
+            polytope._min_cost_matching([[0], []], [0], [1], start=[0, 0])
+        assert excinfo.type is ValueError
+
+    @staticmethod
+    def random_instance(rng):
+        """1-12 rows, costs -3..6, parallel arcs and self-loops, arc ids in random order.
+
+        Three instances in four plant a random permutation, so that a
+        perfect matching exists.
+        """
+        nv = rng.randint(1, 12)
+        planted = rng.sample(range(nv), nv) if rng.random() < 0.75 else None
+        arcs = []
+        for i in range(nv):
+            heads = rng.choices(range(nv), k=rng.randint(0, 4))
+            if planted:
+                heads.insert(rng.randint(0, len(heads)), planted[i])
+            arcs += [(i, h, rng.randint(-3, 6)) for h in heads]
+        rng.shuffle(arcs)
+        out_adj = [[] for _ in range(nv)]
+        for a, (i, _, _) in enumerate(arcs):
+            out_adj[i].append(a)
+        return out_adj, [h for _, h, _ in arcs], [c for _, _, c in arcs]
+
+    def test_random_instances_are_pinned(self):
+        # Each instance is solved cold, then warm from its own cold matching;
+        # the digest pins every matching and both potentials, or the
+        # exception's type.
+        rng, digest = random.Random(20261022), hashlib.sha256()
+        kinds = {"parallel": 0, "loop": 0, "ok": 0, "raised": 0}
+        for _ in range(500):
+            out_adj, head, cost = self.random_instance(rng)
+            kinds["parallel"] += any(len({head[a] for a in adj}) < len(adj) for adj in out_adj)
+            kinds["loop"] += any(head[a] == i for i, adj in enumerate(out_adj) for a in adj)
+            try:
+                cold = polytope._min_cost_matching(out_adj, head, cost)
+            except NoCycleCoverError as exc:
+                kinds["raised"] += 1
+                digest.update(type(exc).__name__.encode())
+                continue
+            kinds["ok"] += 1
+            warm = polytope._min_cost_matching(out_adj, head, cost, cold[0])
+            digest.update(repr((cold, warm)).encode())
+        assert min(kinds.values()) >= 50, kinds
+        assert digest.hexdigest() == "63204c7427ee677d7aa09f615c7a78659708a70f128b8a33b644eb4bb6d4d448"
