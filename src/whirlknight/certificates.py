@@ -45,6 +45,7 @@ Both achieve RHS exactly 1.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import FAMILIES, _EXPORTS
@@ -163,23 +164,25 @@ def build_n3_certificate() -> FarkasCertificate:
 
 
 def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> VerificationReport:
-    """Check a certificate against every arc of g, exactly, as int columns by vertex index.
+    """Check a certificate against every arc of g, exactly, by vertex index.
 
     On a built digraph (``g.knight_runs``) whose candidate bound is below
     E / 16 (the module docstring's rule), the LHS is evaluated on the
-    candidate arcs alone, else on all arcs; the report is the same either
-    way.  An arc end outside ``range(vertex_count)`` raises ``ValueError``.
+    candidate arcs alone, in O(support), else on all arcs, from int
+    columns; the report is the same either way.  An arc end outside
+    ``range(vertex_count)`` raises ``ValueError``.
     """
     if cert.n != g.n:
         raise ValueError(f"certificate is for n={cert.n}, digraph has n={g.n}")
+    if g.knight_runs and 16 * (8 * (len(cert.alpha) + len(cert.beta)) + len(g.crossing)) < len(g.w):
+        return _check_candidates(g, cert)
     nv = g.geometry.vertex_count
     alpha, beta = [0] * nv, [0] * nv  # by vertex index
     index = g.geometry.index
     for support, col in ((cert.alpha, alpha), (cert.beta, beta)):
         for v, x in support.items():
             col[index(v)] = x
-    sparse = g.knight_runs and 16 * (8 * (len(cert.alpha) + len(cert.beta)) + len(g.crossing)) < len(g.w)
-    return _check_columns(g, alpha, beta, cert.gamma, cert.c, _candidates(g, cert) if sparse else None)
+    return _check_columns(g, alpha, beta, cert.gamma, cert.c)
 
 
 def _candidates(g: WhirlDigraph, cert: FarkasCertificate) -> list[int]:
@@ -216,36 +219,52 @@ def _candidates(g: WhirlDigraph, cert: FarkasCertificate) -> list[int]:
     return sorted(ids)
 
 
-def _check_columns(
-    g: WhirlDigraph, alpha: list[int], beta: list[int], gamma: int, c: int, ids: list[int] | None = None
-) -> VerificationReport:
-    """The Farkas check of alpha and beta, int columns by vertex index, on all arcs or on ``ids``.
+def _check_candidates(g: WhirlDigraph, cert: FarkasCertificate) -> VerificationReport:
+    """The Farkas check of cert on the candidate arcs of ``_candidates`` alone, in O(support).
 
-    The one place an arc's LHS is evaluated.  It never samples, and it
-    collects every violating arc, not just the first.  Valid means max
-    LHS <= 0 and RHS >= 1.  With ids None, one comprehension reads alpha
-    and beta on every arc, from the two end columns; the coil row is then
-    added only on ``g.crossing``, the arcs with w != 0 (about 3n of the
-    4n² arcs), whose ids a built digraph carries from its build.  With
-    ids, the ascending ids of ``_candidates``, the comprehension reads
-    those arcs alone, coil row included.  By the module's candidate lemma
-    every other arc has LHS exactly 0, so max LHS takes 0 in exactly when
-    some arc lies outside ids, and the violations, all among ids, stay in
-    arc-id order.  ``verify_certificate`` passes ids only when
-    8 * (|alpha| + |beta|) + |crossing| < E / 16, the rule measured in the
-    module docstring.  An ``Arc`` record is built only for each violating
-    arc, from the cells of its ends.
+    alpha and beta are read as maps from vertex index to entry, holding
+    the support only, so no column of all vertices is made; the RHS comes
+    from the certificate's own entries.  By the module's candidate lemma
+    every other arc has LHS exactly 0.  ``verify_certificate`` calls this
+    only when 8 * (|alpha| + |beta|) + |crossing| < E / 16, the rule
+    measured in the module docstring.
+    """
+    index, gamma = g.geometry.index, cert.gamma
+    alpha = {index(v): x for v, x in cert.alpha.items()}
+    beta = {index(v): x for v, x in cert.beta.items()}
+    ids = _candidates(g, cert)
+    (tail, head), w = g.ends, g.w
+    lhs = [alpha.get(head[a], 0) + beta.get(tail[a], 0) + gamma * w[a] for a in ids]
+    return _report(g, ids, lhs, cert.sum_alpha() + cert.sum_beta() + cert.c * gamma)
+
+
+def _check_columns(g: WhirlDigraph, alpha: list[int], beta: list[int], gamma: int, c: int) -> VerificationReport:
+    """The Farkas check of alpha and beta, int columns by vertex index, on every arc.
+
+    It never samples, and it collects every violating arc, not just the
+    first.  One comprehension reads alpha and beta on every arc, from the
+    two end columns; the coil row is then added only on ``g.crossing``,
+    the arcs with w != 0 (about 3n of the 4n² arcs), whose ids a built
+    digraph carries from its build.
     """
     tail, head = g.ends
     w = g.w
-    if ids is None:
-        lhs = [alpha[h] + beta[t] for t, h in zip(tail, head)]
-        if gamma:
-            for a in g.crossing:
-                lhs[a] += gamma * w[a]
-        ids = range(len(lhs))
-    else:
-        lhs = [alpha[head[a]] + beta[tail[a]] + gamma * w[a] for a in ids]
+    lhs = [alpha[h] + beta[t] for t, h in zip(tail, head)]
+    if gamma:
+        for a in g.crossing:
+            lhs[a] += gamma * w[a]
+    return _report(g, range(len(lhs)), lhs, sum(alpha) + sum(beta) + c * gamma)
+
+
+def _report(g: WhirlDigraph, ids: Sequence[int], lhs: list[int], rhs: int) -> VerificationReport:
+    """The report for the LHS of the ascending arc ids, every arc outside them having LHS 0.
+
+    Valid means max LHS <= 0 and RHS >= 1.  Max LHS takes 0 in exactly
+    when some arc lies outside ids, and the violations, all among ids,
+    stay in arc-id order.  An ``Arc`` record is built only for each
+    violating arc, from the cells of its ends.
+    """
+    (tail, head), w = g.ends, g.w
     max_lhs = max(lhs, default=0)
     if len(lhs) < len(w):  # an arc outside ids, whose LHS is 0
         max_lhs = max(max_lhs, 0)
@@ -253,7 +272,6 @@ def _check_columns(
     violations = tuple(
         (Arc(cell(tail[a]), cell(head[a]), w[a], a), x) for a, x in zip(ids, lhs) if x > 0
     ) if max_lhs > 0 else ()
-    rhs = sum(alpha) + sum(beta) + c * gamma
     return VerificationReport(rhs, max_lhs, violations, valid=not violations and rhs >= 1)
 
 

@@ -10,19 +10,21 @@ of columns, and ``build_digraph`` marks each interval with one slice and
 copies the marked candidates in C.  The digraph is ``(n, tail, head, w)``:
 the arc columns ``tail``, ``head`` (vertex indices) and ``w``, of one length and
 indexed by arc id, which every solver reads.  ``vertices``, ``out_adj``, ``in_adj``,
-the checked arc ends (``ends``), the ids of the crossing arcs (``crossing``)
-and the ``Arc`` records of cells (``arcs``) are derived from them on first
-use; ``arc(a)`` builds one record alone.  One fact is never derived:
+the checked arc ends (``ends``) and the ids of the crossing arcs (``crossing``)
+are derived from them on first use.  ``arcs`` is a read-only view of the
+``Arc`` records of cells, in arc-id order: it builds each record when it is
+read and keeps none, so a pass over all 4n² arcs holds one record at a time;
+``arc(a)`` builds one record alone.  One fact is never derived:
 ``knight_runs``, the build's arc layout, holds only on a digraph that
 ``build_digraph`` made.  A built digraph is immutable.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count, starmap
 from typing import NamedTuple
 
 from . import _EXPORTS
@@ -44,8 +46,9 @@ class WhirlDigraph:
 
     Derived on first use and cached (``dataclasses.replace`` derives them again): ``geometry``,
     which numbers and counts the vertices, ``vertices``, ``ends``, ``out_adj``, ``in_adj``,
-    ``crossing`` and ``arcs``.  Every reader that indexes by the arc ends reads them from ``ends``,
-    which checks them once per digraph.
+    ``crossing`` and ``arcs``, a view that builds each ``Arc`` record when it is read and keeps
+    none.  Every reader that indexes by the arc ends reads them from ``ends``, which checks them
+    once per digraph.
 
     ``knight_runs`` is True only where ``build_digraph`` seeded it: the tail column ascends, so
     each vertex's out-arcs are one run of ids, and every arc is a knight step whose head no other
@@ -103,11 +106,9 @@ class WhirlDigraph:
         return tuple(compress(range(len(self.w)), self.w))
 
     @cached_property
-    def arcs(self) -> tuple[Arc, ...]:
-        """Every arc as a record, in arc-id order; built from the columns on first use."""
-        tail, head = self.ends
-        vs = self.vertices
-        return tuple(Arc(vs[t], vs[h], x, a) for a, (t, h, x) in enumerate(zip(tail, head, self.w)))
+    def arcs(self) -> Sequence[Arc]:
+        """Every arc as a record, in arc-id order: a view that builds each record when it is read."""
+        return _ArcView(self.vertices, *self.ends, self.w)
 
     def arc(self, a: int) -> Arc:
         """Arc a as a record of cells; an a that is not an id in ``range(len(w))`` raises ``ValueError``."""
@@ -136,6 +137,37 @@ class WhirlDigraph:
             else:
                 raise ValueError(f"step {tuple(t)} -> {tuple(h)} is not an arc of the digraph")
         return ids
+
+
+class _ArcView(Sequence[Arc]):
+    """Arc id -> ``Arc`` record, indexed like a tuple, over the checked columns and the vertex cells.
+
+    Each record is built when it is read, so the view holds no record and,
+    holding the columns and not the digraph, no reference back to it.  A
+    slice gives a tuple of records.
+    """
+
+    __slots__ = ("_vertices", "_tail", "_head", "_w")
+
+    def __init__(self, vertices: tuple[Cell, ...], tail: tuple[int, ...], head: tuple[int, ...], w: tuple[int, ...]):
+        self._vertices, self._tail, self._head, self._w = vertices, tail, head, w
+
+    def __len__(self) -> int:
+        return len(self._w)
+
+    def __getitem__(self, a):  # int -> Arc, slice -> tuple[Arc, ...]
+        ids = range(len(self._w))[a]  # a negative id counts from the back; one past either end raises IndexError
+        if isinstance(ids, range):
+            return tuple(map(self._arc, ids))
+        return self._arc(ids)
+
+    def _arc(self, a: int) -> Arc:
+        vs = self._vertices
+        return Arc(vs[self._tail[a]], vs[self._head[a]], self._w[a], a)
+
+    def __iter__(self) -> Iterator[Arc]:
+        cell = self._vertices.__getitem__
+        return starmap(Arc, zip(map(cell, self._tail), map(cell, self._head), self._w, count()))
 
 
 def build_digraph(n: int) -> WhirlDigraph:
@@ -233,12 +265,17 @@ def build_digraph(n: int) -> WhirlDigraph:
         window_arcs.append((len(tail) + mask.count(1, 0, a), list(compress(w_north if ui < 0 else w_south, mask[a:b]))))
         tail += compress(tails, mask)
         head += compress(heads, mask)
+    # One column at a time, each list released once its tuple exists: the three lists beside
+    # their three tuples would peak two columns higher.
+    tail = tuple(tail)
+    head = tuple(head)
     w = [0] * len(tail)
     crossing: list[int] = []
     for s, ws in window_arcs:
         w[s:s + len(ws)] = ws
         crossing += compress(range(s, s + len(ws)), ws)
-    g = WhirlDigraph(n=n, tail=tuple(tail), head=tuple(head), w=tuple(w))
+    w = tuple(w)
+    g = WhirlDigraph(n=n, tail=tail, head=head, w=w)
     vars(g).update(crossing=tuple(crossing), ends=(g.tail, g.head), knight_runs=True)
     return g
 

@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import json
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -124,10 +127,11 @@ class TestAdjacency:
         with pytest.raises(ValueError, match=r"^arc columns differ in length: tail 624, head 624, w 623$"):
             dataclasses.replace(g, w=g.w[:-1])
 
-    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("n", range(3, 41))
     def test_columns_match_arcs(self, n, dg):
         g = dg(n)
         assert len(g.tail) == len(g.head) == len(g.w) == len(g.arcs)
+        assert list(g.arcs) == [g.arc(a) for a in range(len(g.w))]
         for a in g.arcs:
             assert a.tail is g.vertices[g.tail[a.id]]
             assert a.head is g.vertices[g.head[a.id]]
@@ -158,6 +162,53 @@ class TestAdjacency:
             else:
                 with pytest.raises(ValueError, match="not an arc"):
                     g.step_arcs([(u, v)])
+
+
+def _traced_peak(run):
+    """The peak traced allocation, in bytes, while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestArcView:
+    def test_indexed_like_a_tuple(self, dg):
+        g = dg(8)
+        end = len(g.w)
+        assert g.arcs[-1] == g.arc(end - 1) and g.arcs[-end] == g.arc(0)
+        assert g.arcs[2:5] == (g.arc(2), g.arc(3), g.arc(4)) and type(g.arcs[2:5]) is tuple
+        assert g.arcs[::-1] == tuple(reversed(list(g.arcs))) and g.arcs[end:] == ()
+        for a in (end, -end - 1):
+            with pytest.raises(IndexError):
+                g.arcs[a]
+
+    def test_a_pass_over_every_arc_holds_one_record_at_a_time(self):
+        # A tuple of the 38 808 records of n = 100 took about 4 MB.
+        g = build_digraph(100)
+        g.vertices
+        counts = []
+        peak = _traced_peak(lambda: counts.extend((len(g.arcs), sum(a.w for a in g.arcs))))
+        assert counts == [len(g.w), len(g.crossing)]
+        assert peak < 64 * 1024
+
+    def test_the_view_makes_no_cycle_with_the_digraph(self):
+        g = build_digraph(6)
+        assert g.arcs[0] and len(g.arcs) == len(g.w)
+        ref = weakref.ref(g)
+        gc.disable()  # so only reference counting can free g
+        try:
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_the_build_holds_one_column_twice_at_most(self):
+        # The three lists beside their three tuples peaked at 9.2-9.4 MB on CPython 3.10-3.13;
+        # one column at a time peaks at 6.6-6.8 MB.
+        assert _traced_peak(lambda: build_digraph(200)) < 8_000_000
 
 
 def _violations(g):
