@@ -19,13 +19,15 @@ gamma != 0, the crossing arcs (w != 0) need an evaluation, at most
 max LHS, if there is a rest, and no violation.  On a digraph that
 ``build_digraph`` made, ``verify_certificate`` reads only these
 candidates when that bound is below E / 16, and every arc otherwise.
-E / 16 is near where the two paths cost the same: on random supports,
+Both paths end in one evaluator, ``_check_columns``.  E / 16 sits a
+little below where the two paths cost the same: on random supports,
 half alpha and half beta, the candidates took as long as the full scan
-at a bound of about 0.11 E at n = 30, 0.075 E at n = 100 and 0.055 E at
-n = 300 (2-vCPU x86 container, CPython 3.11).  t1's support of (n+2)/2
-cells falls below it from n = 38 on, where the check of t1 at n = 510
-takes about 9 ms against 88 ms for the full scan; t2's n²/8 triangle cells and
-the LP's dense potentials stay with the full scan.
+at a bound of about 0.13 E at n = 30, 0.10-0.12 E at n = 100 and
+0.07-0.09 E at n = 300 (best of 7, two runs, 2-vCPU x86 container,
+CPython 3.11).  t1's support of (n+2)/2 cells falls below it from n = 38
+on; at n = 510 its check takes about 4.4 ms against 90-99 ms for the
+full scan.  t2's n²/8 triangle cells and the LP's dense potentials stay
+with the full scan.
 
 The package's ``FAMILIES`` lists the closed-form families, each with the
 residue class of n mod 8 it takes; the builder of family f is ``build_f``.
@@ -45,7 +47,6 @@ Both achieve RHS exactly 1.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import FAMILIES, _EXPORTS
@@ -174,15 +175,18 @@ def verify_certificate(g: WhirlDigraph, cert: FarkasCertificate) -> Verification
     """
     if cert.n != g.n:
         raise ValueError(f"certificate is for n={cert.n}, digraph has n={g.n}")
-    if g.knight_runs and 16 * (8 * (len(cert.alpha) + len(cert.beta)) + len(g.crossing)) < len(g.w):
-        return _check_candidates(g, cert)
-    nv = g.geometry.vertex_count
-    alpha, beta = [0] * nv, [0] * nv  # by vertex index
     index = g.geometry.index
-    for support, col in ((cert.alpha, alpha), (cert.beta, beta)):
-        for v, x in support.items():
-            col[index(v)] = x
-    return _check_columns(g, alpha, beta, cert.gamma, cert.c)
+    alpha = {index(v): x for v, x in cert.alpha.items()}
+    beta = {index(v): x for v, x in cert.beta.items()}
+    rhs = cert.sum_alpha() + cert.sum_beta() + cert.c * cert.gamma
+    if g.knight_runs and 16 * (8 * (len(alpha) + len(beta)) + len(g.crossing)) < len(g.w):
+        return _check_columns(g, alpha, beta, cert.gamma, rhs, _candidates(g, cert))
+    nv = g.geometry.vertex_count
+    cols = [0] * nv, [0] * nv  # alpha and beta by vertex index
+    for support, col in zip((alpha, beta), cols):
+        for k, x in support.items():
+            col[k] = x
+    return _check_columns(g, *cols, cert.gamma, rhs)
 
 
 def _candidates(g: WhirlDigraph, cert: FarkasCertificate) -> list[int]:
@@ -219,52 +223,32 @@ def _candidates(g: WhirlDigraph, cert: FarkasCertificate) -> list[int]:
     return sorted(ids)
 
 
-def _check_candidates(g: WhirlDigraph, cert: FarkasCertificate) -> VerificationReport:
-    """The Farkas check of cert on the candidate arcs of ``_candidates`` alone, in O(support).
+def _check_columns(
+    g: WhirlDigraph, alpha: list[int] | dict[int, int], beta: list[int] | dict[int, int],
+    gamma: int, rhs: int, ids: list[int] | None = None,
+) -> VerificationReport:
+    """The Farkas report of alpha, beta and gamma on g at RHS rhs: valid is max LHS <= 0 and RHS >= 1.
 
-    alpha and beta are read as maps from vertex index to entry, holding
-    the support only, so no column of all vertices is made; the RHS comes
-    from the certificate's own entries.  By the module's candidate lemma
-    every other arc has LHS exactly 0.  ``verify_certificate`` calls this
-    only when 8 * (|alpha| + |beta|) + |crossing| < E / 16, the rule
-    measured in the module docstring.
-    """
-    index, gamma = g.geometry.index, cert.gamma
-    alpha = {index(v): x for v, x in cert.alpha.items()}
-    beta = {index(v): x for v, x in cert.beta.items()}
-    ids = _candidates(g, cert)
-    (tail, head), w = g.ends, g.w
-    lhs = [alpha.get(head[a], 0) + beta.get(tail[a], 0) + gamma * w[a] for a in ids]
-    return _report(g, ids, lhs, cert.sum_alpha() + cert.sum_beta() + cert.c * gamma)
-
-
-def _check_columns(g: WhirlDigraph, alpha: list[int], beta: list[int], gamma: int, c: int) -> VerificationReport:
-    """The Farkas check of alpha and beta, int columns by vertex index, on every arc.
-
-    It never samples, and it collects every violating arc, not just the
-    first.  One comprehension reads alpha and beta on every arc, from the
-    two end columns; the coil row is then added only on ``g.crossing``,
-    the arcs with w != 0 (about 3n of the 4n² arcs), whose ids a built
-    digraph carries from its build.
-    """
-    tail, head = g.ends
-    w = g.w
-    lhs = [alpha[h] + beta[t] for t, h in zip(tail, head)]
-    if gamma:
-        for a in g.crossing:
-            lhs[a] += gamma * w[a]
-    return _report(g, range(len(lhs)), lhs, sum(alpha) + sum(beta) + c * gamma)
-
-
-def _report(g: WhirlDigraph, ids: Sequence[int], lhs: list[int], rhs: int) -> VerificationReport:
-    """The report for the LHS of the ascending arc ids, every arc outside them having LHS 0.
-
-    Valid means max LHS <= 0 and RHS >= 1.  Max LHS takes 0 in exactly
-    when some arc lies outside ids, and the violations, all among ids,
-    stay in arc-id order.  An ``Arc`` record is built only for each
-    violating arc, from the cells of its ends.
+    With ids None, alpha and beta are int columns by vertex index and
+    every arc is read: one comprehension sums them over the two end
+    columns, and the coil row is then added only on ``g.crossing``, the
+    arcs with w != 0 (about 3n of the 4n² arcs).  With ascending ids,
+    alpha and beta map a vertex index to its entry, the support alone,
+    and only the arcs in ids are read; by the module's candidate lemma
+    every other arc has LHS exactly 0, so max LHS takes 0 in exactly when
+    some arc lies outside ids.  It never samples, and it collects every
+    violating arc, in arc-id order, building an ``Arc`` record only for
+    each of them, from the cells of its ends.
     """
     (tail, head), w = g.ends, g.w
+    if ids is None:
+        ids = range(len(w))
+        lhs = [alpha[h] + beta[t] for t, h in zip(tail, head)]
+        if gamma:
+            for a in g.crossing:
+                lhs[a] += gamma * w[a]
+    else:
+        lhs = [alpha.get(head[a], 0) + beta.get(tail[a], 0) + gamma * w[a] for a in ids]
     max_lhs = max(lhs, default=0)
     if len(lhs) < len(w):  # an arc outside ids, whose LHS is 0
         max_lhs = max(max_lhs, 0)

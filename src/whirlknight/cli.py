@@ -37,7 +37,7 @@ def _summary(line: str, out: str | None) -> None:
 def cmd_digraph(args: argparse.Namespace) -> int:
     g = wk.build_digraph(args.n)
     _summary(f"n={g.n} vertices={g.geometry.vertex_count} arcs={len(g.w)} "
-             f"crossing_arcs={sum(g.w)}", args.out)
+             f"crossing_arcs={len(g.crossing)}", args.out)
     if args.out:
         _write_or_print(wk.digraph_to_json(g), args.out)
     return 0

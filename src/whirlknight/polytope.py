@@ -298,7 +298,7 @@ def _extreme_cover(
     row_arc, u, v = _min_cost_matching(g.out_adj, g.ends[1], [-gamma * x for x in g.w], start)
     cover = CycleCover(arcs=tuple(row_arc))
     coil = coil_of_cover(g, cover)
-    report = _check_columns(g, v, u, gamma, coil + gamma)
+    report = _check_columns(g, v, u, gamma, sum(v) + sum(u) + (coil + gamma) * gamma)
     if report.max_lhs > 0 or report.rhs != 1:
         raise AssertionError(
             f"potentials give no certificate at c={coil + gamma}: "

@@ -30,12 +30,13 @@ from whirlknight import (
     build_t2,
     certificate_from_json,
     certificate_to_json,
+    coil_interval,
     lp_feasible,
     parity_census,
     verify_certificate,
 )
-from whirlknight import certificates
-from whirlknight.certificates import _candidates, _check_candidates, _check_columns
+from whirlknight import certificates, polytope
+from whirlknight.certificates import _candidates, _check_columns
 
 from oracles import board_cells, step_arcs_oracle
 
@@ -183,12 +184,17 @@ def oracle_report(cert):
 
 def both_paths(g, cert):
     """The report tuple of the full scan and of the candidate ids, each forced, on a built g."""
-    nv = g.geometry.vertex_count
-    alpha, beta = [0] * nv, [0] * nv
-    for support, col in ((cert.alpha, alpha), (cert.beta, beta)):
-        for v, x in support.items():
-            col[g.geometry.index(v)] = x
-    reports = (_check_columns(g, alpha, beta, cert.gamma, cert.c), _check_candidates(g, cert))
+    index, nv = g.geometry.index, g.geometry.vertex_count
+    alpha, beta = {index(v): x for v, x in cert.alpha.items()}, {index(v): x for v, x in cert.beta.items()}
+    cols = [0] * nv, [0] * nv
+    for support, col in zip((alpha, beta), cols):
+        for k, x in support.items():
+            col[k] = x
+    reports = (
+        _check_columns(g, *cols, cert.gamma, sum(cols[0]) + sum(cols[1]) + cert.c * cert.gamma),
+        _check_columns(g, alpha, beta, cert.gamma, cert.sum_alpha() + cert.sum_beta() + cert.c * cert.gamma,
+                       _candidates(g, cert)),
+    )
     return [(r.rhs, r.max_lhs, r.valid, list(r.violations)) for r in reports]
 
 
@@ -208,7 +214,7 @@ class TestSparseCheck:
             if n < 40:
                 assert full == oracle_report(c)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 13, 16, 21, 30, 31, 39, 40, 47, 60])
+    @pytest.mark.parametrize("n", [*range(3, 32), 39, 40, 47, 60])
     def test_random_supports_match_the_full_scan(self, n, dg):
         g = dg(n)
         cells = list(map(g.geometry.cell, range(g.geometry.vertex_count)))
@@ -228,6 +234,12 @@ class TestSparseCheck:
                 assert full == oracle_report(cert), k
             seen.add((full[2], bool(full[3])))
         assert (False, True) in seen  # violations are compared, not only their absence
+        if n <= 30:  # the LP's own certificates: dense, mixed-sign potentials the size rule keeps on the full scan
+            iv = coil_interval(g)
+            for cert in (iv.below, iv.above):
+                full, sparse = both_paths(g, cert)
+                assert sparse == full and full[2]
+                assert full == oracle_report(cert)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_max_lhs_reads_zero_only_from_an_arc_outside_the_candidates(self, n, dg):
@@ -247,6 +259,31 @@ class TestSparseCheck:
             if n % 8 in (4, 6):
                 verify_certificate(dg(n), build_t1(n) if n % 8 == 6 else build_t2(n))
         assert calls == list(range(38, 103, 8))
+
+    def test_one_evaluator_builds_every_report(self, monkeypatch):
+        """Both paths of verify_certificate and the LP's self-check each make one _check_columns call."""
+        t1, t2, g8 = build_digraph(102), build_digraph(100), build_digraph(8)
+        iv = coil_interval(g8)
+        cases = [(t1, build_t1(102)), (t2, build_t2(100)), (g8, iv.below), (g8, iv.above)]
+        expected = [verify_certificate(g, cert) for g, cert in cases]
+        calls = []
+
+        def recorder(g, alpha, beta, gamma, rhs, ids=None):
+            report = _check_columns(g, alpha, beta, gamma, rhs, ids)
+            calls.append((ids is not None, report))
+            return report
+
+        monkeypatch.setattr(certificates, "_check_columns", recorder)
+        monkeypatch.setattr(polytope, "_check_columns", recorder)
+        assert verify_certificate(*cases[0]) == expected[0]
+        assert calls == [(True, expected[0])]  # sparse: with ids
+        calls.clear()
+        assert verify_certificate(*cases[1]) == expected[1]
+        assert calls == [(False, expected[1])]  # full: without ids
+        calls.clear()
+        again = coil_interval(build_digraph(8))
+        assert (again.min_coil, again.max_coil, again.columns) == (iv.min_coil, iv.max_coil, iv.columns)
+        assert calls == [(False, expected[2]), (False, expected[3])]  # the least- and most-coil self-checks
 
     def test_the_candidate_path_allocates_by_the_support(self):
         # t1 at n = 302 has 76 cells a side against 91 204 vertices, whose two int columns
